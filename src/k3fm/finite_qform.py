@@ -2,9 +2,14 @@
 
 A form is stored in invariant-factor coordinates: generator orders
 d_1 | d_2 | ... | d_k (all > 1), the values q(g_i) in Q/2Z and the pairwise
-bilinear values b(g_i, g_j) in Q/Z.  Everything downstream — signed isometry
-enumeration, orthogonal groups, subgroup closure, double-coset counts — is
-brute force over these coordinates, guarded by a size cap.
+bilinear values b(g_i, g_j) in Q/Z, as `Fraction`s.  Everything downstream —
+signed isometry enumeration, orthogonal groups, subgroup closure, double-coset
+counts — is brute force over these coordinates, guarded by a size cap.
+
+The `Fraction` values are the input/output view.  The isometry search scales
+them by the exponent N = d_k once per call and runs on integers: q mod 2N and
+b mod N.  It tests generation by a Hermite basis of the images stacked on
+diag(d_1, ..., d_k) rather than by building the span.
 """
 
 from __future__ import annotations
@@ -165,18 +170,6 @@ def all_elements(a: FiniteQuadraticForm):
     return product(*(range(d) for d in a.orders))
 
 
-def zero_element(a: FiniteQuadraticForm) -> tuple:
-    return (0,) * a.ngens
-
-
-def add_elements(a: FiniteQuadraticForm, x, y) -> tuple:
-    return tuple((xi + yi) % d for xi, yi, d in zip(x, y, a.orders))
-
-
-def scale_element(a: FiniteQuadraticForm, n: int, x) -> tuple:
-    return tuple((n * xi) % d for xi, d in zip(x, a.orders))
-
-
 def element_order(a: FiniteQuadraticForm, x) -> int:
     return lcm(1, *(d // gcd(d, xi) for xi, d in zip(x, a.orders)))
 
@@ -194,12 +187,32 @@ def evaluate_b(a: FiniteQuadraticForm, x, y) -> Fraction:
     return _raw_b(a.b_matrix, x, y)
 
 
-def _span_size(a: FiniteQuadraticForm, elements) -> int:
-    span = {zero_element(a)}
-    for y in elements:
-        k = element_order(a, y)
-        span = {add_elements(a, s, scale_element(a, m, y)) for s in span for m in range(k)}
-    return len(span)
+def _integer_tables(a: FiniteQuadraticForm) -> tuple[list, list]:
+    """(Q, B) with Q_i = q(g_i)*N mod 2N and B_ij = b(g_i, g_j)*N mod N, where
+    N = d_k is the exponent of A (k >= 1).
+
+    Both are integers: the constructor checks d_i*b_ij in Z, and d_i divides
+    N, so N*b_ij is an integer; it checks q_i = b_ii mod 1, so N*q_i is one
+    too.  Then N*q(x) = sum x_i^2 Q_i + 2 sum_{i<j} x_i x_j B_ij mod 2N and
+    N*b(x, y) = sum x_i y_j B_ij mod N.
+    """
+    n = a.orders[-1]
+    q = [x * n for x in a.q_gens]
+    b = [[x * n for x in row] for row in a.b_matrix]
+    if any(x.denominator != 1 for x in q) or any(x.denominator != 1 for row in b for x in row):
+        raise RuntimeError("form values are not integral at the group exponent")
+    return [int(x) % (2 * n) for x in q], [[int(x) % n for x in row] for row in b]
+
+
+def _generates(orders, images) -> bool:
+    """Whether the coefficient vectors generate Z/d_1 + ... + Z/d_k: exactly
+    when the rows of the images and of diag(orders) span Z^k."""
+    k = len(orders)
+    if k == 1:
+        return gcd(orders[0], *(x[0] for x in images)) == 1
+    diag = intmat.identity(k)
+    rows = tuple(images) + tuple(tuple(d * e for e in row) for d, row in zip(orders, diag))
+    return intmat.hermite_row_basis(rows) == diag
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +300,7 @@ def validate_map(f: FiniteFormMap) -> None:
         for j in range(i):
             if evaluate_b(b, img, f.images[j]) != _mod1(f.sign * a.b_matrix[i][j]):
                 raise ValueError("map does not rescale b by its sign")
-    if _span_size(b, f.images) != b.order:
+    if not _generates(b.orders, f.images):
         raise ValueError("images do not generate the target group")
 
 
@@ -307,34 +320,69 @@ def isometries_signed(
         raise ValueError("sign must be +1 or -1")
     cap = DEFAULT_CAP if cap is None else cap
     if a.order > cap or b.order > cap:
-        raise CapExceededError("finite group too large")
+        raise CapExceededError(
+            f"finite group too large: |A| = {max(a.order, b.order)} exceeds the cap {cap}"
+            " (raise it with K3FM_CAP)"
+        )
     if a.orders != b.orders:
         return []
-    k = a.ngens
-    elems = list(all_elements(b))
-    orders_of = {x: element_order(b, x) for x in elems}
-    q_of = {x: evaluate_q(b, x) for x in elems}
-    target_q = [_mod2(sign * qi) for qi in a.q_gens]
-    target_b = [[_mod1(sign * a.b_matrix[i][j]) for j in range(k)] for i in range(k)]
-    candidates = [
-        [x for x in elems if a.orders[i] % orders_of[x] == 0 and q_of[x] == target_q[i]]
-        for i in range(k)
-    ]
+    orders = b.orders
+    k = len(orders)
+    if k == 0:
+        return [FiniteFormMap(a, b, (), sign)]
+    n = orders[-1]
+    two_n = 2 * n
+    qa, ba = _integer_tables(a)
+    qb, bb = _integer_tables(b)
+    target_q = [sign * x % two_n for x in qa]
+    target_b = [[sign * x % n for x in row] for row in ba]
+
+    if k == 1:
+        # cyclic: q(x) = x^2 Q_1 mod 2N, and every x has order dividing N
+        q1, t = qb[0], target_q[0]
+        candidates = [[(x,) for x in range(n) if x * x * q1 % two_n == t]]
+    else:
+        # elements of B by q-value, each bucket in lexicographic order
+        by_q: dict[int, list] = {}
+        for x in all_elements(b):
+            total = 0
+            for i, xi in enumerate(x):
+                if xi:
+                    total += xi * xi * qb[i]
+                    for j in range(i + 1, k):
+                        total += 2 * xi * x[j] * bb[i][j]
+            by_q.setdefault(total % two_n, []).append(x)
+        candidates = [
+            [
+                x
+                for x in by_q.get(target_q[i], ())
+                if all(d_i * xj % dj == 0 for xj, dj in zip(x, orders))
+            ]
+            for i, d_i in enumerate(orders)
+        ]
+
     results: list[FiniteFormMap] = []
     images: list[tuple] = []
+    # pairing rows of the chosen images: b(x, y) * N = sum_s x_s row_y[s] mod N
+    rows: list[list] = []
 
     def backtrack(i: int) -> bool:
         if i == k:
-            if _span_size(b, images) == b.order:
+            if _generates(orders, images):
                 results.append(FiniteFormMap(a, b, tuple(images), sign))
                 return _first_only
             return False
+        want = target_b[i]
         for x in candidates[i]:
-            if all(evaluate_b(b, x, images[j]) == target_b[i][j] for j in range(i)):
+            if all(
+                sum(xs * rs for xs, rs in zip(x, rows[j])) % n == want[j] for j in range(i)
+            ):
                 images.append(x)
+                rows.append([sum(bst * xt for bst, xt in zip(bs, x)) for bs in bb])
                 if backtrack(i + 1):
                     return True
                 images.pop()
+                rows.pop()
         return False
 
     backtrack(0)

@@ -170,7 +170,7 @@ def _transported_hodge_gens(a_target, hodge: HodgeGroupSpec, cap: int | None):
         if hodge.order != 2:
             raise UnsupportedError("explicit Hodge action required")
         return [negation_map(a_target)]
-    anti = isometries_signed(hodge.action.source, a_target, -1, cap=cap)
+    anti = isometries_signed(hodge.action.source, a_target, -1, cap=cap, _first_only=True)
     if not anti:
         raise ValueError(
             "Hodge action lives on a form that is not anti-isometric to the target"

@@ -242,19 +242,21 @@ def discriminant_data(lat: IntegerLattice) -> DiscriminantData:
         raise ValueError("even lattice required")
     snf = smith_normal_form(lat.gram)
     diag = snf.diagonal()
-    w = intmat.unimodular_inverse(snf.u)
-    ginv = intmat.inverse(lat.gram)
-    gw = intmat.matmul(ginv, w)
     keep = tuple(i for i, d in enumerate(diag) if d > 1)
-    gens = tuple(tuple(gw[r][i] for r in range(lat.rank)) for i in keep)
     orders = tuple(diag[i] for i in keep)
+    # u*G*v = d gives G^-1 u^-1 = v d^-1: dual generator i is column i of v
+    # divided by d_i
+    cols = [tuple(row[i] for row in snf.v) for i in keep]
+    gens = tuple(tuple(Fraction(x, d) for x in col) for col, d in zip(cols, orders))
+    g_cols = [intmat.mat_vec(lat.gram, col) for col in cols]
 
-    def pairing(x, y) -> Fraction:
-        gy = intmat.mat_vec(lat.gram, y)
-        return sum((Fraction(xi) * v for xi, v in zip(x, gy)), Fraction(0))
+    def pairing(i, j) -> Fraction:
+        """(v_i/d_i) G (v_j/d_j), from the integer v_i G v_j."""
+        return Fraction(sum(x * y for x, y in zip(cols[i], g_cols[j])), orders[i] * orders[j])
 
-    q = tuple(pairing(v, v) % 2 for v in gens)
-    b = tuple(tuple(pairing(vi, vj) % 1 for vj in gens) for vi in gens)
+    idx = range(len(keep))
+    q = tuple(pairing(i, i) % 2 for i in idx)
+    b = tuple(tuple(pairing(i, j) % 1 for j in idx) for i in idx)
     form = FiniteQuadraticForm(orders, q, b)
     if form.order != abs(lat.det):
         raise RuntimeError("discriminant group order does not match |det|")

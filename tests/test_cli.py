@@ -179,6 +179,14 @@ def test_exit_code_cap(capsys, lattice_file, monkeypatch):
     assert "finite group too large" in err
 
 
+def test_cap_message_names_the_sizes_and_the_variable(capsys, lattice_file, monkeypatch):
+    monkeypatch.setenv("K3FM_CAP", "3")
+    code, _, err = run(capsys, ["fm", "--lattice", lattice_file([[2, 1], [1, -2]])])
+    assert code == 4
+    assert err.startswith("k3fm: finite group too large")
+    assert "|A| = 5" in err and "cap 3" in err and "K3FM_CAP" in err
+
+
 def test_exit_code_bad_rank1(capsys):
     code, _, err = run(capsys, ["fm", "--rank1", "0"])
     assert code == 2
