@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Verbs: discform, fm, classnum, genus, table, scan, glue, verify-t14.
-Exit codes: 0 success, 2 invalid input, 3 unsupported case, 4 enumeration cap
-exceeded.  Every error path prints a single diagnostic line to stderr.
+Exit codes: 0 success, 1 verify-t14 mismatch, 2 invalid input, 3 unsupported
+case, 4 enumeration cap exceeded, 5 internal check failed.  Every error path
+prints a single diagnostic line to stderr.
 The K3FM_CAP environment variable overrides the finite-group enumeration cap.
 """
 
@@ -280,6 +281,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"k3fm: {exc}", file=sys.stderr)
         return 4
+    except RuntimeError as exc:  # a broken internal invariant, never bad input
+        print(f"k3fm: internal check failed: {exc}", file=sys.stderr)
+        return 5
     except K3FMError as exc:
         print(f"k3fm: {exc}", file=sys.stderr)
         return 2

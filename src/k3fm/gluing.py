@@ -6,14 +6,19 @@ lifts phi(a) + a is integral, even and unimodular, contains T primitively,
 and has T-orthogonal complement S.  Enumerating all such phi and counting
 orbits under O(S) x G provides an independent check of the double-coset
 counts used by the partner-counting engine.
+
+The glued Gram matrix is computed on integers, over the common denominator
+of the glue vectors.  Reading a gluing map back from an overlattice is
+linear: only the generators of L/(S + T) are classified, the classes of the
+other cosets are their sums, and every coset is still checked to lie on the
+graph of one bijection A_T -> A_S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from . import bqf, intmat
 from .errors import UnsupportedError
@@ -29,6 +34,7 @@ from .fm_count import GENERIC_HODGE, HodgeGroupSpec, _transported_hodge_gens
 from .lattice import (
     DiscriminantData,
     IntegerLattice,
+    direct_sum,
     discriminant_data,
     discriminant_form,
     induced_form_map,
@@ -94,15 +100,19 @@ def glue(s: IntegerLattice, t: IntegerLattice, phi: FiniteFormMap) -> Overlattic
     basis = tuple(
         tuple(Fraction(x, denom) for x in row) for row in basis_scaled
     )
-    gram_st = _direct_sum_gram(s, t)
-    gram_frac = intmat.matmul(basis, intmat.matmul(gram_st, intmat.transpose(basis)))
+    # basis_scaled = denom * basis, so its Gram is denom^2 times the glued one
+    gram_st = direct_sum(s, t).gram
+    gram_scaled = intmat.matmul(
+        basis_scaled, intmat.matmul(gram_st, intmat.transpose(basis_scaled))
+    )
+    denom2 = denom * denom
     gram = []
-    for i, row in enumerate(gram_frac):
+    for i, row in enumerate(gram_scaled):
         out = []
         for x in row:
-            if x.denominator != 1:
+            if x % denom2:
                 raise RuntimeError("glued pairing is not integral")
-            out.append(int(x))
+            out.append(x // denom2)
         if out[i] % 2:
             raise RuntimeError("glued lattice is not even")
         gram.append(tuple(out))
@@ -116,29 +126,13 @@ def glue(s: IntegerLattice, t: IntegerLattice, phi: FiniteFormMap) -> Overlattic
     return Overlattice(basis, gram, index)
 
 
-def _direct_sum_gram(s: IntegerLattice, t: IntegerLattice) -> tuple:
-    n = s.rank + t.rank
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i < s.rank and j < s.rank:
-                row.append(s.gram[i][j])
-            elif i >= s.rank and j >= s.rank:
-                row.append(t.gram[i - s.rank][j - s.rank])
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def trivial_overlattice(s: IntegerLattice, t: IntegerLattice) -> Overlattice:
     """S + T itself, with no glue vectors (index 1)."""
     n = s.rank + t.rank
     basis = tuple(
         tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
     )
-    return Overlattice(basis, _direct_sum_gram(s, t), 1)
+    return Overlattice(basis, direct_sum(s, t).gram, 1)
 
 
 @dataclass(frozen=True)
@@ -177,12 +171,42 @@ def _gauss_reduced_definite(a: int, b: int, c: int) -> tuple:
     return (a, abs(b), c)
 
 
+def _basis_complement(p: int, q: int) -> tuple:
+    """A vector w with det [(p, q), w] = 1, for coprime p and q."""
+    r0, r1, x0, x1, y0, y1 = p, q, 1, 0, 0, 1
+    while r1:  # extended Euclid: p*x0 + q*y0 = r0 throughout
+        k = r0 // r1
+        r0, r1 = r1, r0 - k * r1
+        x0, x1 = x1, x0 - k * x1
+        y0, y1 = y1, y0 - k * y1
+    return (-y0 * r0, x0 * r0)  # r0 = +-1
+
+
+def _isotropic_invariant(g: tuple) -> int:
+    """Complete GL2 invariant, given the determinant -f^2, of an even rank-2
+    Gram g with an isotropic vector.  In a basis (v, w) with v primitive
+    isotropic the Gram is [[0, +-f], [+-f, 2c]], and c mod f does not depend
+    on the choice of w; the invariant is its least value over the two
+    isotropic lines."""
+    f = isqrt(-intmat.det(g))
+    a, b, c = g[0][0] // 2, g[0][1], g[1][1] // 2
+    lines = [(1, 0), (-c, b)] if a == 0 else [(f - b, 2 * a), (-f - b, 2 * a)]
+    out = []
+    for x, y in lines:
+        k = gcd(x, y)
+        w0, w1 = _basis_complement(x // k, y // k)
+        out.append((a * w0 * w0 + b * w0 * w1 + c * w1 * w1) % f)
+    return min(out)
+
+
 def _rank2_isomorphic(g1: tuple, g2: tuple) -> bool:
     """Exact isomorphism test for even rank-2 Gram matrices."""
     det1 = intmat.det(g1)
     det2 = intmat.det(g2)
     if det1 != det2:
         return False
+    if det1 < 0 and isqrt(-det1) ** 2 == -det1:
+        return _isotropic_invariant(g1) == _isotropic_invariant(g2)
     if det1 < 0:
         f1 = bqf.lattice_to_form(IntegerLattice(g1))
         f2 = bqf.lattice_to_form(IntegerLattice(g2))
@@ -238,7 +262,7 @@ def verify_overlattice(over: Overlattice, s: IntegerLattice, t: IntegerLattice) 
             h = intmat.hermite_row_basis(scaled)
             t_primitive = h == intmat.identity(t.rank)
 
-    gram_st = _direct_sum_gram(s, t)
+    gram_st = direct_sum(s, t).gram
     pair_t = intmat.matmul(basis, tuple(row[s.rank :] for row in gram_st))
     pair_scaled, _ = _scaled_int_matrix(pair_t)
     perp = intmat.row_kernel_basis(pair_scaled)
@@ -256,7 +280,11 @@ def verify_overlattice(over: Overlattice, s: IntegerLattice, t: IntegerLattice) 
 def recovered_gluing_map(over: Overlattice, s: IntegerLattice, t: IntegerLattice) -> FiniteFormMap:
     """Recompute the gluing map from the saturated basis alone: enumerate
     L/(S + T) and read each coset's S- and T-projections in discriminant
-    coordinates."""
+    coordinates.
+
+    Classification is a group homomorphism, so only the Smith generators of
+    the quotient are classified; every coset's classes are sums of theirs,
+    and every coset is still checked against the graph condition."""
     data_s = discriminant_data(s)
     data_t = discriminant_data(t)
     n = s.rank + t.rank
@@ -272,25 +300,31 @@ def recovered_gluing_map(over: Overlattice, s: IntegerLattice, t: IntegerLattice
     # quotient Z^n / rowspan(coeffs) via the Smith form
     _, d, v = intmat.smith_normal_form(tuple(coeffs))
     v_inv = intmat.unimodular_inverse(v)
-    orders = [d[i][i] for i in range(n)]
-    gens = [i for i in range(n) if orders[i] > 1]
+    basis_t = intmat.transpose(over.ambient_basis)
+    orders_s, orders_t = data_s.form.orders, data_t.form.orders
+    # (T-class, S-class) of every coset, built up one generator at a time
+    cosets = [((0,) * len(orders_t), (0,) * len(orders_s))]
+    for i in range(n):
+        order = d[i][i]
+        if order <= 1:
+            continue
+        vec = intmat.mat_vec(basis_t, v_inv[i])
+        step_t = data_t.classify(vec[s.rank :])
+        step_s = data_s.classify(vec[: s.rank])
+        multiples = [cosets[0]]  # 0, step, 2*step, ...
+        for _ in range(order - 1):
+            m_t, m_s = multiples[-1]
+            multiples.append((_add_mod(m_t, step_t, orders_t), _add_mod(m_s, step_s, orders_s)))
+        cosets = [
+            (_add_mod(c_t, m_t, orders_t), _add_mod(c_s, m_s, orders_s))
+            for c_t, c_s in cosets
+            for m_t, m_s in multiples
+        ]
     graph = {}
-    count = 1
-    for i in gens:
-        count *= orders[i]
-    for combo in product(*(range(orders[i]) for i in gens)):
-        x = [0] * n
-        for pos, i in enumerate(gens):
-            if combo[pos]:
-                for col in range(n):
-                    x[col] += combo[pos] * v_inv[i][col]
-        vec = intmat.mat_vec(intmat.transpose(over.ambient_basis), tuple(x))
-        cls_s = data_s.classify(vec[: s.rank])
-        cls_t = data_t.classify(vec[s.rank :])
-        if cls_t in graph and graph[cls_t] != cls_s:
+    for cls_t, cls_s in cosets:
+        if graph.setdefault(cls_t, cls_s) != cls_s:
             raise ValueError("overlattice quotient is not a gluing graph")
-        graph[cls_t] = cls_s
-    if len(graph) != data_t.form.order or count != over.index:
+    if len(graph) != data_t.form.order or len(cosets) != over.index:
         raise ValueError("overlattice quotient has the wrong size")
     units = [
         tuple(int(i == k) for i in range(data_t.form.ngens))
@@ -298,6 +332,10 @@ def recovered_gluing_map(over: Overlattice, s: IntegerLattice, t: IntegerLattice
     ]
     images = tuple(graph[u] for u in units)
     return FiniteFormMap(data_t.form, data_s.form, images, -1)
+
+
+def _add_mod(x: tuple, y: tuple, orders: tuple) -> tuple:
+    return tuple((a + b) % m for a, b, m in zip(x, y, orders))
 
 
 # ---------------------------------------------------------------------------

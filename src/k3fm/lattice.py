@@ -21,6 +21,10 @@ from .finite_qform import FiniteFormMap, FiniteQuadraticForm
 class IntegerLattice:
     gram: tuple
     name: str | None = field(default=None, compare=False)
+    # memo of discriminant_data(self); set once, outside equality and repr
+    _discriminant: DiscriminantData | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         n = len(self.gram)
@@ -238,6 +242,16 @@ class DiscriminantData:
 
 
 def discriminant_data(lat: IntegerLattice) -> DiscriminantData:
+    """The discriminant data of an even lattice, computed once per lattice
+    object and kept on it."""
+    data = lat._discriminant
+    if data is None:
+        data = _compute_discriminant_data(lat)
+        object.__setattr__(lat, "_discriminant", data)
+    return data
+
+
+def _compute_discriminant_data(lat: IntegerLattice) -> DiscriminantData:
     if not lat.is_even:
         raise ValueError("even lattice required")
     snf = smith_normal_form(lat.gram)

@@ -232,3 +232,17 @@ def test_fm_with_action_file(capsys, lattice_file, tmp_path):
     )
     assert code == 0
     assert out.splitlines()[0] == "fm=1"
+
+
+def test_exit_code_internal_check(capsys, lattice_file, monkeypatch):
+    from k3fm import gluing
+
+    def broken_glue(s, t, phi):
+        raise RuntimeError("glued lattice is not unimodular")
+
+    monkeypatch.setattr(gluing, "glue", broken_glue)
+    s = lattice_file([[2, 1], [1, -2]])
+    t = lattice_file([[-2, -1], [-1, 2]])
+    code, _, err = run(capsys, ["glue", "--s", s, "--t", t])
+    assert code == 5
+    assert err.splitlines() == ["k3fm: internal check failed: glued lattice is not unimodular"]

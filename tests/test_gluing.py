@@ -199,3 +199,29 @@ def test_engine_matches_oracle_on_composite_discriminants():
         assert report.all_equal
         assert report.total_orbits == result.total
         assert [r.orbit_count for r in report.rows] == summands
+
+
+def test_isotropic_rank2_isomorphism_matches_brute_force():
+    # every even Gram of determinant -f^2 is isometric to [[0, f], [f, 2r]]
+    # with 0 <= r < f; join those by integer base changes with entries of
+    # size at most 7 and compare the classes with the isomorphism test
+    from itertools import product
+
+    from k3fm.gluing import _rank2_isomorphic
+
+    unimodular = [
+        ((a, b), (c, d))
+        for a, b, c, d in product(range(-7, 8), repeat=4)
+        if abs(a * d - b * c) == 1
+    ]
+    for f in range(1, 8):
+        grams = [((0, f), (f, 2 * r)) for r in range(f)]
+        cls = list(range(f))
+        for mat in unimodular:
+            for r, g in enumerate(grams):
+                h = intmat.matmul(intmat.transpose(mat), intmat.matmul(g, mat))
+                if h[0][0] == 0 and h[0][1] == f and 0 <= h[1][1] < 2 * f:
+                    old, new = cls[h[1][1] // 2], cls[r]
+                    cls = [new if c == old else c for c in cls]
+        for r1, r2 in product(range(f), repeat=2):
+            assert _rank2_isomorphic(grams[r1], grams[r2]) == (cls[r1] == cls[r2]), (f, r1, r2)

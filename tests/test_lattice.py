@@ -268,3 +268,19 @@ def test_lattice_json(tmp_path):
 def test_lattice_json_errors(obj, message):
     with pytest.raises(LatticeParseError, match=message):
         lattice_from_obj(obj)
+
+
+def test_discriminant_data_is_computed_once_per_lattice():
+    from k3fm.lattice import discriminant_data
+
+    a = make_lattice([[2, 1], [1, -2]], "a")
+    b = make_lattice([[2, 1], [1, -2]], "b")
+    assert a == b and hash(a) == hash(b)
+    text = repr(a)
+    assert discriminant_data(a) is discriminant_data(a)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == text
+    assert "Discriminant" not in text and "_discriminant" not in text
+    # the memo belongs to the object: an equal lattice computes its own
+    assert discriminant_data(b) is not discriminant_data(a)
+    assert discriminant_data(b).form == discriminant_data(a).form
