@@ -4,18 +4,19 @@ Reduction convention: (a, b, c) is reduced iff 0 < b < sqrt(D) and
 sqrt(D) - b < 2|a| < sqrt(D) + b.  All comparisons against sqrt(D) are done
 by comparing squares, so the module never touches floating point.  Proper
 classes are the cycles of reduced forms under the neighbor step; the class
-number, genus partition, ambiguous classes and automorphs are all derived
-from that enumeration.
+number, ambiguous classes and automorphs are all derived from that
+enumeration.  Genera are keyed by the content of a form and Gauss's assigned
+characters of its primitive part, so nothing here touches a finite group or
+the enumeration cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from . import intmat
-from .finite_qform import are_isometric
-from .lattice import IntegerLattice, discriminant_form, signature
+from .lattice import IntegerLattice, signature
 
 
 @dataclass(frozen=True)
@@ -201,37 +202,71 @@ def enumerate_reduced(d: int) -> tuple:
     return tuple(sorted(out, key=lambda f: f.coefficients()))
 
 
-def _squarefree(n: int) -> bool:
-    i = 2
-    while i * i <= n:
-        if n % (i * i) == 0:
-            return False
-        i += 1
-    return True
-
-
-def _prime_factor_count(n: int) -> int:
-    count = 0
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            count += 1
-            while n % i == 0:
-                n //= i
-        i += 1
+def _prime_factors(n: int) -> tuple:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
     if n > 1:
-        count += 1
-    return count
+        primes.append(n)
+    return tuple(primes)
 
 
 def is_odd_fundamental(d: int) -> bool:
-    return d % 4 == 1 and _squarefree(d)
+    return d % 4 == 1 and prod(_prime_factors(d)) == d
 
 
-def proper_classes(d: int, cap: int | None = None) -> ClassGroupData:
+def _value_prime_to(f: BinaryQuadraticForm, values: tuple, p: int) -> int:
+    for m in values:
+        if m % p:
+            return m
+    raise RuntimeError(f"primitive form {f} represents no value prime to {p}")
+
+
+def genus_key(f: BinaryQuadraticForm) -> tuple:
+    """The content g of f followed by Gauss's assigned characters of f/g, of
+    discriminant D' = D/g^2 (Cox, *Primes of the form x^2 + ny^2*, Thm 3.15):
+    the Legendre symbol (m/p) for each odd prime p | D', then for 4 | D' the
+    2-adic characters delta = (-1)^((m-1)/2) and/or eps = (-1)^((m^2-1)/8)
+    that n = -D'/4 mod 8 selects.  m is the first of a, c, a+b+c (values of
+    f/g) prime to p, or odd.  Forms of one discriminant share the key iff
+    their lattices share a genus, i.e. have isometric discriminant forms
+    (Nikulin 1979, Cor. 1.9.4)."""
+    g = f.content
+    a, b, c = f.a // g, f.b // g, f.c // g
+    d = f.disc // (g * g)
+    values = (a, c, a + b + c)
+    key = [g]
+    for p in _prime_factors(d):
+        if p != 2:
+            m = _value_prime_to(f, values, p)
+            key.append(1 if pow(m, (p - 1) // 2, p) == 1 else -1)
+    if d % 4 == 0:
+        m = _value_prime_to(f, values, 2)
+        delta = 1 if m % 4 == 1 else -1
+        eps = 1 if m % 8 in (1, 7) else -1
+        n = (-d // 4) % 8
+        if n % 4 == 1 or n == 4:
+            key.append(delta)
+        elif n == 2:
+            key.append(delta * eps)
+        elif n == 6:
+            key.append(eps)
+        elif n == 0:
+            key += [delta, eps]
+    return tuple(key)
+
+
+def proper_classes(d: int) -> ClassGroupData:
     """Enumerate the proper (SL2) classes of discriminant d as reduction
-    cycles; attach the genus partition (grouped by discriminant-form isometry
-    of the associated lattices) and the classes fixed by (a,b,c) -> (a,-b,c).
+    cycles; attach the genus partition (classes grouped by `genus_key` of
+    their representatives, in first-seen order) and the classes fixed by
+    (a,b,c) -> (a,-b,c).
 
     For odd square-free d the classical structure constraints (2^(n-1)
     ambiguous classes and genera, all genera equinumerous) are asserted.
@@ -248,15 +283,10 @@ def proper_classes(d: int, cap: int | None = None) -> ClassGroupData:
     index_of = {f: i for i, cyc in enumerate(cycles) for f in cyc}
     reps = [cyc[0] for cyc in cycles]
 
-    forms_a = [discriminant_form(form_to_lattice(r)) for r in reps]
-    parts: list[list[int]] = []
-    for i, fa in enumerate(forms_a):
-        for part in parts:
-            if are_isometric(fa, forms_a[part[0]], cap=cap):
-                part.append(i)
-                break
-        else:
-            parts.append([i])
+    genera: dict = {}
+    for i, rep in enumerate(reps):
+        genera.setdefault(genus_key(rep), []).append(i)
+    parts = list(genera.values())
 
     ambiguous = tuple(
         i
@@ -265,7 +295,7 @@ def proper_classes(d: int, cap: int | None = None) -> ClassGroupData:
     )
 
     if is_odd_fundamental(d):
-        expected = 2 ** (_prime_factor_count(d) - 1)
+        expected = 2 ** (len(_prime_factors(d)) - 1)
         sizes = {len(p) for p in parts}
         if len(ambiguous) != expected or len(parts) != expected or len(sizes) != 1:
             raise RuntimeError(f"genus structure violated for discriminant {d}")
@@ -279,8 +309,8 @@ def proper_classes(d: int, cap: int | None = None) -> ClassGroupData:
     )
 
 
-def genus_partition(d: int, cap: int | None = None) -> tuple:
-    return proper_classes(d, cap=cap).genus_partition
+def genus_partition(d: int) -> tuple:
+    return proper_classes(d).genus_partition
 
 
 def class_index_of(cgd: ClassGroupData, f: BinaryQuadraticForm) -> int:
@@ -321,10 +351,10 @@ def fold_classes(cgd: ClassGroupData, indices) -> tuple:
     return tuple(orbits)
 
 
-def improper_class_count(d: int, cap: int | None = None) -> int:
+def improper_class_count(d: int) -> int:
     """Number of GL2(Z) classes: proper classes folded under the opposite
     involution, (h + #ambiguous) / 2."""
-    cgd = proper_classes(d, cap=cap)
+    cgd = proper_classes(d)
     return (cgd.h + len(cgd.ambiguous_indices)) // 2
 
 
@@ -448,12 +478,12 @@ def lattice_isometry_generators(lat: IntegerLattice) -> tuple:
     return tuple(gens)
 
 
-def genus_representative_forms(lat: IntegerLattice, cap: int | None = None) -> tuple:
+def genus_representative_forms(lat: IntegerLattice) -> tuple:
     """GL2-class representatives of the genus containing the given even
     hyperbolic rank-2 lattice (proper classes folded under the opposite
     involution), as reduced forms."""
     f = lattice_to_form(lat)
-    cgd = proper_classes(f.disc, cap=cap)
+    cgd = proper_classes(f.disc)
     genus = genus_of_class(cgd, class_index_of(cgd, f))
     reps = cgd.representatives()
     return tuple(reps[orbit[0]] for orbit in fold_classes(cgd, genus))

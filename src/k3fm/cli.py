@@ -137,7 +137,7 @@ def _cmd_fm(args) -> int:
 
 
 def _cmd_classnum(args) -> int:
-    cgd = bqf.proper_classes(args.d, cap=_cap())
+    cgd = bqf.proper_classes(args.d)
     if bqf.is_odd_fundamental(args.d):
         print(f"h={cgd.h}")
     else:
@@ -146,7 +146,7 @@ def _cmd_classnum(args) -> int:
 
 
 def _cmd_genus(args) -> int:
-    cgd = bqf.proper_classes(args.d, cap=_cap())
+    cgd = bqf.proper_classes(args.d)
     print(f"D={cgd.d} h={cgd.h}")
     for i, cyc in enumerate(cgd.cycles, start=1):
         print(f"cycle {i}: " + " ".join(str(f) for f in cyc))
@@ -200,7 +200,7 @@ def _cmd_verify_t14(args) -> int:
     elif s.rank == 2:
         sig = signature(s).as_pair()
         if sig == (1, 1):
-            s_list = [bqf.form_to_lattice(f) for f in bqf.genus_representative_forms(s, cap=cap)]
+            s_list = [bqf.form_to_lattice(f) for f in bqf.genus_representative_forms(s)]
         else:
             s_list = list(gluing.definite_genus_lattices(s, cap=cap))
     else:

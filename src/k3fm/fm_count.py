@@ -4,9 +4,10 @@ The partner count of X is assembled from the Neron-Severi lattice alone once
 the Hodge isometry group of the transcendental lattice is fixed: it is the
 sum, over the isomorphism classes S_j in the genus of NS(X), of the number of
 double cosets O(S_j) \\ O(A_{S_j}) / G.  Dispatch: Picard number 1 closes to
-the 2^(tau(n)-1) formula, Picard number 2 runs the binary-form class engine,
-rank >= 3 uses the surjectivity shortcut when rank >= l + 2 and refuses
-otherwise.
+the 2^(tau(n)-1) formula; every rank >= 2 first tries the surjectivity
+shortcut (rank >= l + 2, which in rank 2 means NS = U); otherwise Picard
+number 2 runs the binary-form class engine (non-square discriminant only) and
+rank >= 3 is refused.
 """
 
 from __future__ import annotations
@@ -151,10 +152,11 @@ def fm_number_rank1(n: int, cap: int | None = None) -> FMCountResult:
 
 
 def fm_number_nikulin(ns: NeronSeveriSpec) -> FMCountResult | None:
-    """Rank >= 3 shortcut: when rank >= l + 2 the genus is a single class and
-    the natural map O(S) -> O(A_S) is onto, so the count collapses to 1."""
-    if ns.rank < 3:
-        raise ValueError("rank >= 3 required")
+    """Rank >= 2 shortcut: when rank >= l + 2 the genus is a single class and
+    the natural map O(S) -> O(A_S) is onto, so the count collapses to 1.  In
+    rank 2 this holds only for |det| = 1, i.e. NS = U."""
+    if ns.rank < 2:
+        raise ValueError("rank >= 2 required")
     if ns.rank >= min_generators(ns.lattice) + 2:
         return FMCountResult(1, ((ns.lattice, 1),), "nikulin")
     return None
@@ -187,15 +189,23 @@ def fm_number_rank2(
     """Partner count for Picard number 2.
 
     The genus of NS is cut out of the proper classes of discriminant
-    D = -det by discriminant-form isometry, folded to isomorphism classes
-    under the opposite involution; each representative contributes the double
-    cosets of the image of its automorph group against the transported Hodge
-    group.
+    D = -det by their genus key (content and assigned characters), folded to
+    isomorphism classes under the opposite involution; each representative
+    contributes the double cosets of the image of its automorph group against
+    the transported Hodge group.  A square D is refused: U is counted by the
+    shortcut in `fm_number`, and the other isotropic lattices are out of
+    scope.
     """
     if ns.rank != 2:
         raise ValueError("rank-2 lattice required")
+    d = -ns.lattice.det
+    if isqrt(d) ** 2 == d:
+        raise UnsupportedError(
+            f"unsupported: rank-2 NS with square discriminant D = {d} is isotropic "
+            "but not U; its genus needs isotropic class enumeration (out of scope)"
+        )
     f = bqf.lattice_to_form(ns.lattice)
-    cgd = bqf.proper_classes(f.disc, cap=cap)
+    cgd = bqf.proper_classes(f.disc)
     own = bqf.class_index_of(cgd, f)
     genus = bqf.genus_of_class(cgd, own)
     reps = cgd.representatives()
@@ -225,17 +235,17 @@ def fm_number(
             )
         n = ns.lattice.gram[0][0] // 2
         return fm_number_rank1(n, cap=cap)
-    if ns.rank == 2:
-        if hodge.order > 2 and hodge.order not in hodge_order_candidates(20):
-            raise ValueError("Hodge group order violates phi(2I) | 20")
-        return fm_number_rank2(ns, hodge, cap=cap)
+    if ns.rank == 2 and hodge.order > 2 and hodge.order not in hodge_order_candidates(20):
+        raise ValueError("Hodge group order violates phi(2I) | 20")
     result = fm_number_nikulin(ns)
-    if result is None:
-        raise UnsupportedError(
-            "unsupported: rank >= 3 with l(S) > rank - 2 requires general "
-            "indefinite genus enumeration (out of scope)"
-        )
-    return result
+    if result is not None:
+        return result
+    if ns.rank == 2:
+        return fm_number_rank2(ns, hodge, cap=cap)
+    raise UnsupportedError(
+        "unsupported: rank >= 3 with l(S) > rank - 2 requires general "
+        "indefinite genus enumeration (out of scope)"
+    )
 
 
 def even_hyperbolic_prime_lattice(p: int) -> IntegerLattice:
@@ -266,7 +276,7 @@ def fm_table(primes, cap: int | None = None) -> tuple:
     for p in primes:
         if not _is_prime(p) or p % 4 != 1:
             raise ValueError(f"table requires primes p = 1 mod 4, got {p}")
-        cgd = bqf.proper_classes(p, cap=cap)
+        cgd = bqf.proper_classes(p)
         ns = NeronSeveriSpec(even_hyperbolic_prime_lattice(p))
         result = fm_number_rank2(ns, cap=cap)
         if 2 * result.total != cgd.h + 1:

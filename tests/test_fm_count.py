@@ -26,6 +26,7 @@ from k3fm import (
     orthogonal_group,
     rescale,
 )
+from k3fm.cli import main
 from k3fm.fm_count import _euler_phi, _tau
 
 PAPER_TABLE = (
@@ -121,10 +122,15 @@ def test_fm_number_dispatch():
         fm_number(NeronSeveriSpec(make_lattice([[2, 1], [1, -2]])), HodgeGroupSpec(14))
 
 
-def test_square_determinant_rejected():
-    ns = NeronSeveriSpec(hyperbolic_plane())
-    with pytest.raises(ValueError, match="isotropic"):
-        fm_number(ns)
+def test_square_determinant(tmp_path):
+    result = fm_number(NeronSeveriSpec(hyperbolic_plane()))
+    assert result.total == 1 and result.method == "nikulin"
+    for lat in (make_lattice([[0, 2], [2, 0]]), diagonal_lattice(2, -8)):
+        with pytest.raises(UnsupportedError, match="square discriminant"):
+            fm_number(NeronSeveriSpec(lat))
+    path = tmp_path / "u2.json"
+    path.write_text('{"gram": [[0, 2], [2, 0]]}')
+    assert main(["fm", "--lattice", str(path)]) == 3
 
 
 def test_table_rows():
