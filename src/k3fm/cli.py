@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from . import bqf, gluing
 from .errors import CapExceededError, K3FMError, LatticeParseError, UnsupportedError
@@ -200,6 +201,12 @@ def _cmd_verify_t14(args) -> int:
     elif s.rank == 2:
         sig = signature(s).as_pair()
         if sig == (1, 1):
+            d = -s.det
+            if isqrt(d) ** 2 == d:
+                raise UnsupportedError(
+                    f"unsupported: rank-2 S with square discriminant D = {d} is isotropic "
+                    "but not U; its genus needs isotropic class enumeration (out of scope)"
+                )
             s_list = [bqf.form_to_lattice(f) for f in bqf.genus_representative_forms(s)]
         else:
             s_list = list(gluing.definite_genus_lattices(s, cap=cap))

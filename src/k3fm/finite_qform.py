@@ -6,10 +6,12 @@ bilinear values b(g_i, g_j) in Q/Z, as `Fraction`s.  Everything downstream —
 signed isometry enumeration, orthogonal groups, subgroup closure, double-coset
 counts — is brute force over these coordinates, guarded by a size cap.
 
-The `Fraction` values are the input/output view.  The isometry search scales
-them by the exponent N = d_k once per call and runs on integers: q mod 2N and
-b mod N.  It tests generation by a Hermite basis of the images stacked on
-diag(d_1, ..., d_k) rather than by building the span.
+The `Fraction` values are the input/output view.  The isometry search and
+`validate_map` scale them by the exponent N = d_k (the lcm of both
+exponents, for a map between two forms) once per call and run on integers:
+q mod 2N and b mod N.  Both test generation by a Hermite basis of the images
+stacked on diag(d_1, ..., d_k) rather than by building the span.  A form
+hashes its fields once, at construction.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ class FiniteQuadraticForm:
     orders: tuple
     q_gens: tuple
     b_matrix: tuple
+    # hash of the three fields above, computed once: hashing a Fraction is
+    # a modular inverse, and forms are hashed inside every FiniteFormMap
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.orders)
@@ -68,6 +73,10 @@ class FiniteQuadraticForm:
                     raise ValueError("b matrix must be symmetric")
                 if _mod1(d * bij) != 0:
                     raise ValueError("b value incompatible with generator order")
+        object.__setattr__(self, "_hash", hash((self.orders, self.q_gens, self.b_matrix)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:
@@ -187,21 +196,31 @@ def evaluate_b(a: FiniteQuadraticForm, x, y) -> Fraction:
     return _raw_b(a.b_matrix, x, y)
 
 
-def _integer_tables(a: FiniteQuadraticForm) -> tuple[list, list]:
-    """(Q, B) with Q_i = q(g_i)*N mod 2N and B_ij = b(g_i, g_j)*N mod N, where
-    N = d_k is the exponent of A (k >= 1).
+def _integer_tables(a: FiniteQuadraticForm, n: int) -> tuple[list, list]:
+    """(Q, B) with Q_i = q(g_i)*N mod 2N and B_ij = b(g_i, g_j)*N mod N, for
+    N = n a multiple of the exponent d_k of A (k >= 1).
 
     Both are integers: the constructor checks d_i*b_ij in Z, and d_i divides
     N, so N*b_ij is an integer; it checks q_i = b_ii mod 1, so N*q_i is one
-    too.  Then N*q(x) = sum x_i^2 Q_i + 2 sum_{i<j} x_i x_j B_ij mod 2N and
-    N*b(x, y) = sum x_i y_j B_ij mod N.
+    too.  Then N*q(x) = sum x_i^2 Q_i + 2 sum_{i<j} x_i x_j B_ij mod 2N (see
+    `_scaled_q`) and N*b(x, y) = sum x_i y_j B_ij mod N.
     """
-    n = a.orders[-1]
     q = [x * n for x in a.q_gens]
     b = [[x * n for x in row] for row in a.b_matrix]
     if any(x.denominator != 1 for x in q) or any(x.denominator != 1 for row in b for x in row):
         raise RuntimeError("form values are not integral at the group exponent")
     return [int(x) % (2 * n) for x in q], [[int(x) % n for x in row] for row in b]
+
+
+def _scaled_q(q_table, b_table, x) -> int:
+    """N*q(x), not yet reduced mod 2N, from the tables of `_integer_tables`."""
+    total = 0
+    for i, xi in enumerate(x):
+        if xi:
+            total += xi * xi * q_table[i]
+            for j in range(i + 1, len(x)):
+                total += 2 * xi * x[j] * b_table[i][j]
+    return total
 
 
 def _generates(orders, images) -> bool:
@@ -282,7 +301,11 @@ def negation_map(a: FiniteQuadraticForm) -> FiniteFormMap:
 
 
 def validate_map(f: FiniteFormMap) -> None:
-    """Raise ValueError unless f is a bijective sign-twisted isometry."""
+    """Raise ValueError unless f is a bijective sign-twisted isometry.
+
+    q and b are compared on integers, both forms scaled by N = the lcm of
+    their exponents: N*q mod 2N and N*b mod N.
+    """
     a, b = f.source, f.target
     if f.sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -290,15 +313,25 @@ def validate_map(f: FiniteFormMap) -> None:
         raise ValueError("source and target orders differ")
     if len(f.images) != a.ngens:
         raise ValueError("one image per source generator required")
+    if a.ngens:  # then b.ngens > 0 too, as |B| = |A| > 1
+        n = lcm(a.orders[-1], b.orders[-1])
+        two_n = 2 * n
+        qa, ba = _integer_tables(a, n)
+        qb, bb = _integer_tables(b, n)
     for i, img in enumerate(f.images):
         if len(img) != b.ngens:
             raise ValueError("image vector length mismatch")
         if a.orders[i] % element_order(b, img) != 0:
             raise ValueError("image order does not divide generator order")
-        if evaluate_q(b, img) != _mod2(f.sign * a.q_gens[i]):
+        if (_scaled_q(qb, bb, img) - f.sign * qa[i]) % two_n:
             raise ValueError("map does not rescale q by its sign")
         for j in range(i):
-            if evaluate_b(b, img, f.images[j]) != _mod1(f.sign * a.b_matrix[i][j]):
+            pairing = sum(
+                xs * yt * bb[s][t]
+                for s, xs in enumerate(img)
+                for t, yt in enumerate(f.images[j])
+            )
+            if (pairing - f.sign * ba[i][j]) % n:
                 raise ValueError("map does not rescale b by its sign")
     if not _generates(b.orders, f.images):
         raise ValueError("images do not generate the target group")
@@ -332,8 +365,8 @@ def isometries_signed(
         return [FiniteFormMap(a, b, (), sign)]
     n = orders[-1]
     two_n = 2 * n
-    qa, ba = _integer_tables(a)
-    qb, bb = _integer_tables(b)
+    qa, ba = _integer_tables(a, n)
+    qb, bb = _integer_tables(b, n)
     target_q = [sign * x % two_n for x in qa]
     target_b = [[sign * x % n for x in row] for row in ba]
 
@@ -345,13 +378,7 @@ def isometries_signed(
         # elements of B by q-value, each bucket in lexicographic order
         by_q: dict[int, list] = {}
         for x in all_elements(b):
-            total = 0
-            for i, xi in enumerate(x):
-                if xi:
-                    total += xi * xi * qb[i]
-                    for j in range(i + 1, k):
-                        total += 2 * xi * x[j] * bb[i][j]
-            by_q.setdefault(total % two_n, []).append(x)
+            by_q.setdefault(_scaled_q(qb, bb, x) % two_n, []).append(x)
         candidates = [
             [
                 x

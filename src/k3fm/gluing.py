@@ -7,16 +7,19 @@ and has T-orthogonal complement S.  Enumerating all such phi and counting
 orbits under O(S) x G provides an independent check of the double-coset
 counts used by the partner-counting engine.
 
-The glued Gram matrix is computed on integers, over the common denominator
-of the glue vectors.  Reading a gluing map back from an overlattice is
-linear: only the generators of L/(S + T) are classified, the classes of the
-other cosets are their sums, and every coset is still checked to lie on the
-graph of one bijection A_T -> A_S.
+The oracle runs on integers.  An overlattice basis is held as integer rows
+B over one denominator D (`Overlattice.ambient_basis` = B / D, kept as a
+memo on the object), and every rationality test on it becomes a
+divisibility test by D or D^2.  Reading a gluing map back from an
+overlattice is linear: L/(S + T) is read off the Smith form of B, only its
+generators are classified, the classes of the other cosets are their sums,
+and every coset is still checked to lie on the graph of one bijection
+A_T -> A_S.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -68,9 +71,27 @@ class Overlattice:
     ambient_basis: tuple  # rows of Fractions over the S + T basis
     gram: tuple  # integral Gram of the saturated lattice
     index: int
+    # memo of (B, D): integer rows B with ambient_basis = B / D; set once,
+    # outside equality and repr
+    _scaled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+
+def _scaled_basis(over: Overlattice) -> tuple:
+    """(B, D): the ambient basis as integer rows B over one denominator D.
+    `glue` sets it; an overlattice built by hand derives it once and keeps
+    it."""
+    scaled = over._scaled
+    if scaled is None:
+        rows = [tuple(map(Fraction, row)) for row in over.ambient_basis]
+        denom = lcm(1, *(x.denominator for row in rows for x in row))
+        scaled = (tuple(tuple(int(x * denom) for x in row) for row in rows), denom)
+        object.__setattr__(over, "_scaled", scaled)
+    return scaled
 
 
 def _dual_coords(data: DiscriminantData, coeffs) -> tuple:
+    """The dual vector sum c_i g_i as `Fraction`s: the rational view of
+    `_dual_numerators`, on which the reference tests of `glue` build."""
     vec = [Fraction(0)] * data.lattice.rank
     for ci, gen in zip(coeffs, data.generators):
         if ci:
@@ -79,22 +100,36 @@ def _dual_coords(data: DiscriminantData, coeffs) -> tuple:
     return tuple(vec)
 
 
+def _dual_numerators(data: DiscriminantData, coeffs, denom: int) -> tuple:
+    """Integer numerators over denom of the dual vector sum c_i g_i; denom
+    is a multiple of every generator order d_i, and g_i = columns[i] / d_i."""
+    vec = [0] * data.lattice.rank
+    for ci, col, d in zip(coeffs, data.columns, data.form.orders):
+        if ci:
+            f = ci * (denom // d)
+            for r, x in enumerate(col):
+                vec[r] += f * x
+    return tuple(vec)
+
+
 def glue(s: IntegerLattice, t: IntegerLattice, phi: FiniteFormMap) -> Overlattice:
-    """Saturate S + T + {phi(a) + a lifts} to an integral basis by Hermite
-    reduction over the common denominator and return the glued overlattice."""
+    """Saturate S + T + {phi(a) + a lifts} to an integral basis and return
+    the glued overlattice.
+
+    The lifts are integer rows over D, the exponent of A_T (= that of A_S),
+    which every generator order divides.  The Hermite basis of D * L over D
+    is canonical, whichever valid D is used."""
     GluingDatum(s, t, phi)
     data_s = discriminant_data(s)
     data_t = discriminant_data(t)
     n = s.rank + t.rank
-    rows = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    for k in range(data_t.form.ngens):
-        unit = tuple(int(i == k) for i in range(data_t.form.ngens))
-        vec_t = _dual_coords(data_t, unit)
-        vec_s = _dual_coords(data_s, phi.images[k])
-        rows.append(vec_s + vec_t)
-    denom = lcm(1, *(x.denominator for row in rows for x in row))
-    scaled = tuple(tuple(int(x * denom) for x in row) for row in rows)
-    basis_scaled = intmat.hermite_row_basis(scaled)
+    k = data_t.form.ngens
+    denom = data_t.form.orders[-1] if k else 1
+    rows = [tuple(denom * int(i == j) for j in range(n)) for i in range(n)]
+    for i, img in enumerate(phi.images):
+        unit = tuple(int(i == j) for j in range(k))
+        rows.append(_dual_numerators(data_s, img, denom) + _dual_numerators(data_t, unit, denom))
+    basis_scaled = intmat.hermite_row_basis(rows)
     if len(basis_scaled) != n:
         raise RuntimeError("glued lattice lost rank")
     basis = tuple(
@@ -123,7 +158,9 @@ def glue(s: IntegerLattice, t: IntegerLattice, phi: FiniteFormMap) -> Overlattic
         raise RuntimeError("glued lattice is not unimodular")
     if index * index * abs(det_l) != abs(s.det * t.det):
         raise RuntimeError("glue index identity violated")
-    return Overlattice(basis, gram, index)
+    over = Overlattice(basis, gram, index)
+    object.__setattr__(over, "_scaled", (basis_scaled, denom))
+    return over
 
 
 def trivial_overlattice(s: IntegerLattice, t: IntegerLattice) -> Overlattice:
@@ -145,11 +182,6 @@ class OverlatticeReport:
     @property
     def all_ok(self) -> bool:
         return self.even and self.unimodular and self.t_primitive and self.complement_is_s
-
-
-def _scaled_int_matrix(rows) -> tuple:
-    denom = lcm(1, *(Fraction(x).denominator for row in rows for x in row))
-    return tuple(tuple(int(Fraction(x) * denom) for x in row) for row in rows), denom
 
 
 def _gauss_reduced_definite(a: int, b: int, c: int) -> tuple:
@@ -242,95 +274,82 @@ def _grams_match(g_perp: tuple, s: IntegerLattice) -> bool:
 def verify_overlattice(over: Overlattice, s: IntegerLattice, t: IntegerLattice) -> OverlatticeReport:
     """Check the four structural facts about a glued overlattice: evenness,
     unimodularity, primitivity of T, and that the orthogonal complement of T
-    recovers S."""
+    recovers S.
+
+    Every step runs on the integer rows B = D * ambient_basis: a vector
+    x . B / D is integral when D divides x . B, and a pairing of two such
+    vectors is integral when D^2 divides the pairing of the rows."""
     n = s.rank + t.rank
     even = all(over.gram[i][i] % 2 == 0 for i in range(n))
     unimodular = abs(intmat.det(over.gram)) == 1
-
-    basis = over.ambient_basis
-    b_s = tuple(row[: s.rank] for row in basis)
-    b_t = tuple(row[s.rank :] for row in basis)
+    basis, denom = _scaled_basis(over)
 
     # x . basis lands in T x Q iff x kills the S block
-    s_block, _ = _scaled_int_matrix(b_s)
-    kernel = intmat.row_kernel_basis(s_block)
-    t_part = intmat.matmul(kernel, b_t)
+    kernel = intmat.row_kernel_basis(tuple(row[: s.rank] for row in basis))
     t_primitive = False
-    if len(t_part) == t.rank:
-        scaled, denom = _scaled_int_matrix(t_part)
-        if denom == 1:
-            h = intmat.hermite_row_basis(scaled)
-            t_primitive = h == intmat.identity(t.rank)
+    if len(kernel) == t.rank:
+        t_part = intmat.matmul(kernel, tuple(row[s.rank :] for row in basis))
+        if all(x % denom == 0 for row in t_part for x in row):
+            t_part = tuple(tuple(x // denom for x in row) for row in t_part)
+            t_primitive = intmat.hermite_row_basis(t_part) == intmat.identity(t.rank)
 
     gram_st = direct_sum(s, t).gram
-    pair_t = intmat.matmul(basis, tuple(row[s.rank :] for row in gram_st))
-    pair_scaled, _ = _scaled_int_matrix(pair_t)
-    perp = intmat.row_kernel_basis(pair_scaled)
+    perp = intmat.row_kernel_basis(
+        intmat.matmul(basis, tuple(row[s.rank :] for row in gram_st))
+    )
     complement_is_s = False
     if len(perp) == s.rank:
         vecs = intmat.matmul(perp, basis)
-        gram_frac = intmat.matmul(vecs, intmat.matmul(gram_st, intmat.transpose(vecs)))
-        if all(x.denominator == 1 for row in gram_frac for x in map(Fraction, row)):
-            g_perp = tuple(tuple(int(x) for x in row) for row in gram_frac)
+        gram_scaled = intmat.matmul(vecs, intmat.matmul(gram_st, intmat.transpose(vecs)))
+        denom2 = denom * denom
+        if all(x % denom2 == 0 for row in gram_scaled for x in row):
+            g_perp = tuple(tuple(x // denom2 for x in row) for row in gram_scaled)
             complement_is_s = _grams_match(g_perp, s)
 
     return OverlatticeReport(even, unimodular, t_primitive, complement_is_s)
 
 
 def recovered_gluing_map(over: Overlattice, s: IntegerLattice, t: IntegerLattice) -> FiniteFormMap:
-    """Recompute the gluing map from the saturated basis alone: enumerate
-    L/(S + T) and read each coset's S- and T-projections in discriminant
-    coordinates.
+    """Recompute the gluing map from the saturated basis alone: read
+    L/(S + T) off a Smith form and take each coset's S- and T-projections
+    in discriminant coordinates.
 
-    Classification is a group homomorphism, so only the Smith generators of
-    the quotient are classified; every coset's classes are sums of theirs,
-    and every coset is still checked against the graph condition."""
+    With B = D * ambient_basis and u B v = diag(d_1, ..., d_n), the rows of
+    u B / D are a basis of L, and row i times v is (d_i / D) e_i.  So L
+    contains S + T = Z^n exactly when every d_i divides D, and then row i of
+    u B / D generates a cyclic summand of L/(S + T) of order D / d_i.
+    Classification is a group homomorphism, so only these generators are
+    classified; every coset's classes are sums of theirs, and every coset is
+    still checked against the graph condition."""
     data_s = discriminant_data(s)
     data_t = discriminant_data(t)
     n = s.rank + t.rank
-    inv = intmat.inverse(over.ambient_basis)
-    coeffs = []
-    for row in inv:  # e_i = (row i of B^-1) . basis
-        out = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("S + T is not a sublattice of the overlattice")
-            out.append(int(x))
-        coeffs.append(tuple(out))
-    # quotient Z^n / rowspan(coeffs) via the Smith form
-    _, d, v = intmat.smith_normal_form(tuple(coeffs))
-    v_inv = intmat.unimodular_inverse(v)
-    basis_t = intmat.transpose(over.ambient_basis)
-    orders_s, orders_t = data_s.form.orders, data_t.form.orders
-    # (T-class, S-class) of every coset, built up one generator at a time
-    cosets = [((0,) * len(orders_t), (0,) * len(orders_s))]
-    for i in range(n):
-        order = d[i][i]
-        if order <= 1:
+    basis, denom = _scaled_basis(over)
+    u, d, _ = intmat.smith_normal_form(basis)
+    diag = [d[i][i] for i in range(min(len(d), n))]
+    if len(diag) != n or any(x == 0 or denom % x for x in diag):
+        raise ValueError("S + T is not a sublattice of the overlattice")
+    k = data_t.form.ngens
+    orders = data_t.form.orders + data_s.form.orders
+    # T-class followed by S-class of every coset, one generator at a time
+    cosets = [(0,) * len(orders)]
+    for row, d_i in zip(intmat.matmul(u, basis), diag):
+        order = denom // d_i
+        if order == 1:
             continue
-        vec = intmat.mat_vec(basis_t, v_inv[i])
-        step_t = data_t.classify(vec[s.rank :])
-        step_s = data_s.classify(vec[: s.rank])
+        step = data_t.classify(row[s.rank :], denom) + data_s.classify(row[: s.rank], denom)
         multiples = [cosets[0]]  # 0, step, 2*step, ...
         for _ in range(order - 1):
-            m_t, m_s = multiples[-1]
-            multiples.append((_add_mod(m_t, step_t, orders_t), _add_mod(m_s, step_s, orders_s)))
-        cosets = [
-            (_add_mod(c_t, m_t, orders_t), _add_mod(c_s, m_s, orders_s))
-            for c_t, c_s in cosets
-            for m_t, m_s in multiples
-        ]
+            multiples.append(_add_mod(multiples[-1], step, orders))
+        cosets = [_add_mod(c, m, orders) for c in cosets for m in multiples]
     graph = {}
-    for cls_t, cls_s in cosets:
-        if graph.setdefault(cls_t, cls_s) != cls_s:
+    for c in cosets:
+        if graph.setdefault(c[:k], c[k:]) != c[k:]:
             raise ValueError("overlattice quotient is not a gluing graph")
     if len(graph) != data_t.form.order or len(cosets) != over.index:
         raise ValueError("overlattice quotient has the wrong size")
-    units = [
-        tuple(int(i == k) for i in range(data_t.form.ngens))
-        for k in range(data_t.form.ngens)
-    ]
-    images = tuple(graph[u] for u in units)
+    units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    images = tuple(graph[e] for e in units)
     return FiniteFormMap(data_t.form, data_s.form, images, -1)
 
 

@@ -3,7 +3,9 @@
 A lattice is a free Z-module with a nondegenerate symmetric integer pairing,
 held as its Gram matrix.  The discriminant group A_L = L*/L with its Q/2Z
 quadratic form is computed from the Smith decomposition of the Gram matrix;
-all rational arithmetic is exact.
+all rational arithmetic is exact.  Dual generator i is column i of the Smith
+transform v over d_i; `DiscriminantData.classify` reads a dual vector given
+as integer numerators over a denominator, with no `Fraction` on the way.
 """
 
 from __future__ import annotations
@@ -227,17 +229,20 @@ class DiscriminantData:
     generators: tuple  # dual vectors in original basis coordinates
     _u: tuple = field(repr=False)
     _keep: tuple = field(repr=False)
+    # integer numerators: generators[i] is columns[i] / form.orders[i]
+    columns: tuple = field(repr=False)
 
-    def classify(self, vec) -> tuple:
-        """Invariant-factor coordinates of a dual vector (original basis)."""
-        y = intmat.mat_vec(self.lattice.gram, vec)
+    def classify(self, vec, denom: int = 1) -> tuple:
+        """Invariant-factor coordinates of the dual vector vec / denom
+        (original basis).  vec / denom is in L* exactly when denom divides
+        gram * vec; with integer vec and denom that test is on integers."""
         ints = []
-        for x in y:
-            x = Fraction(x)
-            if x.denominator != 1:
+        for x in intmat.mat_vec(self.lattice.gram, vec):
+            quot, rem = divmod(x, denom)
+            if rem:
                 raise ValueError("vector is not in the dual lattice")
-            ints.append(int(x))
-        c = intmat.mat_vec(self._u, tuple(ints))
+            ints.append(int(quot))
+        c = intmat.mat_vec(self._u, ints)
         return tuple(c[i] % self.form.orders[pos] for pos, i in enumerate(self._keep))
 
 
@@ -274,7 +279,7 @@ def _compute_discriminant_data(lat: IntegerLattice) -> DiscriminantData:
     form = FiniteQuadraticForm(orders, q, b)
     if form.order != abs(lat.det):
         raise RuntimeError("discriminant group order does not match |det|")
-    return DiscriminantData(lat, form, gens, snf.u, keep)
+    return DiscriminantData(lat, form, gens, snf.u, keep, tuple(cols))
 
 
 def discriminant_form(lat: IntegerLattice) -> FiniteQuadraticForm:
@@ -288,7 +293,10 @@ def induced_form_map(lat: IntegerLattice, mat) -> FiniteFormMap:
     if intmat.matmul(intmat.transpose(mat), intmat.matmul(lat.gram, mat)) != lat.gram:
         raise ValueError("matrix is not an isometry of the lattice")
     data = discriminant_data(lat)
-    images = tuple(data.classify(intmat.mat_vec(mat, v)) for v in data.generators)
+    images = tuple(
+        data.classify(intmat.mat_vec(mat, col), d)
+        for col, d in zip(data.columns, data.form.orders)
+    )
     return FiniteFormMap(data.form, data.form, images, 1)
 
 
