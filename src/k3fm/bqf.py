@@ -4,8 +4,8 @@ Reduction convention: (a, b, c) is reduced iff 0 < b < sqrt(D) and
 sqrt(D) - b < 2|a| < sqrt(D) + b.  All comparisons against sqrt(D) are done
 by comparing squares, so the module never touches floating point.  Proper
 classes are the cycles of reduced forms under the neighbor step; the class
-number, ambiguous classes and automorphs are all derived from that
-enumeration.  Genera are keyed by the content of a form and Gauss's assigned
+number, the opposite-class map (hence the ambiguous classes) and automorphs
+are all derived from that enumeration.  Genera are keyed by the content of a form and Gauss's assigned
 characters of its primitive part, so nothing here touches a finite group or
 the enumeration cap.
 """
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
 from . import intmat
+from .arith import divisors, prime_factors
 from .lattice import IntegerLattice, signature
 
 
@@ -64,7 +65,11 @@ class ClassGroupData:
     cycles: tuple
     h: int
     genus_partition: tuple
-    ambiguous_indices: tuple
+    opposite: tuple  # index of the class of (a, -b, c), for each class
+
+    @property
+    def ambiguous_indices(self) -> tuple:
+        return tuple(i for i, j in enumerate(self.opposite) if i == j)
 
     def representatives(self) -> tuple:
         return tuple(cycle[0] for cycle in self.cycles)
@@ -164,18 +169,6 @@ def opposite(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(f.a, -f.b, f.c)
 
 
-def _divisors(n: int) -> list:
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
-
-
 def _validate_disc(d: int) -> None:
     if d <= 0:
         raise ValueError("discriminant must be positive")
@@ -193,7 +186,7 @@ def enumerate_reduced(d: int) -> tuple:
         if (b - d) % 2:
             continue
         n = (d - b * b) // 4
-        for a in _divisors(n):
+        for a in divisors(n):
             c = n // a
             g = BinaryQuadraticForm(a, b, -c)
             if is_reduced(g):
@@ -202,23 +195,8 @@ def enumerate_reduced(d: int) -> tuple:
     return tuple(sorted(out, key=lambda f: f.coefficients()))
 
 
-def _prime_factors(n: int) -> tuple:
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
-    primes = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
-    return tuple(primes)
-
-
 def is_odd_fundamental(d: int) -> bool:
-    return d % 4 == 1 and prod(_prime_factors(d)) == d
+    return d % 4 == 1 and prod(prime_factors(d)) == d
 
 
 def _value_prime_to(f: BinaryQuadraticForm, values: tuple, p: int) -> int:
@@ -242,7 +220,7 @@ def genus_key(f: BinaryQuadraticForm) -> tuple:
     d = f.disc // (g * g)
     values = (a, c, a + b + c)
     key = [g]
-    for p in _prime_factors(d):
+    for p in prime_factors(d):
         if p != 2:
             m = _value_prime_to(f, values, p)
             key.append(1 if pow(m, (p - 1) // 2, p) == 1 else -1)
@@ -265,8 +243,9 @@ def genus_key(f: BinaryQuadraticForm) -> tuple:
 def proper_classes(d: int) -> ClassGroupData:
     """Enumerate the proper (SL2) classes of discriminant d as reduction
     cycles; attach the genus partition (classes grouped by `genus_key` of
-    their representatives, in first-seen order) and the classes fixed by
-    (a,b,c) -> (a,-b,c).
+    their representatives, in first-seen order) and the opposite-class map
+    (the class of (a,-b,c) for each class; its fixed points are the
+    ambiguous classes).
 
     For odd square-free d the classical structure constraints (2^(n-1)
     ambiguous classes and genera, all genera equinumerous) are asserted.
@@ -288,25 +267,15 @@ def proper_classes(d: int) -> ClassGroupData:
         genera.setdefault(genus_key(rep), []).append(i)
     parts = list(genera.values())
 
-    ambiguous = tuple(
-        i
-        for i, rep in enumerate(reps)
-        if index_of[reduce_form(opposite(rep)).form] == i
-    )
+    opp = tuple(index_of[reduce_form(opposite(rep)).form] for rep in reps)
+    cgd = ClassGroupData(d, tuple(cycles), h, tuple(tuple(p) for p in parts), opp)
 
     if is_odd_fundamental(d):
-        expected = 2 ** (len(_prime_factors(d)) - 1)
+        expected = 2 ** (len(prime_factors(d)) - 1)
         sizes = {len(p) for p in parts}
-        if len(ambiguous) != expected or len(parts) != expected or len(sizes) != 1:
+        if len(cgd.ambiguous_indices) != expected or len(parts) != expected or len(sizes) != 1:
             raise RuntimeError(f"genus structure violated for discriminant {d}")
-
-    return ClassGroupData(
-        d,
-        tuple(cycles),
-        h,
-        tuple(tuple(p) for p in parts),
-        ambiguous,
-    )
+    return cgd
 
 
 def genus_partition(d: int) -> tuple:
@@ -323,13 +292,6 @@ def class_index_of(cgd: ClassGroupData, f: BinaryQuadraticForm) -> int:
     raise RuntimeError("reduced form missing from cycle enumeration")
 
 
-def opposite_class_map(cgd: ClassGroupData) -> tuple:
-    """For each class index the index of its opposite class."""
-    return tuple(
-        class_index_of(cgd, opposite(rep)) for rep in cgd.representatives()
-    )
-
-
 def genus_of_class(cgd: ClassGroupData, index: int) -> tuple:
     for part in cgd.genus_partition:
         if index in part:
@@ -339,7 +301,7 @@ def genus_of_class(cgd: ClassGroupData, index: int) -> tuple:
 
 def fold_classes(cgd: ClassGroupData, indices) -> tuple:
     """Orbits of a set of class indices under the opposite involution."""
-    opp = opposite_class_map(cgd)
+    opp = cgd.opposite
     seen = set()
     orbits = []
     for i in indices:

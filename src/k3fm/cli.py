@@ -20,7 +20,6 @@ from . import bqf, gluing
 from .errors import CapExceededError, K3FMError, LatticeParseError, UnsupportedError
 from .finite_qform import DEFAULT_CAP, FiniteFormMap, finite_form, isometries_signed
 from .fm_count import (
-    GENERIC_HODGE,
     HodgeGroupSpec,
     NeronSeveriSpec,
     fm_number,
@@ -28,7 +27,13 @@ from .fm_count import (
     fm_table,
     gauss_scan,
 )
-from .lattice import discriminant_data, discriminant_form, parse_lattice_file, signature
+from .lattice import (
+    discriminant_data,
+    discriminant_form,
+    json_integer,
+    parse_lattice_file,
+    signature,
+)
 
 TABLE_PRIMES = (229, 257, 401, 577, 733, 761, 1009, 1093, 1129, 1229, 1297, 1373, 1429, 1489)
 
@@ -86,25 +91,21 @@ def _parse_action_file(path) -> FiniteFormMap:
     if not isinstance(obj, dict) or "orders" not in obj or "q" not in obj or "images" not in obj:
         raise LatticeParseError("action file needs 'orders', 'q' and 'images'")
     try:
-        orders = [int(d) for d in obj["orders"]]
+        orders = [json_integer(d, "orders") for d in obj["orders"]]
         q = [_parse_fraction(x) for x in obj["q"]]
         b = None
         if "b" in obj:
             b = [[_parse_fraction(x) for x in row] for row in obj["b"]]
         form = finite_form(orders, q, b)
-        images = tuple(tuple(int(c) for c in img) for img in obj["images"])
+        images = tuple(tuple(json_integer(c, "images") for c in img) for img in obj["images"])
         return FiniteFormMap(form, form, images, 1)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, LatticeParseError) as exc:
         raise LatticeParseError(f"bad action file: {exc}") from exc
 
 
 def _hodge_from_args(args) -> HodgeGroupSpec:
-    order = getattr(args, "hodge_order", None)
-    action_path = getattr(args, "hodge_action", None)
-    if order is None and action_path is None:
-        return GENERIC_HODGE
-    action = _parse_action_file(action_path) if action_path else None
-    return HodgeGroupSpec(order if order is not None else 2, action)
+    action = _parse_action_file(args.hodge_action) if args.hodge_action else None
+    return HodgeGroupSpec(args.hodge_order, action)
 
 
 def _cmd_discform(args) -> int:
@@ -195,7 +196,7 @@ def _cmd_verify_t14(args) -> int:
     cap = _cap()
     s = parse_lattice_file(args.s)
     t = parse_lattice_file(args.t)
-    hodge = HodgeGroupSpec(args.g_order) if args.g_order else GENERIC_HODGE
+    hodge = HodgeGroupSpec(args.g_order)
     if s.rank == 1 or discriminant_form(s).order == 1:
         s_list = [s]
     elif s.rank == 2:
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lattice")
     group.add_argument("--rank1", type=int)
-    p.add_argument("--hodge-order", type=int, dest="hodge_order")
+    p.add_argument("--hodge-order", type=int, dest="hodge_order", default=2)
     p.add_argument("--hodge-action", dest="hodge_action")
     p.set_defaults(func=_cmd_fm)
 
@@ -268,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-t14", help="gluing-orbit vs double-coset comparison")
     p.add_argument("--s", required=True)
     p.add_argument("--t", required=True)
-    p.add_argument("--g-order", type=int, dest="g_order")
+    p.add_argument("--g-order", type=int, dest="g_order", default=2)
     p.set_defaults(func=_cmd_verify_t14)
 
     return parser

@@ -7,7 +7,7 @@ double cosets O(S_j) \\ O(A_{S_j}) / G.  Dispatch: Picard number 1 closes to
 the 2^(tau(n)-1) formula; every rank >= 2 first tries the surjectivity
 shortcut (rank >= l + 2, which in rank 2 means NS = U); otherwise Picard
 number 2 runs the binary-form class engine (non-square discriminant only) and
-rank >= 3 is refused.
+rank >= 3 is refused.  tau, phi and the primality test come from `arith`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import bqf
+from .arith import euler_phi, is_prime, primes_one_mod_four, tau
 from .errors import UnsupportedError
 from .finite_qform import (
     FiniteFormMap,
@@ -79,6 +80,29 @@ class HodgeGroupSpec:
 GENERIC_HODGE = HodgeGroupSpec()
 
 
+def hodge_generators(a, hodge: HodgeGroupSpec, cap: int | None = None) -> list:
+    """Generators of the Hodge group's image inside O(a).
+
+    Negation is always included: the Hodge group has even order exactly
+    because it contains -id.  An explicit action that acts on a is already
+    in O(a) and is returned as it stands; any other action is taken to act
+    on A_T and is carried across the first anti-isometry from its form onto
+    a."""
+    if hodge.action is None:
+        if hodge.order != 2:
+            raise UnsupportedError("explicit Hodge action required")
+        return [negation_map(a)]
+    if hodge.action.source == a:
+        return [negation_map(a), hodge.action]
+    anti = isometries_signed(hodge.action.source, a, -1, cap=cap, _first_only=True)
+    if not anti:
+        raise ValueError(
+            "Hodge action lives on a form that is not anti-isometric to the target"
+        )
+    phi = anti[0]
+    return [negation_map(a), phi.compose(hodge.action).compose(phi.inverse())]
+
+
 @dataclass(frozen=True)
 class FMCountResult:
     total: int
@@ -90,48 +114,14 @@ class FMCountResult:
             raise ValueError("breakdown does not sum to the total")
 
 
-def _euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def hodge_order_candidates(t: int) -> tuple:
     """All even orders 2I with phi(2I) dividing t.  The search is complete:
     phi(m) >= sqrt(m/2), so phi(m) <= t forces m <= 2 t^2."""
     if t < 1:
         raise ValueError("rank must be positive")
     return tuple(
-        m for m in range(2, 2 * t * t + 1, 2) if t % _euler_phi(m) == 0
+        m for m in range(2, 2 * t * t + 1, 2) if t % euler_phi(m) == 0
     )
-
-
-def _tau(n: int) -> int:
-    """Distinct prime count of n, by convention 1 for n = 1 (this makes the
-    rank-1 partner formula uniform)."""
-    if n == 1:
-        return 1
-    count = 0
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            count += 1
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        count += 1
-    return count
 
 
 def fm_number_rank1(n: int, cap: int | None = None) -> FMCountResult:
@@ -143,7 +133,7 @@ def fm_number_rank1(n: int, cap: int | None = None) -> FMCountResult:
     group = orthogonal_group(a, cap=cap)
     neg = negation_map(a)
     counted = double_coset_count(group, [neg], [neg])
-    expected = 2 ** (_tau(n) - 1)
+    expected = 2 ** (tau(n) - 1)
     if counted != expected:
         raise RuntimeError(
             f"rank-1 cross-check failed for n={n}: cosets {counted}, formula {expected}"
@@ -162,25 +152,6 @@ def fm_number_nikulin(ns: NeronSeveriSpec) -> FMCountResult | None:
     return None
 
 
-def _transported_hodge_gens(a_target, hodge: HodgeGroupSpec, cap: int | None):
-    """Generators of the Hodge group's image inside O(A_target), moved across
-    the canonical anti-isometry when an explicit action is supplied.
-
-    Negation is always included: the Hodge group has even order exactly
-    because it contains -id."""
-    if hodge.action is None:
-        if hodge.order != 2:
-            raise UnsupportedError("explicit Hodge action required")
-        return [negation_map(a_target)]
-    anti = isometries_signed(hodge.action.source, a_target, -1, cap=cap, _first_only=True)
-    if not anti:
-        raise ValueError(
-            "Hodge action lives on a form that is not anti-isometric to the target"
-        )
-    phi = anti[0]
-    return [negation_map(a_target), phi.compose(hodge.action).compose(phi.inverse())]
-
-
 def fm_number_rank2(
     ns: NeronSeveriSpec,
     hodge: HodgeGroupSpec = GENERIC_HODGE,
@@ -188,13 +159,13 @@ def fm_number_rank2(
 ) -> FMCountResult:
     """Partner count for Picard number 2.
 
-    The genus of NS is cut out of the proper classes of discriminant
-    D = -det by their genus key (content and assigned characters), folded to
-    isomorphism classes under the opposite involution; each representative
-    contributes the double cosets of the image of its automorph group against
-    the transported Hodge group.  A square D is refused: U is counted by the
-    shortcut in `fm_number`, and the other isotropic lattices are out of
-    scope.
+    The genus of NS comes from `bqf.genus_representative_forms` (proper
+    classes keyed by content and assigned characters, folded to isomorphism
+    classes under the opposite involution); each representative contributes
+    the double cosets of the image of its automorph group against
+    `hodge_generators` on its discriminant form.  A square D is refused: U is
+    counted by the shortcut in `fm_number`, and the other isotropic lattices
+    are out of scope.
     """
     if ns.rank != 2:
         raise ValueError("rank-2 lattice required")
@@ -204,19 +175,13 @@ def fm_number_rank2(
             f"unsupported: rank-2 NS with square discriminant D = {d} is isotropic "
             "but not U; its genus needs isotropic class enumeration (out of scope)"
         )
-    f = bqf.lattice_to_form(ns.lattice)
-    cgd = bqf.proper_classes(f.disc)
-    own = bqf.class_index_of(cgd, f)
-    genus = bqf.genus_of_class(cgd, own)
-    reps = cgd.representatives()
     breakdown = []
-    for orbit in bqf.fold_classes(cgd, genus):
-        rep = reps[orbit[0]]
+    for rep in bqf.genus_representative_forms(ns.lattice):
         lat = bqf.form_to_lattice(rep)
         a_s = discriminant_form(lat)
         group = orthogonal_group(a_s, cap=cap)
         h_gens = [induced_form_map(lat, m) for m in bqf.lattice_isometry_generators(lat)]
-        k_gens = _transported_hodge_gens(a_s, hodge, cap)
+        k_gens = hodge_generators(a_s, hodge, cap)
         breakdown.append((rep, double_coset_count(group, h_gens, k_gens)))
     total = sum(s for _, s in breakdown)
     return FMCountResult(total, tuple(breakdown), "rank2")
@@ -256,25 +221,12 @@ def even_hyperbolic_prime_lattice(p: int) -> IntegerLattice:
     return IntegerLattice(((2, 1), (1, (1 - p) // 2)))
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def fm_table(primes, cap: int | None = None) -> tuple:
     """(p, h(p), partner count) rows; the two computations (class-number fold
     and double cosets) must agree at every prime."""
     rows = []
     for p in primes:
-        if not _is_prime(p) or p % 4 != 1:
+        if not is_prime(p) or p % 4 != 1:
             raise ValueError(f"table requires primes p = 1 mod 4, got {p}")
         cgd = bqf.proper_classes(p)
         ns = NeronSeveriSpec(even_hyperbolic_prime_lattice(p))
@@ -296,21 +248,12 @@ class ScanReport:
     running_max: tuple  # (p, fm) where fm first exceeds every earlier value
 
 
-def _primes_one_mod_four(bound: int) -> list:
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [p for p in range(5, bound + 1) if sieve[p] and p % 4 == 1]
-
-
 def gauss_scan(bound: int, cap: int | None = None) -> ScanReport:
     """Partner counts for all primes p = 1 mod 4 up to the bound: the primes
     with a single partner class (h = 1) and the running-maximum subsequence."""
     if bound < 5:
         raise ValueError("bound must be at least 5")
-    rows = fm_table(_primes_one_mod_four(bound), cap=cap)
+    rows = fm_table(primes_one_mod_four(bound), cap=cap)
     ones = tuple(p for p, _, fm in rows if fm == 1)
     running = []
     best = 0

@@ -5,7 +5,9 @@ q_S(phi(x)) = -q_T(x), the overlattice generated by S + T together with the
 lifts phi(a) + a is integral, even and unimodular, contains T primitively,
 and has T-orthogonal complement S.  Enumerating all such phi and counting
 orbits under O(S) x G provides an independent check of the double-coset
-counts used by the partner-counting engine.
+counts used by the partner-counting engine.  The oracle shares one piece
+with that engine: `fm_count.hodge_generators`, which gives G on A_T as the
+action stands and on A_S carried across an anti-isometry.
 
 The oracle runs on integers.  An overlattice basis is held as integer rows
 B over one denominator D (`Overlattice.ambient_basis` = B / D, kept as a
@@ -29,11 +31,10 @@ from .finite_qform import (
     FiniteFormMap,
     double_coset_count,
     isometries_signed,
-    negation_map,
     orthogonal_group,
     validate_map,
 )
-from .fm_count import GENERIC_HODGE, HodgeGroupSpec, _transported_hodge_gens
+from .fm_count import GENERIC_HODGE, HodgeGroupSpec, hodge_generators
 from .lattice import (
     DiscriminantData,
     IntegerLattice,
@@ -87,17 +88,6 @@ def _scaled_basis(over: Overlattice) -> tuple:
         scaled = (tuple(tuple(int(x * denom) for x in row) for row in rows), denom)
         object.__setattr__(over, "_scaled", scaled)
     return scaled
-
-
-def _dual_coords(data: DiscriminantData, coeffs) -> tuple:
-    """The dual vector sum c_i g_i as `Fraction`s: the rational view of
-    `_dual_numerators`, on which the reference tests of `glue` build."""
-    vec = [Fraction(0)] * data.lattice.rank
-    for ci, gen in zip(coeffs, data.generators):
-        if ci:
-            for r, x in enumerate(gen):
-                vec[r] += ci * x
-    return tuple(vec)
 
 
 def _dual_numerators(data: DiscriminantData, coeffs, denom: int) -> tuple:
@@ -413,16 +403,9 @@ class GluingClasses:
     representatives: tuple
 
 
-def _hodge_gens_on(a_t, hodge: HodgeGroupSpec):
-    """Generators of the Hodge group's image in O(A_T); -id is always a
-    member, so negation is always included."""
-    if hodge.action is None:
-        if hodge.order != 2:
-            raise UnsupportedError("explicit Hodge action required")
-        return [negation_map(a_t)]
-    if hodge.action.source != a_t:
+def _require_action_on(a_t, hodge: HodgeGroupSpec) -> None:
+    if hodge.action is not None and hodge.action.source != a_t:
         raise ValueError("Hodge action must act on the discriminant form of T")
-    return [negation_map(a_t), hodge.action]
 
 
 def gluing_classes(
@@ -442,7 +425,8 @@ def gluing_classes(
     if a_s.order == 1:
         return GluingClasses(1, (sigmas[0],))
     h_maps = [induced_form_map(s, m) for m in lattice_isometry_generators(s)]
-    g_maps = _hodge_gens_on(a_t, hodge)
+    _require_action_on(a_t, hodge)
+    g_maps = hodge_generators(a_t, hodge)
     remaining = dict.fromkeys(sigmas)
     reps = []
     count = 0
@@ -509,9 +493,8 @@ def verify_gluing_counts(
             h_gens = []
         else:
             h_gens = [induced_form_map(s, m) for m in lattice_isometry_generators(s)]
-        if hodge.action is not None and hodge.action.source != a_t:
-            raise ValueError("Hodge action must act on the discriminant form of T")
-        k_gens = _transported_hodge_gens(a_s, hodge, cap)
+        _require_action_on(a_t, hodge)
+        k_gens = hodge_generators(a_s, hodge, cap)
         rows.append(GluingCountRow(s, classes.count, double_coset_count(group, h_gens, k_gens)))
     return GluingCountReport(
         tuple(rows),

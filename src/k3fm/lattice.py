@@ -226,11 +226,18 @@ class DiscriminantData:
 
     lattice: IntegerLattice
     form: FiniteQuadraticForm
-    generators: tuple  # dual vectors in original basis coordinates
     _u: tuple = field(repr=False)
     _keep: tuple = field(repr=False)
-    # integer numerators: generators[i] is columns[i] / form.orders[i]
+    # integer numerators: dual generator i is columns[i] / form.orders[i]
     columns: tuple = field(repr=False)
+
+    @property
+    def generators(self) -> tuple:
+        """Dual generators as `Fraction` vectors, original basis coordinates."""
+        return tuple(
+            tuple(Fraction(x, d) for x in col)
+            for col, d in zip(self.columns, self.form.orders)
+        )
 
     def classify(self, vec, denom: int = 1) -> tuple:
         """Invariant-factor coordinates of the dual vector vec / denom
@@ -266,7 +273,6 @@ def _compute_discriminant_data(lat: IntegerLattice) -> DiscriminantData:
     # u*G*v = d gives G^-1 u^-1 = v d^-1: dual generator i is column i of v
     # divided by d_i
     cols = [tuple(row[i] for row in snf.v) for i in keep]
-    gens = tuple(tuple(Fraction(x, d) for x in col) for col, d in zip(cols, orders))
     g_cols = [intmat.mat_vec(lat.gram, col) for col in cols]
 
     def pairing(i, j) -> Fraction:
@@ -279,7 +285,7 @@ def _compute_discriminant_data(lat: IntegerLattice) -> DiscriminantData:
     form = FiniteQuadraticForm(orders, q, b)
     if form.order != abs(lat.det):
         raise RuntimeError("discriminant group order does not match |det|")
-    return DiscriminantData(lat, form, gens, snf.u, keep, tuple(cols))
+    return DiscriminantData(lat, form, snf.u, keep, tuple(cols))
 
 
 def discriminant_form(lat: IntegerLattice) -> FiniteQuadraticForm:
@@ -304,11 +310,24 @@ def induced_form_map(lat: IntegerLattice, mat) -> FiniteFormMap:
 # lattice files
 
 
+def json_integer(x, what: str) -> int:
+    """An integer read from JSON: a JSON integer or a decimal string (for
+    values beyond double precision), never a boolean or a float."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str):
+        stripped = x.strip()
+        body = stripped[1:] if stripped[:1] in "+-" else stripped
+        if body.isdigit():
+            return int(stripped)
+    raise LatticeParseError(f"{what} must be integers")
+
+
 def lattice_from_obj(obj) -> IntegerLattice:
     """Validate the JSON object format {"name": ..., "gram": [[...], ...]}.
 
-    Entries may be JSON integers or decimal strings (for values beyond double
-    precision).  The first violated constraint is reported.
+    Entries follow `json_integer`.  The first violated constraint is
+    reported.
     """
     if not isinstance(obj, dict):
         raise LatticeParseError("top-level value must be an object")
@@ -325,21 +344,7 @@ def lattice_from_obj(obj) -> IntegerLattice:
     for row in gram:
         if not isinstance(row, list) or len(row) != n:
             raise LatticeParseError("gram must be square")
-        out = []
-        for x in row:
-            if isinstance(x, bool):
-                raise LatticeParseError("gram entries must be integers")
-            if isinstance(x, int):
-                out.append(x)
-            elif isinstance(x, str):
-                stripped = x.strip()
-                body = stripped[1:] if stripped[:1] in "+-" else stripped
-                if not body.isdigit():
-                    raise LatticeParseError("gram entries must be integers")
-                out.append(int(stripped))
-            else:
-                raise LatticeParseError("gram entries must be integers")
-        rows.append(tuple(out))
+        rows.append(tuple(json_integer(x, "gram entries") for x in row))
     for i in range(n):
         for j in range(i):
             if rows[i][j] != rows[j][i]:

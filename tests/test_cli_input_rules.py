@@ -1,0 +1,102 @@
+"""Input rules shared by the CLI verbs: a Hodge group order of 0 is refused
+by `verify-t14` as by `fm`, and action files read integers by the same rule
+as lattice files (JSON integers or decimal strings, no boolean, no float)."""
+
+import json
+
+import pytest
+
+from k3fm.cli import main
+from k3fm.errors import LatticeParseError
+from k3fm.lattice import discriminant_data, json_integer, lattice_from_obj, make_lattice
+
+ORDER_MESSAGE = "k3fm: Hodge group order must be a positive even integer\n"
+
+
+def write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "gram_s",
+    [[[-60]], [[2, 1], [1, -2]]],
+)
+def test_verify_t14_g_order_zero_exits_2_like_fm(tmp_path, capsys, gram_s):
+    s = write(tmp_path, "s.json", {"gram": gram_s})
+    t = write(tmp_path, "t.json", {"gram": [[-x for x in row] for row in gram_s]})
+    code, out, err = run(capsys, ["verify-t14", "--s", s, "--t", t, "--g-order", "0"])
+    assert (code, out, err) == (2, "", ORDER_MESSAGE)
+
+
+def test_fm_hodge_order_zero_exits_2(tmp_path, capsys):
+    s = write(tmp_path, "s.json", {"gram": [[2, 1], [1, -2]]})
+    code, out, err = run(capsys, ["fm", "--lattice", s, "--hodge-order", "0"])
+    assert (code, out, err) == (2, "", ORDER_MESSAGE)
+
+
+def test_verify_t14_without_g_order_is_generic(tmp_path, capsys):
+    s = write(tmp_path, "s.json", {"gram": [[-60]]})
+    t = write(tmp_path, "t.json", {"gram": [[60]]})
+    code, out, _ = run(capsys, ["verify-t14", "--s", s, "--t", t])
+    assert code == 0
+    assert out.splitlines()[-1] == "total: orbits=4 cosets=4 equal=True"
+
+
+def run_action(tmp_path, capsys, action):
+    s = write(tmp_path, "s.json", {"gram": [[2, 1], [1, -2]]})
+    path = write(tmp_path, "action.json", action)
+    return run(capsys, ["fm", "--lattice", s, "--hodge-order", "2", "--hodge-action", path])
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        ({"orders": [5.9], "q": ["2/5"], "images": [[4]]}, "orders must be integers"),
+        ({"orders": [5], "q": ["2/5"], "images": [[4.2]]}, "images must be integers"),
+        ({"orders": [5], "q": ["2/5"], "images": [[4.0]]}, "images must be integers"),
+        ({"orders": [5], "q": ["2/5"], "images": [[True]]}, "images must be integers"),
+        ({"orders": [True], "q": ["2/5"], "images": [[4]]}, "orders must be integers"),
+        ({"orders": ["5x"], "q": ["2/5"], "images": [[4]]}, "orders must be integers"),
+    ],
+)
+def test_bad_action_file_exits_2(tmp_path, capsys, action, message):
+    code, out, err = run_action(tmp_path, capsys, action)
+    assert (code, out, err) == (2, "", f"k3fm: bad action file: {message}\n")
+
+
+def test_action_file_accepts_decimal_strings(tmp_path, capsys):
+    code, out, _ = run_action(tmp_path, capsys, {"orders": ["5"], "q": ["2/5"], "images": [["4"]]})
+    assert code == 0
+    assert out.splitlines()[0] == "fm=1"
+
+
+def test_json_integer_rule():
+    assert json_integer(7, "x") == 7
+    assert json_integer(" -12 ", "x") == -12
+    assert json_integer("+3", "x") == 3
+    assert json_integer(10**30, "x") == 10**30
+    for bad in (True, False, 1.0, 2.5, None, "", "1.0", "1e3", "0x10", [1]):
+        with pytest.raises(LatticeParseError, match="^x must be integers$"):
+            json_integer(bad, "x")
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, 2.5, None, "1.5", "abc"])
+def test_lattice_file_message_unchanged(entry):
+    with pytest.raises(LatticeParseError, match="^gram entries must be integers$"):
+        lattice_from_obj({"gram": [[entry, 1], [1, -2]]})
+
+
+def test_discriminant_generators_are_derived_from_columns():
+    data = discriminant_data(make_lattice([[2, 1, 0], [1, -4, 0], [0, 0, 6]]))
+    assert "generators" not in type(data).__dataclass_fields__
+    assert len(data.generators) == data.form.ngens == 2
+    for gen, col, d in zip(data.generators, data.columns, data.form.orders):
+        assert tuple(x * d for x in gen) == col

@@ -27,7 +27,7 @@ from k3fm import (
     rescale,
 )
 from k3fm.cli import main
-from k3fm.fm_count import _euler_phi, _tau
+from k3fm.arith import euler_phi as _euler_phi, tau as _tau
 
 PAPER_TABLE = (
     (229, 3, 2), (257, 3, 2), (401, 5, 3), (577, 7, 4), (733, 3, 2),

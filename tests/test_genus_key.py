@@ -10,7 +10,7 @@ from math import isqrt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3fm import bqf, finite_qform, intmat
+from k3fm import arith, bqf, finite_qform, intmat
 from k3fm.cli import main
 from k3fm.finite_qform import are_isometric
 from k3fm.lattice import discriminant_form
@@ -41,7 +41,7 @@ def test_key_partition_equals_brute_force_up_to_2000():
 def test_prime_factors_matches_naive_trial_division():
     for n in range(1, 2001):
         naive = tuple(p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))
-        assert bqf._prime_factors(n) == naive, n
+        assert arith.prime_factors(n) == naive, n
 
 
 # generators of GL2(Z): two elementary shears, the swap and a reflection

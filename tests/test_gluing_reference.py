@@ -28,8 +28,19 @@ from k3fm import (
 from k3fm import intmat
 from k3fm.bqf import form_to_lattice, principal_form
 from k3fm.finite_qform import FiniteFormMap
-from k3fm.gluing import GluingDatum, Overlattice, _dual_coords
+from k3fm.gluing import GluingDatum, Overlattice
 from k3fm.lattice import discriminant_data
+
+
+def _dual_coords(data, coeffs) -> tuple:
+    """The dual vector sum c_i g_i as `Fraction`s: the rational view of
+    `gluing._dual_numerators`."""
+    vec = [Fraction(0)] * data.lattice.rank
+    for ci, gen in zip(coeffs, data.generators):
+        if ci:
+            for r, x in enumerate(gen):
+                vec[r] += ci * x
+    return tuple(vec)
 
 
 def reference_glue(s, t, phi):
