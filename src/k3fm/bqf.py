@@ -5,9 +5,9 @@ sqrt(D) - b < 2|a| < sqrt(D) + b.  All comparisons against sqrt(D) are done
 by comparing squares, so the module never touches floating point.  Proper
 classes are the cycles of reduced forms under the neighbor step; the class
 number, the opposite-class map (hence the ambiguous classes) and automorphs
-are all derived from that enumeration.  Genera are keyed by the content of a form and Gauss's assigned
-characters of its primitive part, so nothing here touches a finite group or
-the enumeration cap.
+are all derived from that enumeration.  Genera are keyed by the content of
+a form and Gauss's assigned characters of its primitive part, so nothing
+here touches a finite group or the enumeration cap.
 """
 
 from __future__ import annotations
@@ -292,13 +292,6 @@ def class_index_of(cgd: ClassGroupData, f: BinaryQuadraticForm) -> int:
     raise RuntimeError("reduced form missing from cycle enumeration")
 
 
-def genus_of_class(cgd: ClassGroupData, index: int) -> tuple:
-    for part in cgd.genus_partition:
-        if index in part:
-            return part
-    raise ValueError("class index out of range")
-
-
 def fold_classes(cgd: ClassGroupData, indices) -> tuple:
     """Orbits of a set of class indices under the opposite involution."""
     opp = cgd.opposite
@@ -398,18 +391,15 @@ def fundamental_automorph(f: BinaryQuadraticForm) -> Automorph:
 
 
 def proper_automorph_generator(f: BinaryQuadraticForm) -> Automorph:
-    """Generator of the proper automorphs of f modulo -I.  For an imprimitive
-    form this is the automorph of its primitive part, which can be a proper
-    root of the minimal solution for disc(f)."""
+    """Generator of the proper automorphs of f modulo -I: the automorph of
+    its primitive part, which for an imprimitive form can be a proper root
+    of the minimal solution for disc(f)."""
     g = f.content
-    if g == 1:
-        return fundamental_automorph(f)
-    prim = BinaryQuadraticForm(f.a // g, f.b // g, f.c // g)
-    auto = fundamental_automorph(prim)
+    auto = fundamental_automorph(BinaryQuadraticForm(f.a // g, f.b // g, f.c // g))
     gram = gram_of(f)
     if intmat.matmul(intmat.transpose(auto.matrix), intmat.matmul(gram, auto.matrix)) != gram:
         raise RuntimeError("automorph verification failed")
-    return Automorph(auto.matrix, 1)
+    return auto
 
 
 def improper_automorph(f: BinaryQuadraticForm) -> Automorph | None:
@@ -446,6 +436,7 @@ def genus_representative_forms(lat: IntegerLattice) -> tuple:
     involution), as reduced forms."""
     f = lattice_to_form(lat)
     cgd = proper_classes(f.disc)
-    genus = genus_of_class(cgd, class_index_of(cgd, f))
+    own = class_index_of(cgd, f)
+    genus = next(part for part in cgd.genus_partition if own in part)
     reps = cgd.representatives()
     return tuple(reps[orbit[0]] for orbit in fold_classes(cgd, genus))

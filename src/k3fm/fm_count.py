@@ -80,27 +80,35 @@ class HodgeGroupSpec:
 GENERIC_HODGE = HodgeGroupSpec()
 
 
-def hodge_generators(a, hodge: HodgeGroupSpec, cap: int | None = None) -> list:
-    """Generators of the Hodge group's image inside O(a).
+def hodge_generators(a_t, hodge: HodgeGroupSpec) -> list:
+    """Generators of the Hodge group's image G inside O(A_T).
 
     Negation is always included: the Hodge group has even order exactly
-    because it contains -id.  An explicit action that acts on a is already
-    in O(a) and is returned as it stands; any other action is taken to act
-    on A_T and is carried across the first anti-isometry from its form onto
-    a."""
+    because it contains -id.  An explicit action must act on a_t."""
     if hodge.action is None:
         if hodge.order != 2:
             raise UnsupportedError("explicit Hodge action required")
-        return [negation_map(a)]
-    if hodge.action.source == a:
-        return [negation_map(a), hodge.action]
-    anti = isometries_signed(hodge.action.source, a, -1, cap=cap, _first_only=True)
+        return [negation_map(a_t)]
+    if hodge.action.source != a_t:
+        raise ValueError("Hodge action must act on the discriminant form of T")
+    return [negation_map(a_t), hodge.action]
+
+
+def carried_hodge_generators(a_s, hodge: HodgeGroupSpec, cap: int | None = None) -> list:
+    """G carried onto O(A_S) for an S glued to T: `hodge_generators` on the
+    form the explicit action lives on (A_T), conjugated by the first
+    anti-isometry from that form onto a_s.  With no explicit action G is
+    {+-1}, and -id is -id on every form, so nothing is searched."""
+    if hodge.action is None:
+        return hodge_generators(a_s, hodge)
+    a_t = hodge.action.source
+    anti = isometries_signed(a_t, a_s, -1, cap=cap, _first_only=True)
     if not anti:
         raise ValueError(
             "Hodge action lives on a form that is not anti-isometric to the target"
         )
-    phi = anti[0]
-    return [negation_map(a), phi.compose(hodge.action).compose(phi.inverse())]
+    phi, back = anti[0], anti[0].inverse()
+    return [phi.compose(g).compose(back) for g in hodge_generators(a_t, hodge)]
 
 
 @dataclass(frozen=True)
@@ -163,9 +171,9 @@ def fm_number_rank2(
     classes keyed by content and assigned characters, folded to isomorphism
     classes under the opposite involution); each representative contributes
     the double cosets of the image of its automorph group against
-    `hodge_generators` on its discriminant form.  A square D is refused: U is
-    counted by the shortcut in `fm_number`, and the other isotropic lattices
-    are out of scope.
+    `carried_hodge_generators` on its discriminant form.  A square D is
+    refused: U is counted by the shortcut in `fm_number`, and the other
+    isotropic lattices are out of scope.
     """
     if ns.rank != 2:
         raise ValueError("rank-2 lattice required")
@@ -181,7 +189,7 @@ def fm_number_rank2(
         a_s = discriminant_form(lat)
         group = orthogonal_group(a_s, cap=cap)
         h_gens = [induced_form_map(lat, m) for m in bqf.lattice_isometry_generators(lat)]
-        k_gens = hodge_generators(a_s, hodge, cap)
+        k_gens = carried_hodge_generators(a_s, hodge, cap)
         breakdown.append((rep, double_coset_count(group, h_gens, k_gens)))
     total = sum(s for _, s in breakdown)
     return FMCountResult(total, tuple(breakdown), "rank2")

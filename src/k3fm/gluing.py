@@ -5,9 +5,9 @@ q_S(phi(x)) = -q_T(x), the overlattice generated by S + T together with the
 lifts phi(a) + a is integral, even and unimodular, contains T primitively,
 and has T-orthogonal complement S.  Enumerating all such phi and counting
 orbits under O(S) x G provides an independent check of the double-coset
-counts used by the partner-counting engine.  The oracle shares one piece
-with that engine: `fm_count.hodge_generators`, which gives G on A_T as the
-action stands and on A_S carried across an anti-isometry.
+counts used by the partner-counting engine.  The oracle takes G from the
+engine's module: `fm_count.hodge_generators` on A_T for the orbits, and
+`fm_count.carried_hodge_generators` on A_S for the cosets it compares.
 
 The oracle runs on integers.  An overlattice basis is held as integer rows
 B over one denominator D (`Overlattice.ambient_basis` = B / D, kept as a
@@ -34,7 +34,12 @@ from .finite_qform import (
     orthogonal_group,
     validate_map,
 )
-from .fm_count import GENERIC_HODGE, HodgeGroupSpec, hodge_generators
+from .fm_count import (
+    GENERIC_HODGE,
+    HodgeGroupSpec,
+    carried_hodge_generators,
+    hodge_generators,
+)
 from .lattice import (
     DiscriminantData,
     IntegerLattice,
@@ -403,11 +408,6 @@ class GluingClasses:
     representatives: tuple
 
 
-def _require_action_on(a_t, hodge: HodgeGroupSpec) -> None:
-    if hodge.action is not None and hodge.action.source != a_t:
-        raise ValueError("Hodge action must act on the discriminant form of T")
-
-
 def gluing_classes(
     s: IntegerLattice,
     t: IntegerLattice,
@@ -425,7 +425,6 @@ def gluing_classes(
     if a_s.order == 1:
         return GluingClasses(1, (sigmas[0],))
     h_maps = [induced_form_map(s, m) for m in lattice_isometry_generators(s)]
-    _require_action_on(a_t, hodge)
     g_maps = hodge_generators(a_t, hodge)
     remaining = dict.fromkeys(sigmas)
     reps = []
@@ -493,8 +492,8 @@ def verify_gluing_counts(
             h_gens = []
         else:
             h_gens = [induced_form_map(s, m) for m in lattice_isometry_generators(s)]
-        _require_action_on(a_t, hodge)
-        k_gens = hodge_generators(a_s, hodge, cap)
+        hodge_generators(a_t, hodge)  # refuses an action off A_T, also when A_S is trivial
+        k_gens = carried_hodge_generators(a_s, hodge, cap)
         rows.append(GluingCountRow(s, classes.count, double_coset_count(group, h_gens, k_gens)))
     return GluingCountReport(
         tuple(rows),

@@ -1,8 +1,9 @@
-"""`k3fm.arith` against naive references for every n <= 5000."""
+"""`k3fm.arith` against naive references for every n <= 5000.  prime_factors
+and euler_phi are checked in test_genus_key and test_fm_count."""
 
-from math import gcd, isqrt
+from math import isqrt
 
-from k3fm.arith import divisors, euler_phi, is_prime, prime_factors, primes_one_mod_four, tau
+from k3fm.arith import divisors, is_prime, primes_one_mod_four, tau
 
 N = 5000
 
@@ -14,21 +15,10 @@ def naive_is_prime(n: int) -> bool:
 NAIVE_PRIMES = [p for p in range(N + 1) if naive_is_prime(p)]
 
 
-def test_prime_factors():
-    for n in range(1, N + 1):
-        expected = tuple(p for p in NAIVE_PRIMES if p <= n and n % p == 0)
-        assert prime_factors(n) == expected, n
-
-
 def test_tau_counts_distinct_primes_and_is_one_at_one():
     assert tau(1) == 1
     for n in range(2, N + 1):
         assert tau(n) == sum(1 for p in NAIVE_PRIMES if p <= n and n % p == 0), n
-
-
-def test_euler_phi():
-    for n in range(1, N + 1):
-        assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1), n
 
 
 def test_is_prime():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -54,6 +55,8 @@ def test_euler_phi():
     known = {1: 1, 2: 1, 4: 2, 6: 2, 8: 4, 12: 4, 22: 10, 44: 20, 50: 20, 66: 20}
     for m, value in known.items():
         assert _euler_phi(m) == value
+    for n in range(1, 5001):
+        assert _euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1), n
 
 
 def test_hodge_order_candidates():

@@ -39,7 +39,7 @@ def test_key_partition_equals_brute_force_up_to_2000():
 
 
 def test_prime_factors_matches_naive_trial_division():
-    for n in range(1, 2001):
+    for n in range(1, 5001):
         naive = tuple(p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))
         assert arith.prime_factors(n) == naive, n
 
