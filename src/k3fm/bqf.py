@@ -1,13 +1,17 @@
 """Indefinite binary quadratic forms of positive non-square discriminant.
 
 Reduction convention: (a, b, c) is reduced iff 0 < b < sqrt(D) and
-sqrt(D) - b < 2|a| < sqrt(D) + b.  All comparisons against sqrt(D) are done
-by comparing squares, so the module never touches floating point.  Proper
-classes are the cycles of reduced forms under the neighbor step; the class
-number, the opposite-class map (hence the ambiguous classes) and automorphs
-are all derived from that enumeration.  Genera are keyed by the content of
-a form and Gauss's assigned characters of its primitive part, so nothing
-here touches a finite group or the enumeration cap.
+sqrt(D) - b < 2|a| < sqrt(D) + b.  For non-square D every comparison against
+sqrt(D) is an integer comparison against isqrt(D), computed once per walk, so
+the module never touches floating point.  Proper classes are the cycles of
+reduced forms under the neighbor step; the class number, the opposite-class
+map (hence the ambiguous classes) and automorphs are all derived from that
+enumeration.  Reduction, cycles, the Pell walk and the equivalence walk step
+integer triples and accumulate their transform in four integers; a
+`BinaryQuadraticForm` is built only for a form a public function returns.
+Genera are keyed by the content of a form and Gauss's assigned characters of
+its primitive part, so nothing here touches a finite group or the
+enumeration cap.
 """
 
 from __future__ import annotations
@@ -100,68 +104,79 @@ def form_to_lattice(f: BinaryQuadraticForm) -> IntegerLattice:
     return IntegerLattice(gram_of(f))
 
 
+def _reduced(a: int, b: int, root: int) -> bool:
+    """Reducedness of (a, b, c) from root = isqrt(D): for non-square D an
+    integer x satisfies x < sqrt(D) iff x <= root, so the window
+    0 < b < sqrt(D), sqrt(D) - b < 2|a| < sqrt(D) + b needs no squares."""
+    return 0 < b <= root and root - b < 2 * abs(a) <= root + b
+
+
 def is_reduced(f: BinaryQuadraticForm) -> bool:
-    d = f.disc
-    b = f.b
-    if b <= 0 or b * b >= d:
-        return False
-    ta = 2 * abs(f.a)
-    if (ta + b) ** 2 <= d:  # sqrt(D) - b < 2|a|
-        return False
-    if ta > b and (ta - b) ** 2 >= d:  # 2|a| < sqrt(D) + b
-        return False
-    return True
+    return _reduced(f.a, f.b, isqrt(f.disc))
 
 
-def _rho(f: BinaryQuadraticForm) -> tuple:
-    """Neighbor step (a, b, c) -> (c, b', c') with b' = -b mod 2|c| placed in
-    the reduced window, or normalized into (-|c|, |c|] while |c| > sqrt(D).
-    Returns the new form and the unimodular step matrix."""
-    d = f.disc
-    c = f.c
+def _step(b: int, c: int, d: int, root: int) -> tuple:
+    """Neighbor step on integers: (a, b, c) -> (c, b', c') with b' = -b mod
+    2|c| placed in the reduced window, or normalized into (-|c|, |c|] while
+    |c| > sqrt(D).  The new leading coefficient is the old c, so only
+    (b', c', s) is returned; s is the entry of the step matrix
+    [[0, -1], [1, s]]."""
     ac = abs(c)
-    if c * c > d:
-        bp = (-f.b) % (2 * ac)
+    if ac > root:  # |c| > sqrt(D), as D is not a square
+        bp = (-b) % (2 * ac)
         if bp > ac:
             bp -= 2 * ac
     else:
-        root = isqrt(d)
-        bp = root - (root + f.b) % (2 * ac)
-    s, rem = divmod(f.b + bp, 2 * c)
+        bp = root - (root + b) % (2 * ac)
+    s, rem = divmod(b + bp, 2 * c)
     if rem:
         raise RuntimeError("neighbor step congruence failed")
     cp, rem = divmod(bp * bp - d, 4 * c)
     if rem:
         raise RuntimeError("neighbor step discriminant failed")
-    step = ((0, -1), (1, s))
-    return BinaryQuadraticForm(c, bp, cp), step
+    return bp, cp, s
+
+
+def _rho(f: BinaryQuadraticForm) -> tuple:
+    """One neighbor step of f: the new form and the unimodular step matrix."""
+    d = f.disc
+    bp, cp, s = _step(f.b, f.c, d, isqrt(d))
+    return BinaryQuadraticForm(f.c, bp, cp), ((0, -1), (1, s))
 
 
 def reduce_form(f: BinaryQuadraticForm) -> TransformedForm:
     """Reduce f, accumulating the unimodular transform M with
-    M^T G_f M = G_reduced."""
-    cur = f
-    m = intmat.identity(2)
+    M^T G_f M = G_reduced.  M = M * [[0, -1], [1, s]] per step, on four
+    integers."""
+    a, b, c = f.a, f.b, f.c
+    d = f.disc
+    root = isqrt(d)
+    m00, m01, m10, m11 = 1, 0, 0, 1
     guard = 0
-    limit = 64 + 4 * (abs(f.a).bit_length() + abs(f.c).bit_length())
-    while not is_reduced(cur):
-        cur, step = _rho(cur)
-        m = intmat.matmul(m, step)
+    limit = 64 + 4 * (abs(a).bit_length() + abs(c).bit_length())
+    while not _reduced(a, b, root):
+        a, (b, c, s) = c, _step(b, c, d, root)
+        m00, m01 = m01, s * m01 - m00
+        m10, m11 = m11, s * m11 - m10
         guard += 1
         if guard > limit:
             raise RuntimeError("reduction failed to terminate")
-    return TransformedForm(cur, m, f)
+    out = f if guard == 0 else BinaryQuadraticForm(a, b, c)
+    return TransformedForm(out, ((m00, m01), (m10, m11)), f)
 
 
 def cycle(f: BinaryQuadraticForm) -> tuple:
     """The full cycle of reduced forms through f (equals its proper class)."""
-    if not is_reduced(f):
+    a0, b0, c = f.a, f.b, f.c
+    d = f.disc
+    root = isqrt(d)
+    if not _reduced(a0, b0, root):
         raise ValueError("form is not reduced")
     out = [f]
-    cur, _ = _rho(f)
-    while cur != f:
-        out.append(cur)
-        cur, _ = _rho(cur)
+    a, (b, c, _) = c, _step(b0, c, d, root)
+    while a != a0 or b != b0:  # (a, b) fixes c at discriminant d
+        out.append(BinaryQuadraticForm(a, b, c))
+        a, (b, c, _) = c, _step(b, c, d, root)
     return tuple(out)
 
 
@@ -179,20 +194,22 @@ def _validate_disc(d: int) -> None:
 
 
 def enumerate_reduced(d: int) -> tuple:
-    """All reduced forms of discriminant d, sorted by coefficients."""
+    """All reduced forms of discriminant d, sorted by coefficients: for each
+    b of the parity of d in (0, sqrt(d)), the factorizations
+    (d - b^2)/4 = a*c with 2a in the window (sqrt(d) - b, sqrt(d) + b), each
+    giving (a, b, -c) and (-a, b, c)."""
     _validate_disc(d)
-    out = []
-    for b in range(1, isqrt(d) + 1):
-        if (b - d) % 2:
-            continue
+    root = isqrt(d)
+    triples = []
+    for b in range(2 - d % 2, root + 1, 2):
         n = (d - b * b) // 4
         for a in divisors(n):
-            c = n // a
-            g = BinaryQuadraticForm(a, b, -c)
-            if is_reduced(g):
-                out.append(g)
-                out.append(BinaryQuadraticForm(-a, b, c))
-    return tuple(sorted(out, key=lambda f: f.coefficients()))
+            if root - b < 2 * a <= root + b:
+                c = n // a
+                triples.append((a, b, -c))
+                triples.append((-a, b, c))
+    triples.sort()
+    return tuple(BinaryQuadraticForm(a, b, c) for a, b, c in triples)
 
 
 def is_odd_fundamental(d: int) -> bool:
@@ -250,16 +267,14 @@ def proper_classes(d: int) -> ClassGroupData:
     For odd square-free d the classical structure constraints (2^(n-1)
     ambiguous classes and genera, all genera equinumerous) are asserted.
     """
-    reduced = enumerate_reduced(d)
-    remaining = set(reduced)
     cycles = []
-    for f in reduced:
-        if f in remaining:
+    index_of = {}
+    for f in enumerate_reduced(d):
+        if f not in index_of:
             cyc = cycle(f)
+            index_of.update(dict.fromkeys(cyc, len(cycles)))
             cycles.append(cyc)
-            remaining -= set(cyc)
     h = len(cycles)
-    index_of = {f: i for i, cyc in enumerate(cycles) for f in cyc}
     reps = [cyc[0] for cyc in cycles]
 
     genera: dict = {}
@@ -320,20 +335,24 @@ def is_properly_equivalent(f, g, witness: bool = False):
         raise ValueError("discriminant mismatch")
     rf = reduce_form(f)
     rg = reduce_form(g)
-    cur = rf.form
-    trans = intmat.identity(2)
-    while True:
-        if cur == rg.form:
-            if not witness:
-                return True
-            mg = rg.transform
-            mg_inv = ((mg[1][1], -mg[0][1]), (-mg[1][0], mg[0][0]))
-            w = intmat.matmul(intmat.matmul(rf.transform, trans), mg_inv)
-            return True, w
-        cur, step = _rho(cur)
-        trans = intmat.matmul(trans, step)
-        if cur == rf.form:
+    d = f.disc
+    root = isqrt(d)
+    a0, b0, c = rf.form.a, rf.form.b, rf.form.c
+    ga, gb = rg.form.a, rg.form.b
+    a, b = a0, b0
+    t00, t01, t10, t11 = 1, 0, 0, 1
+    while a != ga or b != gb:
+        a, (b, c, s) = c, _step(b, c, d, root)
+        t00, t01 = t01, s * t01 - t00
+        t10, t11 = t11, s * t11 - t10
+        if a == a0 and b == b0:
             return (False, None) if witness else False
+    if not witness:
+        return True
+    mg = rg.transform
+    mg_inv = ((mg[1][1], -mg[0][1]), (-mg[1][0], mg[0][0]))
+    w = intmat.matmul(intmat.matmul(rf.transform, ((t00, t01), (t10, t11))), mg_inv)
+    return True, w
 
 
 def principal_form(d: int) -> BinaryQuadraticForm:
@@ -353,18 +372,19 @@ def pell_fundamental(d: int) -> tuple:
     transform of one trip around the principal cycle (the matrix form of the
     continued-fraction expansion attached to sqrt(d))."""
     f0 = principal_form(d)
-    cur, m = _rho(f0)
-    while cur != f0:
-        cur, step = _rho(cur)
-        m = intmat.matmul(m, step)
-    t = m[0][0] + m[1][1]
-    if t < 0:
-        m = intmat.scale(m, -1)
-        t = -t
-    u = m[1][0]  # leading coefficient of the principal form is 1
-    if u < 0:
-        m = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-        u = -u
+    root = isqrt(d)
+    b0 = b = f0.b
+    c = f0.c
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    while True:
+        a, (b, c, s) = c, _step(b, c, d, root)
+        m00, m01 = m01, s * m01 - m00
+        m10, m11 = m11, s * m11 - m10
+        if a == 1 and b == b0:
+            break
+    # M = [[(t - b0 u)/2, -c0 u], [u, (t + b0 u)/2]] up to sign and
+    # inversion, since the leading coefficient of f0 is 1
+    t, u = abs(m00 + m11), abs(m10)
     if u == 0 or t * t - d * u * u != 4:
         raise RuntimeError("automorph walk did not produce a Pell solution")
     return t, u

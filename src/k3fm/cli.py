@@ -123,7 +123,7 @@ def _cmd_discform(args) -> int:
 def _cmd_fm(args) -> int:
     cap = _cap()
     if args.rank1 is not None:
-        result = fm_number_rank1(args.rank1, cap=cap)
+        result = fm_number_rank1(args.rank1, cap=cap, hodge=_hodge_from_args(args))
     else:
         ns = NeronSeveriSpec(parse_lattice_file(args.lattice))
         result = fm_number(ns, _hodge_from_args(args), cap=cap)

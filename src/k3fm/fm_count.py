@@ -132,11 +132,18 @@ def hodge_order_candidates(t: int) -> tuple:
     )
 
 
-def fm_number_rank1(n: int, cap: int | None = None) -> FMCountResult:
+def fm_number_rank1(
+    n: int,
+    cap: int | None = None,
+    hodge: HodgeGroupSpec = GENERIC_HODGE,
+) -> FMCountResult:
     """Partner count for NS = <2n>: 2^(tau(n)-1), cross-checked against the
-    double-coset count on the brute-forced orthogonal group of (Z/2n, 1/2n)."""
+    double-coset count on the brute-forced orthogonal group of (Z/2n, 1/2n).
+    The Hodge group must be {+-id}: phi(2I) divides rank T = 21."""
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if hodge.order != 2:
+        raise ValueError("Picard number 1 forces a Hodge group of order 2 (phi(2I) | 21)")
     a = cyclic_form(2 * n, Fraction(1, 2 * n))
     group = orthogonal_group(a, cap=cap)
     neg = negation_map(a)
@@ -202,12 +209,7 @@ def fm_number(
 ) -> FMCountResult:
     """Dispatch on the Picard number; see the module docstring."""
     if ns.rank == 1:
-        if hodge.order != 2:
-            raise ValueError(
-                "Picard number 1 forces a Hodge group of order 2 (phi(2I) | 21)"
-            )
-        n = ns.lattice.gram[0][0] // 2
-        return fm_number_rank1(n, cap=cap)
+        return fm_number_rank1(ns.lattice.gram[0][0] // 2, cap=cap, hodge=hodge)
     if ns.rank == 2 and hodge.order > 2 and hodge.order not in hodge_order_candidates(20):
         raise ValueError("Hodge group order violates phi(2I) | 20")
     result = fm_number_nikulin(ns)

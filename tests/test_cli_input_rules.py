@@ -100,3 +100,37 @@ def test_discriminant_generators_are_derived_from_columns():
     assert len(data.generators) == data.form.ngens == 2
     for gen, col, d in zip(data.generators, data.columns, data.form.orders):
         assert tuple(x * d for x in gen) == col
+
+
+NEGATION_ON_Z5 = {"orders": [5], "q": ["2/5"], "images": [[4]]}
+PICARD_ONE_MESSAGE = "k3fm: Picard number 1 forces a Hodge group of order 2 (phi(2I) | 21)\n"
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ([], (0, "fm=2\nmethod: rank1\n  gram [[12]]: 2\n", "")),
+        (["--hodge-order", "2"], (0, "fm=2\nmethod: rank1\n  gram [[12]]: 2\n", "")),
+        (["--hodge-order", "4"], (2, "", PICARD_ONE_MESSAGE)),
+        (["--hodge-order", "3"], (2, "", ORDER_MESSAGE)),
+        (["--hodge-order", "0"], (2, "", ORDER_MESSAGE)),
+        (["--hodge-action", "ACTION"], (0, "fm=2\nmethod: rank1\n  gram [[12]]: 2\n", "")),
+        (["--hodge-order", "4", "--hodge-action", "ACTION"], (2, "", PICARD_ONE_MESSAGE)),
+        (["--hodge-action", "MISSING"], None),
+    ],
+)
+def test_rank1_takes_the_hodge_flags_like_the_lattice_it_names(tmp_path, capsys, flags, expected):
+    action = write(tmp_path, "action.json", NEGATION_ON_Z5)
+    missing = str(tmp_path / "missing.json")
+    flags = [{"ACTION": action, "MISSING": missing}.get(f, f) for f in flags]
+    lattice = write(tmp_path, "ns.json", {"gram": [[12]]})
+    by_rank1 = run(capsys, ["fm", "--rank1", "6", *flags])
+    assert by_rank1 == run(capsys, ["fm", "--lattice", lattice, *flags])
+    if expected is None:
+        assert by_rank1[0] == 2 and by_rank1[2].startswith("k3fm: cannot read action file")
+    else:
+        assert by_rank1 == expected
+
+
+def test_rank1_zero_message_unchanged(capsys):
+    assert run(capsys, ["fm", "--rank1", "0"]) == (2, "", "k3fm: n must be a positive integer\n")
