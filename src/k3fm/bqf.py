@@ -165,17 +165,27 @@ def reduce_form(f: BinaryQuadraticForm) -> TransformedForm:
     return TransformedForm(out, ((m00, m01), (m10, m11)), f)
 
 
+def _walk_limit(root: int) -> int:
+    """More steps than there are reduced forms of discriminant D, with
+    root = isqrt(D): a reduced (a, b, c) has 0 < b <= root and |a| <= root."""
+    return 2 * root * root
+
+
 def cycle(f: BinaryQuadraticForm) -> tuple:
-    """The full cycle of reduced forms through f (equals its proper class)."""
+    """The full cycle of reduced forms through f (equals its proper class).
+    A walk that outlasts the number of reduced forms raises RuntimeError."""
     a0, b0, c = f.a, f.b, f.c
     d = f.disc
     root = isqrt(d)
     if not _reduced(a0, b0, root):
         raise ValueError("form is not reduced")
     out = [f]
+    limit = _walk_limit(root)
     a, (b, c, _) = c, _step(b0, c, d, root)
     while a != a0 or b != b0:  # (a, b) fixes c at discriminant d
         out.append(BinaryQuadraticForm(a, b, c))
+        if len(out) > limit:
+            raise RuntimeError(f"cycle of discriminant {d} did not close")
         a, (b, c, _) = c, _step(b, c, d, root)
     return tuple(out)
 
@@ -330,7 +340,8 @@ def improper_class_count(d: int) -> int:
 
 def is_properly_equivalent(f, g, witness: bool = False):
     """True iff f and g reduce into the same cycle.  With witness=True also
-    return a determinant +1 matrix W with W^T G_f W = G_g (or None)."""
+    return a determinant +1 matrix W with W^T G_f W = G_g (or None).  A walk
+    that outlasts the number of reduced forms raises RuntimeError."""
     if f.disc != g.disc:
         raise ValueError("discriminant mismatch")
     rf = reduce_form(f)
@@ -341,12 +352,16 @@ def is_properly_equivalent(f, g, witness: bool = False):
     ga, gb = rg.form.a, rg.form.b
     a, b = a0, b0
     t00, t01, t10, t11 = 1, 0, 0, 1
+    steps, limit = 0, _walk_limit(root)
     while a != ga or b != gb:
         a, (b, c, s) = c, _step(b, c, d, root)
         t00, t01 = t01, s * t01 - t00
         t10, t11 = t11, s * t11 - t10
         if a == a0 and b == b0:
             return (False, None) if witness else False
+        steps += 1
+        if steps > limit:
+            raise RuntimeError(f"cycle of discriminant {d} did not close")
     if not witness:
         return True
     mg = rg.transform

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import isqrt
 
 from . import bqf, gluing
 from .errors import CapExceededError, K3FMError, LatticeParseError, UnsupportedError
@@ -26,6 +25,7 @@ from .fm_count import (
     fm_number_rank1,
     fm_table,
     gauss_scan,
+    refuse_isotropic_rank2,
 )
 from .lattice import (
     discriminant_data,
@@ -202,12 +202,7 @@ def _cmd_verify_t14(args) -> int:
     elif s.rank == 2:
         sig = signature(s).as_pair()
         if sig == (1, 1):
-            d = -s.det
-            if isqrt(d) ** 2 == d:
-                raise UnsupportedError(
-                    f"unsupported: rank-2 S with square discriminant D = {d} is isotropic "
-                    "but not U; its genus needs isotropic class enumeration (out of scope)"
-                )
+            refuse_isotropic_rank2(s, "S")
             s_list = [bqf.form_to_lattice(f) for f in bqf.genus_representative_forms(s)]
         else:
             s_list = list(gluing.definite_genus_lattices(s, cap=cap))

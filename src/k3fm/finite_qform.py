@@ -2,9 +2,13 @@
 
 A form is stored in invariant-factor coordinates: generator orders
 d_1 | d_2 | ... | d_k (all > 1), the values q(g_i) in Q/2Z and the pairwise
-bilinear values b(g_i, g_j) in Q/Z, as `Fraction`s.  Everything downstream —
-signed isometry enumeration, orthogonal groups, subgroup closure, double-coset
-counts — is brute force over these coordinates, guarded by a size cap.
+bilinear values b(g_i, g_j) in Q/Z, as `Fraction`s.  Signed isometry
+enumeration, orthogonal groups, subgroup closure and `double_coset_count` are
+brute force over these coordinates, guarded by a size cap.  The production
+count, `double_coset_count_by_parts`, splits A into its p-parts A_p first:
+every isometry keeps each A_p, so O(A) is the product of the O(A_p), and only
+the A_p are searched and capped.  The whole-group functions stay as its
+reference.
 
 The `Fraction` values are the input/output view.  The isometry search and
 `validate_map` scale them by the exponent N = d_k (the lcm of both
@@ -22,6 +26,7 @@ from itertools import product
 from math import gcd, lcm, prod
 
 from . import intmat
+from .arith import prime_factors
 from .errors import CapExceededError
 
 DEFAULT_CAP = 10_000
@@ -57,21 +62,24 @@ class FiniteQuadraticForm:
             if d % last != 0:
                 raise ValueError("orders must form a divisibility chain")
             last = d
+        # the checks run on numerators and (positive) denominators
         for i, d in enumerate(self.orders):
-            qi = self.q_gens[i]
-            if not (0 <= qi < 2):
+            qn, qd = self.q_gens[i].numerator, self.q_gens[i].denominator
+            if not 0 <= qn < 2 * qd:
                 raise ValueError("q values must be reduced into [0, 2)")
-            if _mod2(d * d * qi) != 0:
+            if d * d * qn % (2 * qd):
                 raise ValueError("q value incompatible with generator order")
-            if _mod1(self.b_matrix[i][i] - qi) != 0:
+            bii = self.b_matrix[i][i]
+            if (bii.numerator * qd - qn * bii.denominator) % (qd * bii.denominator):
                 raise ValueError("b(g,g) must agree with q(g) mod Z")
             for j in range(k):
                 bij = self.b_matrix[i][j]
-                if not (0 <= bij < 1):
+                bn, bd = bij.numerator, bij.denominator
+                if not 0 <= bn < bd:
                     raise ValueError("b values must be reduced into [0, 1)")
                 if bij != self.b_matrix[j][i]:
                     raise ValueError("b matrix must be symmetric")
-                if _mod1(d * bij) != 0:
+                if d * bn % bd:
                     raise ValueError("b value incompatible with generator order")
         object.__setattr__(self, "_hash", hash((self.orders, self.q_gens, self.b_matrix)))
 
@@ -205,11 +213,16 @@ def _integer_tables(a: FiniteQuadraticForm, n: int) -> tuple[list, list]:
     too.  Then N*q(x) = sum x_i^2 Q_i + 2 sum_{i<j} x_i x_j B_ij mod 2N (see
     `_scaled_q`) and N*b(x, y) = sum x_i y_j B_ij mod N.
     """
-    q = [x * n for x in a.q_gens]
-    b = [[x * n for x in row] for row in a.b_matrix]
-    if any(x.denominator != 1 for x in q) or any(x.denominator != 1 for row in b for x in row):
-        raise RuntimeError("form values are not integral at the group exponent")
-    return [int(x) % (2 * n) for x in q], [[int(x) % n for x in row] for row in b]
+    def scaled(x) -> int:
+        num, rem = divmod(x.numerator * n, x.denominator)
+        if rem:
+            raise RuntimeError("form values are not integral at the group exponent")
+        return num
+
+    return (
+        [scaled(x) % (2 * n) for x in a.q_gens],
+        [[scaled(x) % n for x in row] for row in a.b_matrix],
+    )
 
 
 def _scaled_q(q_table, b_table, x) -> int:
@@ -238,6 +251,17 @@ def _generates(orders, images) -> bool:
 # maps
 
 
+def _apply(images, x, orders) -> tuple:
+    """The image of the vector x under the homomorphism that sends generator
+    i to images[i], reduced mod the target orders."""
+    out = [0] * len(orders)
+    for xi, img in zip(x, images):
+        if xi:
+            for j, cj in enumerate(img):
+                out[j] += xi * cj
+    return tuple(c % d for c, d in zip(out, orders))
+
+
 @dataclass(frozen=True)
 class FiniteFormMap:
     """A group homomorphism with q_target(f(x)) = sign * q_source(x) mod 2Z."""
@@ -248,18 +272,14 @@ class FiniteFormMap:
     sign: int
 
     def apply(self, x) -> tuple:
-        out = [0] * self.target.ngens
-        for xi, img in zip(x, self.images):
-            if xi:
-                for j, cj in enumerate(img):
-                    out[j] += xi * cj
-        return tuple(c % d for c, d in zip(out, self.target.orders))
+        return _apply(self.images, x, self.target.orders)
 
     def compose(self, other: "FiniteFormMap") -> "FiniteFormMap":
         """self after other."""
         if other.target != self.source:
             raise ValueError("maps are not composable")
-        images = tuple(self.apply(img) for img in other.images)
+        orders = self.target.orders
+        images = tuple(_apply(self.images, img, orders) for img in other.images)
         return FiniteFormMap(other.source, self.target, images, self.sign * other.sign)
 
     def inverse(self) -> "FiniteFormMap":
@@ -497,4 +517,135 @@ def double_coset_count(group: FiniteOrthogonalGroup, h_gens, k_gens) -> int:
         count += 1
     if total != len(group):
         raise RuntimeError("double cosets do not partition the group")
+    return count
+
+
+# ---------------------------------------------------------------------------
+# p-parts: A = (+)_p A_p, and every isometry preserves each A_p (Nikulin 1979)
+
+
+@dataclass(frozen=True)
+class PrimaryPart:
+    """The p-part A_p of a form A with invariant factors d_1 | ... | d_k.
+
+    Each d_i = m_i p^e_i with p not dividing m_i; for the i with e_i > 0
+    (`index`) A_p has the generator h_i = m_i g_i of order p^e_i, and these
+    orders again form a chain.  A vector c of A_p written on the g_i has
+    c_i = m_i x_i mod d_i, so its A_p coordinates are x_i = c_i / m_i."""
+
+    p: int
+    form: FiniteQuadraticForm
+    index: tuple
+    mult: tuple
+
+    def restrict(self, f: FiniteFormMap) -> tuple:
+        """The images of the h_i under f, in A_p coordinates.  A homomorphism
+        keeps A_p, so each image must come back unchanged from its A_p
+        coordinates; one that does not is a broken invariant."""
+        out = []
+        for i, m_i in zip(self.index, self.mult):
+            c = [m_i * x % d for x, d in zip(f.images[i], f.target.orders)]
+            x = tuple(c[j] // m_j for j, m_j in zip(self.index, self.mult))
+            back = [0] * len(c)
+            for j, m_j, x_j in zip(self.index, self.mult, x):
+                back[j] = m_j * x_j
+            if back != c:
+                raise RuntimeError(f"map does not preserve the {self.p}-part")
+            out.append(x)
+        return tuple(out)
+
+
+def primary_parts(a: FiniteQuadraticForm) -> tuple:
+    """The p-parts of A, one per prime dividing the exponent d_k, ascending.
+    A form whose order is a prime power is its own single part."""
+    if a.ngens == 0:
+        return ()
+    primes = prime_factors(a.orders[-1])
+    if len(primes) == 1:
+        return (PrimaryPart(primes[0], a, tuple(range(a.ngens)), (1,) * a.ngens),)
+    parts = []
+    for p in primes:
+        index, mult, orders = [], [], []
+        for i, d in enumerate(a.orders):
+            m = d
+            while m % p == 0:
+                m //= p
+            if m != d:
+                index.append(i)
+                mult.append(m)
+                orders.append(d // m)
+        pairs = list(zip(index, mult))
+        q = tuple(m * m * a.q_gens[i] % 2 for i, m in pairs)
+        b = tuple(tuple(mi * mj * a.b_matrix[i][j] % 1 for j, mj in pairs) for i, mi in pairs)
+        form = FiniteQuadraticForm(tuple(orders), q, b)
+        parts.append(PrimaryPart(p, form, tuple(index), tuple(mult)))
+    return tuple(parts)
+
+
+def _position(where: dict, images: tuple, p: int) -> int:
+    """Index of a map of A_p, given by its images, among the elements of O(A_p)."""
+    n = where.get(images)
+    if n is None:
+        raise RuntimeError(f"a generator does not restrict into O(A_{p})")
+    return n
+
+
+def double_coset_count_by_parts(
+    a: FiniteQuadraticForm, h_gens, k_gens, cap: int | None = None
+) -> int:
+    """Number of double cosets H \\ O(A) / K, found one p-part at a time.
+
+    O(A) is the product of the O(A_p), each found by `isometries_signed` on
+    A_p alone, so the search costs the sum of the |A_p| and the cap bounds
+    the largest A_p.  Each generator is restricted to every part and must
+    land in O(A_p); it then acts on O(A_p) by a table of element indices
+    (left composition for H, right for K), and the orbits of
+    x -> h o x o k on the product of the parts are walked on index tuples.
+    Agrees with `double_coset_count(orthogonal_group(a), h_gens, k_gens)`.
+    """
+    cap = DEFAULT_CAP if cap is None else cap
+    parts = primary_parts(a)
+    for part in parts:
+        if part.form.order > cap:
+            raise CapExceededError(
+                f"finite group too large: |A| = {a.order}; its p-part for p = {part.p} "
+                f"has |A_{part.p}| = {part.form.order}, which exceeds the cap {cap}"
+                " (raise it with K3FM_CAP)"
+            )
+    gens = (*h_gens, *k_gens)
+    for g in gens:
+        if g.source != a or g.target != a or g.sign != 1:
+            raise RuntimeError("generator is not a self-isometry of the form")
+    sizes = []
+    moves = [[] for _ in gens]  # per generator, one table per part
+    for part in parts:
+        orders = part.form.orders
+        elements = [f.images for f in isometries_signed(part.form, part.form, 1, cap=cap)]
+        where = {x: n for n, x in enumerate(elements)}
+        sizes.append(len(elements))
+        restricted = [elements[_position(where, part.restrict(g), part.p)] for g in gens]
+        for n, (tables, g) in enumerate(zip(moves, restricted)):
+            if n < len(h_gens):  # x -> h o x
+                products = [tuple(_apply(g, y, orders) for y in x) for x in elements]
+            else:  # x -> x o k
+                products = [tuple(_apply(x, y, orders) for y in g) for x in elements]
+            tables.append(tuple(_position(where, y, part.p) for y in products))
+    visited: set = set()
+    count = 0
+    for x in product(*(range(s) for s in sizes)):
+        if x in visited:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for tables in moves:
+                z = tuple(t[c] for t, c in zip(tables, y))
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        if not visited.isdisjoint(orbit):
+            raise RuntimeError("double cosets do not partition the group")
+        visited |= orbit
+        count += 1
     return count

@@ -3,11 +3,16 @@
 The partner count of X is assembled from the Neron-Severi lattice alone once
 the Hodge isometry group of the transcendental lattice is fixed: it is the
 sum, over the isomorphism classes S_j in the genus of NS(X), of the number of
-double cosets O(S_j) \\ O(A_{S_j}) / G.  Dispatch: Picard number 1 closes to
-the 2^(tau(n)-1) formula; every rank >= 2 first tries the surjectivity
-shortcut (rank >= l + 2, which in rank 2 means NS = U); otherwise Picard
-number 2 runs the binary-form class engine (non-square discriminant only) and
-rank >= 3 is refused.  tau, phi and the primality test come from `arith`.
+double cosets O(S_j) \\ O(A_{S_j}) / G (`coset_summand`).  Each summand is
+counted one p-part at a time: A_S is the sum of its p-parts A_p and every
+isometry keeps each A_p (Nikulin), so O(A_S) is the product of the O(A_p),
+only the A_p are searched, and the enumeration cap bounds the largest |A_p|.
+
+Dispatch: Picard number 1 closes to the 2^(tau(n)-1) formula; every rank >= 2
+first tries the surjectivity shortcut (rank >= l + 2, which in rank 2 means
+NS = U); otherwise Picard number 2 runs the binary-form class engine
+(non-square discriminant only) and rank >= 3 is refused.  tau, phi and the
+primality test come from `arith`.
 """
 
 from __future__ import annotations
@@ -22,10 +27,9 @@ from .errors import UnsupportedError
 from .finite_qform import (
     FiniteFormMap,
     cyclic_form,
-    double_coset_count,
+    double_coset_count_by_parts,
     isometries_signed,
     negation_map,
-    orthogonal_group,
     validate_map,
 )
 from .lattice import (
@@ -111,6 +115,34 @@ def carried_hodge_generators(a_s, hodge: HodgeGroupSpec, cap: int | None = None)
     return [phi.compose(g).compose(back) for g in hodge_generators(a_t, hodge)]
 
 
+def coset_summand(
+    s: IntegerLattice,
+    isometries,
+    hodge: HodgeGroupSpec = GENERIC_HODGE,
+    cap: int | None = None,
+) -> int:
+    """The Counting Formula's term for one genus member S: the double cosets
+    O(S) \\ O(A_S) / G.  O(S) is given by generator matrices and acts on A_S
+    through `induced_form_map`; G is `carried_hodge_generators`.  The cosets
+    are counted one p-part of A_S at a time."""
+    a_s = discriminant_form(s)
+    h_gens = [induced_form_map(s, m) for m in isometries]
+    k_gens = carried_hodge_generators(a_s, hodge, cap)
+    return double_coset_count_by_parts(a_s, h_gens, k_gens, cap)
+
+
+def refuse_isotropic_rank2(lat: IntegerLattice, role: str) -> None:
+    """Raise UnsupportedError for a rank-2 lattice (the role names it, "NS" or
+    "S") of square discriminant: such a lattice is isotropic, and unless it is
+    U its genus needs an isotropic class enumeration."""
+    d = -lat.det
+    if isqrt(d) ** 2 == d:
+        raise UnsupportedError(
+            f"unsupported: rank-2 {role} with square discriminant D = {d} is isotropic "
+            "but not U; its genus needs isotropic class enumeration (out of scope)"
+        )
+
+
 @dataclass(frozen=True)
 class FMCountResult:
     total: int
@@ -138,16 +170,16 @@ def fm_number_rank1(
     hodge: HodgeGroupSpec = GENERIC_HODGE,
 ) -> FMCountResult:
     """Partner count for NS = <2n>: 2^(tau(n)-1), cross-checked against the
-    double-coset count on the brute-forced orthogonal group of (Z/2n, 1/2n).
+    double cosets {+-1} \\ O(A) / {+-1} of A = (Z/2n, 1/2n), counted one
+    p-part at a time (so the cap bounds the largest |A_p|, not 2n).
     The Hodge group must be {+-id}: phi(2I) divides rank T = 21."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if hodge.order != 2:
         raise ValueError("Picard number 1 forces a Hodge group of order 2 (phi(2I) | 21)")
     a = cyclic_form(2 * n, Fraction(1, 2 * n))
-    group = orthogonal_group(a, cap=cap)
     neg = negation_map(a)
-    counted = double_coset_count(group, [neg], [neg])
+    counted = double_coset_count_by_parts(a, [neg], [neg], cap)
     expected = 2 ** (tau(n) - 1)
     if counted != expected:
         raise RuntimeError(
@@ -184,20 +216,13 @@ def fm_number_rank2(
     """
     if ns.rank != 2:
         raise ValueError("rank-2 lattice required")
-    d = -ns.lattice.det
-    if isqrt(d) ** 2 == d:
-        raise UnsupportedError(
-            f"unsupported: rank-2 NS with square discriminant D = {d} is isotropic "
-            "but not U; its genus needs isotropic class enumeration (out of scope)"
-        )
+    refuse_isotropic_rank2(ns.lattice, "NS")
     breakdown = []
     for rep in bqf.genus_representative_forms(ns.lattice):
         lat = bqf.form_to_lattice(rep)
-        a_s = discriminant_form(lat)
-        group = orthogonal_group(a_s, cap=cap)
-        h_gens = [induced_form_map(lat, m) for m in bqf.lattice_isometry_generators(lat)]
-        k_gens = carried_hodge_generators(a_s, hodge, cap)
-        breakdown.append((rep, double_coset_count(group, h_gens, k_gens)))
+        breakdown.append(
+            (rep, coset_summand(lat, bqf.lattice_isometry_generators(lat), hodge, cap))
+        )
     total = sum(s for _, s in breakdown)
     return FMCountResult(total, tuple(breakdown), "rank2")
 

@@ -6,8 +6,9 @@ lifts phi(a) + a is integral, even and unimodular, contains T primitively,
 and has T-orthogonal complement S.  Enumerating all such phi and counting
 orbits under O(S) x G provides an independent check of the double-coset
 counts used by the partner-counting engine.  The oracle takes G from the
-engine's module: `fm_count.hodge_generators` on A_T for the orbits, and
-`fm_count.carried_hodge_generators` on A_S for the cosets it compares.
+engine's module: `fm_count.hodge_generators` on A_T for the orbits, and the
+engine's own summand `fm_count.coset_summand` for the cosets it compares, so
+the p-part coset count is checked against a whole-group orbit walk.
 
 The oracle runs on integers.  An overlattice basis is held as integer rows
 B over one denominator D (`Overlattice.ambient_basis` = B / D, kept as a
@@ -27,19 +28,8 @@ from math import gcd, isqrt, lcm
 
 from . import bqf, intmat
 from .errors import UnsupportedError
-from .finite_qform import (
-    FiniteFormMap,
-    double_coset_count,
-    isometries_signed,
-    orthogonal_group,
-    validate_map,
-)
-from .fm_count import (
-    GENERIC_HODGE,
-    HodgeGroupSpec,
-    carried_hodge_generators,
-    hodge_generators,
-)
+from .finite_qform import FiniteFormMap, isometries_signed, validate_map
+from .fm_count import GENERIC_HODGE, HodgeGroupSpec, coset_summand, hodge_generators
 from .lattice import (
     DiscriminantData,
     IntegerLattice,
@@ -477,24 +467,20 @@ def verify_gluing_counts(
     cap: int | None = None,
 ) -> GluingCountReport:
     """For each genus representative S_j compare the number of gluing orbits
-    with the double-coset count on O(A_{S_j}); both totals must agree."""
+    (a walk over every anti-isometry A_T -> A_S) with the engine's summand
+    `fm_count.coset_summand` (double cosets counted one p-part at a time);
+    both totals must agree."""
     a_t = discriminant_form(t)
     rows = []
     for s in s_list:
-        a_s = discriminant_form(s)
         classes = gluing_classes(s, t, hodge, cap=cap)
         if classes.count == 0:
             raise ValueError(
                 "no gluing exists: discriminant forms of S and T are not anti-isometric"
             )
-        group = orthogonal_group(a_s, cap=cap)
-        if a_s.order == 1:
-            h_gens = []
-        else:
-            h_gens = [induced_form_map(s, m) for m in lattice_isometry_generators(s)]
+        isometries = () if discriminant_form(s).order == 1 else lattice_isometry_generators(s)
         hodge_generators(a_t, hodge)  # refuses an action off A_T, also when A_S is trivial
-        k_gens = carried_hodge_generators(a_s, hodge, cap)
-        rows.append(GluingCountRow(s, classes.count, double_coset_count(group, h_gens, k_gens)))
+        rows.append(GluingCountRow(s, classes.count, coset_summand(s, isometries, hodge, cap)))
     return GluingCountReport(
         tuple(rows),
         sum(r.orbit_count for r in rows),

@@ -20,7 +20,9 @@ from k3fm import (
     proper_classes,
     reduce_form,
 )
+from k3fm import bqf as bqf_module
 from k3fm import intmat
+from k3fm.cli import main
 from k3fm.bqf import (
     BinaryQuadraticForm,
     class_index_of,
@@ -310,3 +312,31 @@ def test_isometry_generators_cover_window():
         assert len(found) >= 2
         for m in found:
             assert induced_form_map(lat, m) in closure
+
+
+_TRUE_STEP = bqf_module._step
+
+
+def _stuck_step(b, c, d, root):
+    """The true neighbor step with b' negated: D is kept, but the walk swings
+    between two forms that do not contain its start, so it never closes."""
+    bp, cp, s = _TRUE_STEP(b, c, d, root)
+    return -bp, cp, s
+
+
+def test_cycle_that_never_closes_exits_5(monkeypatch, capsys):
+    monkeypatch.setattr(bqf_module, "_step", _stuck_step)
+    assert main(["genus", "205"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "k3fm: internal check failed: cycle of discriminant 205 did not close\n"
+
+
+def test_equivalence_walk_that_never_closes_raises(monkeypatch):
+    f, g = form(-3, 13, 3), form(-1, 13, 9)  # both reduced, D = 205
+    assert is_reduced(f) and is_reduced(g)
+    monkeypatch.setattr(bqf_module, "_step", _stuck_step)
+    with pytest.raises(RuntimeError, match="did not close"):
+        is_properly_equivalent(f, g)
+    with pytest.raises(RuntimeError, match="did not close"):
+        cycle(f)
