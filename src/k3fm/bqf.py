@@ -21,6 +21,7 @@ from math import gcd, isqrt, prod
 
 from . import intmat
 from .arith import divisors, prime_factors
+from .errors import UnsupportedError
 from .lattice import IntegerLattice, signature
 
 
@@ -200,7 +201,10 @@ def _validate_disc(d: int) -> None:
     if d % 4 not in (0, 1):
         raise ValueError("discriminant must be 0 or 1 mod 4")
     if isqrt(d) ** 2 == d:
-        raise ValueError("isotropic discriminant unsupported")
+        raise UnsupportedError(
+            f"unsupported: square discriminant D = {d} is isotropic; "
+            "its class enumeration is out of scope"
+        )
 
 
 def enumerate_reduced(d: int) -> tuple:

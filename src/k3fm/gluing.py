@@ -13,18 +13,21 @@ the p-part coset count is checked against a whole-group orbit walk.
 The oracle runs on integers.  An overlattice basis is held as integer rows
 B over one denominator D (`Overlattice.ambient_basis` = B / D, kept as a
 memo on the object), and every rationality test on it becomes a
-divisibility test by D or D^2.  Reading a gluing map back from an
-overlattice is linear: L/(S + T) is read off the Smith form of B, only its
-generators are classified, the classes of the other cosets are their sums,
-and every coset is still checked to lie on the graph of one bijection
-A_T -> A_S.
+divisibility test by D or D^2.  "The complement of T equals S" means S is
+primitive in L: the complement is L meets S x Q, and it is checked by the
+same test as the primitivity of T, with the two coordinate blocks swapped,
+so no lattice is classified up to isometry.  Reading a gluing map back from
+an overlattice is linear: L/(S + T) is read off the Smith form of B, only
+its generators are classified, the classes of the other cosets are their
+sums, and every coset is still checked to lie on the graph of one
+bijection A_T -> A_S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from . import bqf, intmat
 from .errors import UnsupportedError
@@ -169,128 +172,41 @@ class OverlatticeReport:
         return self.even and self.unimodular and self.t_primitive and self.complement_is_s
 
 
-def _gauss_reduced_definite(a: int, b: int, c: int) -> tuple:
-    """Canonical GL2 representative (a, |b|, c) of a positive definite
-    integral form, by Lagrange-Gauss reduction."""
-    while True:
-        if c < a:
-            a, c = c, a
-            b = -b
-        if b > a or b <= -a:
-            r = b % (2 * a)
-            if r > a:
-                r -= 2 * a
-            shift = (b - r) // (2 * a)
-            c = a * shift * shift - b * shift + c
-            b = r
-            continue
-        break
-    return (a, abs(b), c)
-
-
-def _basis_complement(p: int, q: int) -> tuple:
-    """A vector w with det [(p, q), w] = 1, for coprime p and q."""
-    r0, r1, x0, x1, y0, y1 = p, q, 1, 0, 0, 1
-    while r1:  # extended Euclid: p*x0 + q*y0 = r0 throughout
-        k = r0 // r1
-        r0, r1 = r1, r0 - k * r1
-        x0, x1 = x1, x0 - k * x1
-        y0, y1 = y1, y0 - k * y1
-    return (-y0 * r0, x0 * r0)  # r0 = +-1
-
-
-def _isotropic_invariant(g: tuple) -> int:
-    """Complete GL2 invariant, given the determinant -f^2, of an even rank-2
-    Gram g with an isotropic vector.  In a basis (v, w) with v primitive
-    isotropic the Gram is [[0, +-f], [+-f, 2c]], and c mod f does not depend
-    on the choice of w; the invariant is its least value over the two
-    isotropic lines."""
-    f = isqrt(-intmat.det(g))
-    a, b, c = g[0][0] // 2, g[0][1], g[1][1] // 2
-    lines = [(1, 0), (-c, b)] if a == 0 else [(f - b, 2 * a), (-f - b, 2 * a)]
-    out = []
-    for x, y in lines:
-        k = gcd(x, y)
-        w0, w1 = _basis_complement(x // k, y // k)
-        out.append((a * w0 * w0 + b * w0 * w1 + c * w1 * w1) % f)
-    return min(out)
-
-
-def _rank2_isomorphic(g1: tuple, g2: tuple) -> bool:
-    """Exact isomorphism test for even rank-2 Gram matrices."""
-    det1 = intmat.det(g1)
-    det2 = intmat.det(g2)
-    if det1 != det2:
+def _meets_block_in_itself(basis: tuple, denom: int, lo: int, hi: int) -> bool:
+    """Whether L = basis / denom meets the span of coordinates lo..hi-1 in
+    exactly the integer vectors there.  The integer combinations x that make
+    x . basis vanish off the block give the vectors of L in its span; each
+    must be integral (denom divides x . basis) and together they must span
+    all of Z^(hi - lo)."""
+    outside = tuple(row[:lo] + row[hi:] for row in basis)
+    kernel = intmat.row_kernel_basis(outside)
+    if len(kernel) != hi - lo:
         return False
-    if det1 < 0 and isqrt(-det1) ** 2 == -det1:
-        return _isotropic_invariant(g1) == _isotropic_invariant(g2)
-    if det1 < 0:
-        f1 = bqf.lattice_to_form(IntegerLattice(g1))
-        f2 = bqf.lattice_to_form(IntegerLattice(g2))
-        return bqf.is_properly_equivalent(f1, f2) or bqf.is_properly_equivalent(
-            f1, bqf.opposite(f2)
-        )
-    sign = 1 if g1[0][0] > 0 else -1
-    if (g2[0][0] > 0) != (g1[0][0] > 0):
+    part = intmat.matmul(kernel, tuple(row[lo:hi] for row in basis))
+    if any(x % denom for row in part for x in row):
         return False
-    p1 = intmat.scale(g1, sign)
-    p2 = intmat.scale(g2, sign)
-    red1 = _gauss_reduced_definite(p1[0][0] // 2, p1[0][1], p1[1][1] // 2)
-    red2 = _gauss_reduced_definite(p2[0][0] // 2, p2[0][1], p2[1][1] // 2)
-    return red1 == red2
-
-
-def _grams_match(g_perp: tuple, s: IntegerLattice) -> bool:
-    if len(g_perp) != s.rank:
-        return False
-    if s.rank == 1:
-        return g_perp[0][0] == s.gram[0][0]
-    if s.rank == 2:
-        return _rank2_isomorphic(g_perp, s.gram)
-    # rank > 2: genus fingerprint (det, signature, discriminant form)
-    perp = IntegerLattice(g_perp)
-    if perp.det != s.det or signature(perp) != signature(s):
-        return False
-    return bool(
-        isometries_signed(discriminant_form(perp), discriminant_form(s), 1, _first_only=True)
-    )
+    part = tuple(tuple(x // denom for x in row) for row in part)
+    return intmat.hermite_row_basis(part) == intmat.identity(hi - lo)
 
 
 def verify_overlattice(over: Overlattice, s: IntegerLattice, t: IntegerLattice) -> OverlatticeReport:
     """Check the four structural facts about a glued overlattice: evenness,
     unimodularity, primitivity of T, and that the orthogonal complement of T
-    recovers S.
+    is S.
 
-    Every step runs on the integer rows B = D * ambient_basis: a vector
-    x . B / D is integral when D divides x . B, and a pairing of two such
-    vectors is integral when D^2 divides the pairing of the rows."""
+    The complement of T in L is L meets S x Q, so it is S exactly when S is
+    primitive in L: one test serves both flags, with the two coordinate
+    blocks swapped.  On an L that contains S + T this is the same as the
+    complement being isometric to S, since a lattice containing S and
+    isometric to it has index 1 over it.  Both tests run on the integer rows
+    B = D * ambient_basis: a vector x . B / D is integral when D divides
+    x . B."""
     n = s.rank + t.rank
     even = all(over.gram[i][i] % 2 == 0 for i in range(n))
     unimodular = abs(intmat.det(over.gram)) == 1
     basis, denom = _scaled_basis(over)
-
-    # x . basis lands in T x Q iff x kills the S block
-    kernel = intmat.row_kernel_basis(tuple(row[: s.rank] for row in basis))
-    t_primitive = False
-    if len(kernel) == t.rank:
-        t_part = intmat.matmul(kernel, tuple(row[s.rank :] for row in basis))
-        if all(x % denom == 0 for row in t_part for x in row):
-            t_part = tuple(tuple(x // denom for x in row) for row in t_part)
-            t_primitive = intmat.hermite_row_basis(t_part) == intmat.identity(t.rank)
-
-    gram_st = direct_sum(s, t).gram
-    perp = intmat.row_kernel_basis(
-        intmat.matmul(basis, tuple(row[s.rank :] for row in gram_st))
-    )
-    complement_is_s = False
-    if len(perp) == s.rank:
-        vecs = intmat.matmul(perp, basis)
-        gram_scaled = intmat.matmul(vecs, intmat.matmul(gram_st, intmat.transpose(vecs)))
-        denom2 = denom * denom
-        if all(x % denom2 == 0 for row in gram_scaled for x in row):
-            g_perp = tuple(tuple(x // denom2 for x in row) for row in gram_scaled)
-            complement_is_s = _grams_match(g_perp, s)
-
+    t_primitive = _meets_block_in_itself(basis, denom, s.rank, n)
+    complement_is_s = _meets_block_in_itself(basis, denom, 0, s.rank)
     return OverlatticeReport(even, unimodular, t_primitive, complement_is_s)
 
 

@@ -23,6 +23,7 @@ from k3fm import (
 from k3fm import bqf as bqf_module
 from k3fm import intmat
 from k3fm.cli import main
+from k3fm.errors import UnsupportedError
 from k3fm.bqf import (
     BinaryQuadraticForm,
     class_index_of,
@@ -263,7 +264,7 @@ def test_class_index_of():
 def test_proper_classes_invalid_discriminant():
     with pytest.raises(ValueError, match="0 or 1 mod 4"):
         proper_classes(6)
-    with pytest.raises(ValueError, match="isotropic"):
+    with pytest.raises(UnsupportedError, match="^unsupported: square discriminant D = 9 "):
         proper_classes(9)
     with pytest.raises(ValueError, match="positive"):
         proper_classes(-4)

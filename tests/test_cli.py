@@ -187,6 +187,17 @@ def test_cap_message_names_the_sizes_and_the_variable(capsys, lattice_file, monk
     assert "|A| = 5" in err and "cap 3" in err and "K3FM_CAP" in err
 
 
+@pytest.mark.parametrize("argv", [["classnum", "9"], ["classnum", "1"], ["genus", "16"]])
+def test_square_discriminant_is_unsupported_not_invalid(capsys, argv):
+    code, out, err = run(capsys, argv)
+    d = argv[1]
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        f"k3fm: unsupported: square discriminant D = {d} is isotropic; "
+        "its class enumeration is out of scope"
+    ]
+
+
 def test_exit_code_bad_rank1(capsys):
     code, _, err = run(capsys, ["fm", "--rank1", "0"])
     assert code == 2

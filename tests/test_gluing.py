@@ -207,7 +207,7 @@ def test_isotropic_rank2_isomorphism_matches_brute_force():
     # size at most 7 and compare the classes with the isomorphism test
     from itertools import product
 
-    from k3fm.gluing import _rank2_isomorphic
+    from test_gluing_integer import _rank2_isomorphic
 
     unimodular = [
         ((a, b), (c, d))

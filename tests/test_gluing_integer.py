@@ -1,14 +1,20 @@
 """The integer gluing oracle against the `Fraction` code it replaced.
 
 `reference_verify_overlattice` runs the four structural checks on the
-rational ambient basis, clearing each matrix of its own denominators.  The
+rational ambient basis, clearing each matrix of its own denominators, and
+asks whether the complement of T is isometric to S with a lattice
+classifier (rank 1: the Gram; rank 2: reduced forms, the `bqf` cycle walk,
+or c mod f in a basis [[0, f], [f, 2c]] when isotropic; rank 3 and up:
+determinant, signature and an isometry of discriminant forms).  The
 production `verify_overlattice` runs them on the integer rows B over one
-denominator D kept on the `Overlattice`; both must give equal reports, on
-glued overlattices and on hand-built ones that fail each check.
+denominator D kept on the `Overlattice`, and asks instead whether S is
+primitive in L.  The two agree on every L that contains S + T, so both must
+give equal reports on glued overlattices and on hand-built ones that fail
+each check.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from test_gluing_reference import PAIRS, reference_recovered_gluing_map
@@ -18,6 +24,7 @@ from k3fm import (
     direct_sum,
     discriminant_form,
     glue,
+    hyperbolic_plane,
     isometries_signed,
     make_lattice,
     recovered_gluing_map,
@@ -25,8 +32,96 @@ from k3fm import (
     trivial_overlattice,
     verify_overlattice,
 )
-from k3fm import intmat
-from k3fm.gluing import Overlattice, OverlatticeReport, _grams_match, _scaled_basis
+from k3fm import bqf, intmat
+from k3fm.gluing import Overlattice, OverlatticeReport, _scaled_basis
+from k3fm.lattice import IntegerLattice, signature
+
+
+def _gauss_reduced_definite(a: int, b: int, c: int) -> tuple:
+    """Canonical GL2 representative (a, |b|, c) of a positive definite
+    integral form, by Lagrange-Gauss reduction."""
+    while True:
+        if c < a:
+            a, c = c, a
+            b = -b
+        if b > a or b <= -a:
+            r = b % (2 * a)
+            if r > a:
+                r -= 2 * a
+            shift = (b - r) // (2 * a)
+            c = a * shift * shift - b * shift + c
+            b = r
+            continue
+        break
+    return (a, abs(b), c)
+
+
+def _basis_complement(p: int, q: int) -> tuple:
+    """A vector w with det [(p, q), w] = 1, for coprime p and q."""
+    r0, r1, x0, x1, y0, y1 = p, q, 1, 0, 0, 1
+    while r1:  # extended Euclid: p*x0 + q*y0 = r0 throughout
+        k = r0 // r1
+        r0, r1 = r1, r0 - k * r1
+        x0, x1 = x1, x0 - k * x1
+        y0, y1 = y1, y0 - k * y1
+    return (-y0 * r0, x0 * r0)  # r0 = +-1
+
+
+def _isotropic_invariant(g: tuple) -> int:
+    """Complete GL2 invariant, given the determinant -f^2, of an even rank-2
+    Gram g with an isotropic vector.  In a basis (v, w) with v primitive
+    isotropic the Gram is [[0, +-f], [+-f, 2c]], and c mod f does not depend
+    on the choice of w; the invariant is its least value over the two
+    isotropic lines."""
+    f = isqrt(-intmat.det(g))
+    a, b, c = g[0][0] // 2, g[0][1], g[1][1] // 2
+    lines = [(1, 0), (-c, b)] if a == 0 else [(f - b, 2 * a), (-f - b, 2 * a)]
+    out = []
+    for x, y in lines:
+        k = gcd(x, y)
+        w0, w1 = _basis_complement(x // k, y // k)
+        out.append((a * w0 * w0 + b * w0 * w1 + c * w1 * w1) % f)
+    return min(out)
+
+
+def _rank2_isomorphic(g1: tuple, g2: tuple) -> bool:
+    """Exact isomorphism test for even rank-2 Gram matrices."""
+    det1 = intmat.det(g1)
+    det2 = intmat.det(g2)
+    if det1 != det2:
+        return False
+    if det1 < 0 and isqrt(-det1) ** 2 == -det1:
+        return _isotropic_invariant(g1) == _isotropic_invariant(g2)
+    if det1 < 0:
+        f1 = bqf.lattice_to_form(IntegerLattice(g1))
+        f2 = bqf.lattice_to_form(IntegerLattice(g2))
+        return bqf.is_properly_equivalent(f1, f2) or bqf.is_properly_equivalent(
+            f1, bqf.opposite(f2)
+        )
+    sign = 1 if g1[0][0] > 0 else -1
+    if (g2[0][0] > 0) != (g1[0][0] > 0):
+        return False
+    p1 = intmat.scale(g1, sign)
+    p2 = intmat.scale(g2, sign)
+    red1 = _gauss_reduced_definite(p1[0][0] // 2, p1[0][1], p1[1][1] // 2)
+    red2 = _gauss_reduced_definite(p2[0][0] // 2, p2[0][1], p2[1][1] // 2)
+    return red1 == red2
+
+
+def _grams_match(g_perp: tuple, s: IntegerLattice) -> bool:
+    if len(g_perp) != s.rank:
+        return False
+    if s.rank == 1:
+        return g_perp[0][0] == s.gram[0][0]
+    if s.rank == 2:
+        return _rank2_isomorphic(g_perp, s.gram)
+    # rank > 2: genus fingerprint (det, signature, discriminant form)
+    perp = IntegerLattice(g_perp)
+    if perp.det != s.det or signature(perp) != signature(s):
+        return False
+    return bool(
+        isometries_signed(discriminant_form(perp), discriminant_form(s), 1, _first_only=True)
+    )
 
 
 def _scaled_int_matrix(rows):
@@ -69,7 +164,12 @@ def _unmemoised(over):
 
 ISOTROPIC = [make_lattice([[0, f], [f, 0]]) for f in (2, 3, 4)]
 ISOTROPIC.append(make_lattice([[0, 3], [3, 2]]))
-EXTRA_PAIRS = [(s, rescale(s, -1)) for s in ISOTROPIC]
+RANK3 = [
+    direct_sum(hyperbolic_plane(), diagonal_lattice(-2)),
+    make_lattice([[-2, 1, 0], [1, -2, 0], [0, 0, -2]]),
+    diagonal_lattice(-2, -2, -2),
+]
+EXTRA_PAIRS = [(s, rescale(s, -1)) for s in ISOTROPIC + RANK3]
 
 
 @pytest.mark.parametrize("s, t", PAIRS + EXTRA_PAIRS, ids=lambda lat: str(list(map(list, lat.gram))))
@@ -124,6 +224,13 @@ HAND_BUILT = {
         Overlattice(((1, 0), _half(0, 3)), ((-2, 0), (0, 2)), 2),
         OverlatticeReport(True, False, False, True),
     ),
+    # L = 2S + T misses S: the complement of T is (2, 0) Z, of norm -8
+    "s_not_in_l": (
+        diagonal_lattice(-2),
+        diagonal_lattice(2),
+        Overlattice(((2, 0), (0, 1)), ((-8, 0), (0, 2)), 1),
+        OverlatticeReport(True, False, True, False),
+    ),
     # the complement of T is (1/2, 0) Z, of norm -1/4 for S = <-1>
     "complement_gram_not_integral": (
         diagonal_lattice(-1),
@@ -154,6 +261,20 @@ def test_every_check_is_seen_failing():
     reports = [verify_overlattice(o, s, t) for s, t, o, _ in HAND_BUILT.values()]
     for flag in ("even", "unimodular", "t_primitive", "complement_is_s"):
         assert any(not getattr(r, flag) for r in reports), flag
+
+
+def test_a_rotated_copy_of_s_is_not_the_complement():
+    # L = gS + T for the rotation g = [[3/5, -4/5], [4/5, 3/5]] of S = <-2>^2:
+    # the complement of T is gS, isometric to S but not S, so S is not
+    # primitive in L; the isometry classifier of the reference accepts it
+    s, t = diagonal_lattice(-2, -2), diagonal_lattice(2, 2)
+    basis = tuple(
+        tuple(Fraction(x, 5) for x in row)
+        for row in ((3, -4, 0, 0), (4, 3, 0, 0), (0, 0, 5, 0), (0, 0, 0, 5))
+    )
+    over = Overlattice(basis, diagonal_lattice(-2, -2, 2, 2).gram, 1)
+    assert verify_overlattice(over, s, t) == OverlatticeReport(True, False, True, False)
+    assert reference_verify_overlattice(over, s, t).complement_is_s
 
 
 @pytest.mark.parametrize(
