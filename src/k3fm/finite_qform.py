@@ -1,21 +1,22 @@
 """Finite quadratic forms (A, q) on finite abelian groups.
 
-A form is stored in invariant-factor coordinates: generator orders
-d_1 | d_2 | ... | d_k (all > 1), the values q(g_i) in Q/2Z and the pairwise
-bilinear values b(g_i, g_j) in Q/Z, as `Fraction`s.  Signed isometry
-enumeration, orthogonal groups, subgroup closure and `double_coset_count` are
-brute force over these coordinates, guarded by a size cap.  The production
-count, `double_coset_count_by_parts`, splits A into its p-parts A_p first:
-every isometry keeps each A_p, so O(A) is the product of the O(A_p), and only
-the A_p are searched and capped.  The whole-group functions stay as its
+A form is stored in invariant-factor coordinates as integers over its
+exponent N = d_k: generator orders d_1 | d_2 | ... | d_k (all > 1), the
+table Q_i = N*q(g_i) mod 2N of the values in Q/2Z and the table
+B_ij = N*b(g_i, g_j) mod N of the pairwise bilinear values in Q/Z.  Every
+search and check runs on these integers; `q_gens`, `b_matrix`, `evaluate_q`
+and `evaluate_b` show the values as `Fraction`s, and `finite_form` reads
+them from `Fraction`s.  Signed isometry enumeration, orthogonal groups,
+subgroup closure and `double_coset_count` are brute force over these
+coordinates, guarded by a size cap.  The production count,
+`double_coset_count_by_parts`, splits A into its p-parts A_p first: every
+isometry keeps each A_p, so O(A) is the product of the O(A_p), and only the
+A_p are searched and capped.  The whole-group functions stay as its
 reference.
 
-The `Fraction` values are the input/output view.  The isometry search and
-`validate_map` scale them by the exponent N = d_k (the lcm of both
-exponents, for a map between two forms) once per call and run on integers:
-q mod 2N and b mod N.  Both test generation by a Hermite basis of the images
-stacked on diag(d_1, ..., d_k) rather than by building the span.  A form
-hashes its fields once, at construction.
+A map between two forms is checked on both tables scaled to the lcm of
+their exponents.  Generation is tested by a Hermite basis of the images
+stacked on diag(d_1, ..., d_k) rather than by building the span.
 """
 
 from __future__ import annotations
@@ -32,59 +33,51 @@ from .errors import CapExceededError
 DEFAULT_CAP = 10_000
 
 
-def _mod2(x) -> Fraction:
-    return Fraction(x) % 2
-
-
-def _mod1(x) -> Fraction:
-    return Fraction(x) % 1
+def _check(orders, q_table, b_table, n: int) -> None:
+    """Raise ValueError unless the values q_table[i] / n and b_table[i][j] / n
+    on generators of the given orders make a form.  The checks and their
+    order are those of the values themselves: each is exact at any scale n
+    that makes every value an integer."""
+    k = len(orders)
+    if len(q_table) != k or len(b_table) != k or any(len(row) != k for row in b_table):
+        raise ValueError("generator data lengths disagree")
+    last = 1
+    for d in orders:
+        if not isinstance(d, int) or d <= 1:
+            raise ValueError("orders must be integers > 1")
+        if d % last != 0:
+            raise ValueError("orders must form a divisibility chain")
+        last = d
+    for i, d in enumerate(orders):
+        q = q_table[i]
+        if not 0 <= q < 2 * n:
+            raise ValueError("q values must be reduced into [0, 2)")
+        if d * d * q % (2 * n):
+            raise ValueError("q value incompatible with generator order")
+        if (b_table[i][i] - q) % n:
+            raise ValueError("b(g,g) must agree with q(g) mod Z")
+        for j in range(k):
+            b = b_table[i][j]
+            if not 0 <= b < n:
+                raise ValueError("b values must be reduced into [0, 1)")
+            if b != b_table[j][i]:
+                raise ValueError("b matrix must be symmetric")
+            if d * b % n:
+                raise ValueError("b value incompatible with generator order")
 
 
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
-    """A finite abelian group with a Q/2Z-valued quadratic form."""
+    """A finite abelian group with a Q/2Z-valued quadratic form, held as
+    integer tables over the exponent N: q(g_i) = q_table[i] / N mod 2 and
+    b(g_i, g_j) = b_table[i][j] / N mod 1."""
 
     orders: tuple
-    q_gens: tuple
-    b_matrix: tuple
-    # hash of the three fields above, computed once: hashing a Fraction is
-    # a modular inverse, and forms are hashed inside every FiniteFormMap
-    _hash: int = field(init=False, repr=False, compare=False)
+    q_table: tuple
+    b_table: tuple
 
     def __post_init__(self):
-        k = len(self.orders)
-        if len(self.q_gens) != k or len(self.b_matrix) != k:
-            raise ValueError("generator data lengths disagree")
-        last = 1
-        for d in self.orders:
-            if not isinstance(d, int) or d <= 1:
-                raise ValueError("orders must be integers > 1")
-            if d % last != 0:
-                raise ValueError("orders must form a divisibility chain")
-            last = d
-        # the checks run on numerators and (positive) denominators
-        for i, d in enumerate(self.orders):
-            qn, qd = self.q_gens[i].numerator, self.q_gens[i].denominator
-            if not 0 <= qn < 2 * qd:
-                raise ValueError("q values must be reduced into [0, 2)")
-            if d * d * qn % (2 * qd):
-                raise ValueError("q value incompatible with generator order")
-            bii = self.b_matrix[i][i]
-            if (bii.numerator * qd - qn * bii.denominator) % (qd * bii.denominator):
-                raise ValueError("b(g,g) must agree with q(g) mod Z")
-            for j in range(k):
-                bij = self.b_matrix[i][j]
-                bn, bd = bij.numerator, bij.denominator
-                if not 0 <= bn < bd:
-                    raise ValueError("b values must be reduced into [0, 1)")
-                if bij != self.b_matrix[j][i]:
-                    raise ValueError("b matrix must be symmetric")
-                if d * bn % bd:
-                    raise ValueError("b value incompatible with generator order")
-        object.__setattr__(self, "_hash", hash((self.orders, self.q_gens, self.b_matrix)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        _check(self.orders, self.q_table, self.b_table, self.exponent)
 
     @property
     def order(self) -> int:
@@ -94,18 +87,39 @@ class FiniteQuadraticForm:
     def ngens(self) -> int:
         return len(self.orders)
 
+    @property
+    def exponent(self) -> int:
+        return self.orders[-1] if self.orders else 1
+
+    @property
+    def q_gens(self) -> tuple:
+        """q(g_i) in [0, 2), as `Fraction`s."""
+        return tuple(Fraction(x, self.exponent) for x in self.q_table)
+
+    @property
+    def b_matrix(self) -> tuple:
+        """b(g_i, g_j) in [0, 1), as `Fraction`s."""
+        return tuple(tuple(Fraction(x, self.exponent) for x in row) for row in self.b_table)
+
 
 def finite_form(orders, q_gens, b_matrix=None) -> FiniteQuadraticForm:
-    """Build a form, defaulting the bilinear matrix to diag(q mod Z)."""
+    """Build a form from rational values, defaulting the bilinear matrix to
+    diag(q mod Z).  The values are checked at a common denominator of all of
+    them, so a malformed input gets the message of its first failed check,
+    and only then scaled to the exponent."""
     orders = tuple(int(d) for d in orders)
-    q = tuple(_mod2(x) for x in q_gens)
+    q = [Fraction(x) % 2 for x in q_gens]
     if b_matrix is None:
-        b_matrix = [
-            [_mod1(q[i]) if i == j else Fraction(0) for j in range(len(orders))]
-            for i in range(len(orders))
-        ]
-    b = tuple(tuple(_mod1(x) for x in row) for row in b_matrix)
-    return FiniteQuadraticForm(orders, q, b)
+        b_matrix = [[x if i == j else 0 for j in range(len(q))] for i, x in enumerate(q)]
+    b = [[Fraction(x) % 1 for x in row] for row in b_matrix]
+    n = orders[-1] if orders else 1
+    m = lcm(n, *(x.denominator for x in q), *(x.denominator for row in b for x in row))
+    _check(orders, [int(x * m) for x in q], [[int(x * m) for x in row] for row in b], m)
+    return FiniteQuadraticForm(
+        orders,
+        tuple(int(x * n) for x in q),
+        tuple(tuple(int(x * n) for x in row) for row in b),
+    )
 
 
 def trivial_form() -> FiniteQuadraticForm:
@@ -117,34 +131,39 @@ def cyclic_form(n: int, q) -> FiniteQuadraticForm:
 
 
 def negate_form(a: FiniteQuadraticForm) -> FiniteQuadraticForm:
-    q = tuple(_mod2(-x) for x in a.q_gens)
-    b = tuple(tuple(_mod1(-x) for x in row) for row in a.b_matrix)
+    n = a.exponent
+    q = tuple(-x % (2 * n) for x in a.q_table)
+    b = tuple(tuple(-x % n for x in row) for row in a.b_table)
     return FiniteQuadraticForm(a.orders, q, b)
 
 
-def _raw_q(orders, q_raw, b_raw, coeffs) -> Fraction:
-    total = Fraction(0)
-    k = len(orders)
-    for i in range(k):
-        total += coeffs[i] * coeffs[i] * q_raw[i]
-        for j in range(i + 1, k):
-            total += 2 * coeffs[i] * coeffs[j] * b_raw[i][j]
-    return _mod2(total)
+def _scaled_q(q_table, b_table, x) -> int:
+    """N*q(x), not yet reduced mod 2N: sum x_i^2 Q_i + 2 sum_{i<j} x_i x_j B_ij."""
+    total = 0
+    for i, xi in enumerate(x):
+        if xi:
+            total += xi * xi * q_table[i]
+            for j in range(i + 1, len(x)):
+                total += 2 * xi * x[j] * b_table[i][j]
+    return total
 
 
-def _raw_b(b_raw, x, y) -> Fraction:
-    total = Fraction(0)
+def _scaled_b(b_table, x, y) -> int:
+    """N*b(x, y), not yet reduced mod N: sum x_i y_j B_ij."""
+    total = 0
     for i, xi in enumerate(x):
         if xi:
             for j, yj in enumerate(y):
                 if yj:
-                    total += xi * yj * b_raw[i][j]
-    return _mod1(total)
+                    total += xi * yj * b_table[i][j]
+    return total
 
 
-def canonical_form(orders_raw, q_raw, b_raw) -> FiniteQuadraticForm:
-    """Rewrite a generator presentation (orders not necessarily a chain) in
-    invariant-factor coordinates via the Smith form of the relation matrix."""
+def canonical_form(orders_raw, q_raw, b_raw, n: int) -> FiniteQuadraticForm:
+    """Rewrite a generator presentation (orders not necessarily a chain),
+    given by integer tables over its exponent n = lcm(orders_raw), in
+    invariant-factor coordinates via the Smith form of the relation matrix.
+    The exponent of the group, hence of the result, is n again."""
     k = len(orders_raw)
     if k == 0:
         return trivial_form()
@@ -159,23 +178,24 @@ def canonical_form(orders_raw, q_raw, b_raw) -> FiniteQuadraticForm:
         vec = tuple(w[r][i] % orders_raw[r] for r in range(k))
         gens.append(vec)
     orders = tuple(d[i][i] for i in keep)
-    q = tuple(_raw_q(orders_raw, q_raw, b_raw, g) for g in gens)
-    b = tuple(tuple(_raw_b(b_raw, gi, gj) for gj in gens) for gi in gens)
+    q = tuple(_scaled_q(q_raw, b_raw, g) % (2 * n) for g in gens)
+    b = tuple(tuple(_scaled_b(b_raw, gi, gj) % n for gj in gens) for gi in gens)
     return FiniteQuadraticForm(orders, q, b)
 
 
 def orthogonal_sum(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> FiniteQuadraticForm:
-    orders = a.orders + b.orders
-    q = a.q_gens + b.q_gens
+    n = lcm(a.exponent, b.exponent)
+    ra, rb = n // a.exponent, n // b.exponent
     ka, kb = a.ngens, b.ngens
-    bm = [[Fraction(0)] * (ka + kb) for _ in range(ka + kb)]
+    q = tuple(x * ra for x in a.q_table) + tuple(x * rb for x in b.q_table)
+    bm = [[0] * (ka + kb) for _ in range(ka + kb)]
     for i in range(ka):
         for j in range(ka):
-            bm[i][j] = a.b_matrix[i][j]
+            bm[i][j] = a.b_table[i][j] * ra
     for i in range(kb):
         for j in range(kb):
-            bm[ka + i][ka + j] = b.b_matrix[i][j]
-    return canonical_form(orders, q, bm)
+            bm[ka + i][ka + j] = b.b_table[i][j] * rb
+    return canonical_form(a.orders + b.orders, q, bm, n)
 
 
 # ---------------------------------------------------------------------------
@@ -195,45 +215,15 @@ def evaluate_q(a: FiniteQuadraticForm, x) -> Fraction:
     """q(sum c_i g_i) = sum c_i^2 q(g_i) + 2 sum_{i<j} c_i c_j b(g_i, g_j) mod 2Z."""
     if len(x) != a.ngens:
         raise ValueError("coefficient vector length mismatch")
-    return _raw_q(a.orders, a.q_gens, a.b_matrix, x)
+    n = a.exponent
+    return Fraction(_scaled_q(a.q_table, a.b_table, x) % (2 * n), n)
 
 
 def evaluate_b(a: FiniteQuadraticForm, x, y) -> Fraction:
     if len(x) != a.ngens or len(y) != a.ngens:
         raise ValueError("coefficient vector length mismatch")
-    return _raw_b(a.b_matrix, x, y)
-
-
-def _integer_tables(a: FiniteQuadraticForm, n: int) -> tuple[list, list]:
-    """(Q, B) with Q_i = q(g_i)*N mod 2N and B_ij = b(g_i, g_j)*N mod N, for
-    N = n a multiple of the exponent d_k of A (k >= 1).
-
-    Both are integers: the constructor checks d_i*b_ij in Z, and d_i divides
-    N, so N*b_ij is an integer; it checks q_i = b_ii mod 1, so N*q_i is one
-    too.  Then N*q(x) = sum x_i^2 Q_i + 2 sum_{i<j} x_i x_j B_ij mod 2N (see
-    `_scaled_q`) and N*b(x, y) = sum x_i y_j B_ij mod N.
-    """
-    def scaled(x) -> int:
-        num, rem = divmod(x.numerator * n, x.denominator)
-        if rem:
-            raise RuntimeError("form values are not integral at the group exponent")
-        return num
-
-    return (
-        [scaled(x) % (2 * n) for x in a.q_gens],
-        [[scaled(x) % n for x in row] for row in a.b_matrix],
-    )
-
-
-def _scaled_q(q_table, b_table, x) -> int:
-    """N*q(x), not yet reduced mod 2N, from the tables of `_integer_tables`."""
-    total = 0
-    for i, xi in enumerate(x):
-        if xi:
-            total += xi * xi * q_table[i]
-            for j in range(i + 1, len(x)):
-                total += 2 * xi * x[j] * b_table[i][j]
-    return total
+    n = a.exponent
+    return Fraction(_scaled_b(a.b_table, x, y) % n, n)
 
 
 def _generates(orders, images) -> bool:
@@ -323,8 +313,8 @@ def negation_map(a: FiniteQuadraticForm) -> FiniteFormMap:
 def validate_map(f: FiniteFormMap) -> None:
     """Raise ValueError unless f is a bijective sign-twisted isometry.
 
-    q and b are compared on integers, both forms scaled by N = the lcm of
-    their exponents: N*q mod 2N and N*b mod N.
+    q and b are compared on integers, both tables scaled to N = the lcm of
+    the two exponents: N*q mod 2N and N*b mod N.
     """
     a, b = f.source, f.target
     if f.sign not in (1, -1):
@@ -333,25 +323,18 @@ def validate_map(f: FiniteFormMap) -> None:
         raise ValueError("source and target orders differ")
     if len(f.images) != a.ngens:
         raise ValueError("one image per source generator required")
-    if a.ngens:  # then b.ngens > 0 too, as |B| = |A| > 1
-        n = lcm(a.orders[-1], b.orders[-1])
-        two_n = 2 * n
-        qa, ba = _integer_tables(a, n)
-        qb, bb = _integer_tables(b, n)
+    n = lcm(a.exponent, b.exponent)
+    ra, rb = n // a.exponent, n // b.exponent
     for i, img in enumerate(f.images):
         if len(img) != b.ngens:
             raise ValueError("image vector length mismatch")
         if a.orders[i] % element_order(b, img) != 0:
             raise ValueError("image order does not divide generator order")
-        if (_scaled_q(qb, bb, img) - f.sign * qa[i]) % two_n:
+        if (_scaled_q(b.q_table, b.b_table, img) * rb - f.sign * a.q_table[i] * ra) % (2 * n):
             raise ValueError("map does not rescale q by its sign")
         for j in range(i):
-            pairing = sum(
-                xs * yt * bb[s][t]
-                for s, xs in enumerate(img)
-                for t, yt in enumerate(f.images[j])
-            )
-            if (pairing - f.sign * ba[i][j]) % n:
+            pairing = _scaled_b(b.b_table, img, f.images[j]) * rb
+            if (pairing - f.sign * a.b_table[i][j] * ra) % n:
                 raise ValueError("map does not rescale b by its sign")
     if not _generates(b.orders, f.images):
         raise ValueError("images do not generate the target group")
@@ -385,10 +368,9 @@ def isometries_signed(
         return [FiniteFormMap(a, b, (), sign)]
     n = orders[-1]
     two_n = 2 * n
-    qa, ba = _integer_tables(a, n)
-    qb, bb = _integer_tables(b, n)
-    target_q = [sign * x % two_n for x in qa]
-    target_b = [[sign * x % n for x in row] for row in ba]
+    qb, bb = b.q_table, b.b_table
+    target_q = [sign * x % two_n for x in a.q_table]
+    target_b = [[sign * x % n for x in row] for row in a.b_table]
 
     if k == 1:
         # cyclic: q(x) = x^2 Q_1 mod 2N, and every x has order dividing N
@@ -574,9 +556,15 @@ def primary_parts(a: FiniteQuadraticForm) -> tuple:
                 index.append(i)
                 mult.append(m)
                 orders.append(d // m)
+        # at the exponent n_p of A_p: n_p q(m_i g_i) = m_i^2 Q_i / r with
+        # r = N / n_p, exact because m_i g_i has order dividing n_p
+        n_p = orders[-1]
+        r = a.exponent // n_p
         pairs = list(zip(index, mult))
-        q = tuple(m * m * a.q_gens[i] % 2 for i, m in pairs)
-        b = tuple(tuple(mi * mj * a.b_matrix[i][j] % 1 for j, mj in pairs) for i, mi in pairs)
+        q = tuple(m * m * a.q_table[i] // r % (2 * n_p) for i, m in pairs)
+        b = tuple(
+            tuple(mi * mj * a.b_table[i][j] // r % n_p for j, mj in pairs) for i, mi in pairs
+        )
         form = FiniteQuadraticForm(tuple(orders), q, b)
         parts.append(PrimaryPart(p, form, tuple(index), tuple(mult)))
     return tuple(parts)

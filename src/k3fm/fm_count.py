@@ -11,7 +11,8 @@ only the A_p are searched, and the enumeration cap bounds the largest |A_p|.
 Dispatch: Picard number 1 closes to the 2^(tau(n)-1) formula; every rank >= 2
 first tries the surjectivity shortcut (rank >= l + 2, which in rank 2 means
 NS = U); otherwise Picard number 2 runs the binary-form class engine
-(non-square discriminant only) and rank >= 3 is refused.  tau, phi and the
+(non-square discriminant only) and rank >= 3 is refused.  A Hodge group of
+order 2I > 2 needs phi(2I) | rank T = 22 - rank NS.  tau, phi and the
 primality test come from `arith`.
 """
 
@@ -44,7 +45,7 @@ from .lattice import (
 
 @dataclass(frozen=True)
 class NeronSeveriSpec:
-    """An even hyperbolic lattice standing in for NS(X)."""
+    """An even hyperbolic lattice of rank at most 20 standing in for NS(X)."""
 
     lattice: IntegerLattice
 
@@ -53,6 +54,8 @@ class NeronSeveriSpec:
             raise ValueError("Neron-Severi lattice must be even")
         if signature(self.lattice).as_pair() != (1, self.lattice.rank - 1):
             raise ValueError("Neron-Severi lattice must be hyperbolic")
+        if self.lattice.rank > 20:
+            raise ValueError("Neron-Severi lattice of a projective K3 has rank at most 20")
 
     @property
     def rank(self) -> int:
@@ -235,8 +238,8 @@ def fm_number(
     """Dispatch on the Picard number; see the module docstring."""
     if ns.rank == 1:
         return fm_number_rank1(ns.lattice.gram[0][0] // 2, cap=cap, hodge=hodge)
-    if ns.rank == 2 and hodge.order > 2 and hodge.order not in hodge_order_candidates(20):
-        raise ValueError("Hodge group order violates phi(2I) | 20")
+    if hodge.order > 2 and hodge.order not in hodge_order_candidates(22 - ns.rank):
+        raise ValueError(f"Hodge group order violates phi(2I) | {22 - ns.rank}")
     result = fm_number_nikulin(ns)
     if result is not None:
         return result

@@ -10,13 +10,13 @@ engine's module: `fm_count.hodge_generators` on A_T for the orbits, and the
 engine's own summand `fm_count.coset_summand` for the cosets it compares, so
 the p-part coset count is checked against a whole-group orbit walk.
 
-The oracle runs on integers.  An overlattice basis is held as integer rows
-B over one denominator D (`Overlattice.ambient_basis` = B / D, kept as a
-memo on the object), and every rationality test on it becomes a
-divisibility test by D or D^2.  "The complement of T equals S" means S is
-primitive in L: the complement is L meets S x Q, and it is checked by the
-same test as the primitivity of T, with the two coordinate blocks swapped,
-so no lattice is classified up to isometry.  Reading a gluing map back from
+The oracle runs on integers.  An overlattice holds its basis as integer
+rows B over one denominator D (`Overlattice.ambient_basis` shows B / D as
+`Fraction`s), and every rationality test on it becomes a divisibility test
+by D or D^2.  "The complement of T equals S" means S is primitive in L:
+the complement is L meets S x Q, and it is checked by the same test as the
+primitivity of T, with the two coordinate blocks swapped, so no lattice is
+classified up to isometry.  Reading a gluing map back from
 an overlattice is linear: L/(S + T) is read off the Smith form of B, only
 its generators are classified, the classes of the other cosets are their
 sums, and every coset is still checked to lie on the graph of one
@@ -25,9 +25,9 @@ bijection A_T -> A_S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from . import bqf, intmat
 from .errors import UnsupportedError
@@ -65,27 +65,31 @@ class GluingDatum:
         validate_map(self.phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Overlattice:
-    ambient_basis: tuple  # rows of Fractions over the S + T basis
+    """An overlattice L of S + T: its basis is the integer rows `basis` over
+    `denom`, in S + T coordinates.  Two overlattices are equal when their
+    rational bases are, whatever the denominators: (2B, 2D) equals (B, D)."""
+
+    basis: tuple  # integer rows B; the basis of L is B / denom
+    denom: int
     gram: tuple  # integral Gram of the saturated lattice
     index: int
-    # memo of (B, D): integer rows B with ambient_basis = B / D; set once,
-    # outside equality and repr
-    _scaled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
+    @property
+    def ambient_basis(self) -> tuple:
+        """The basis B / denom as rows of `Fraction`s."""
+        return tuple(tuple(Fraction(x, self.denom) for x in row) for row in self.basis)
 
-def _scaled_basis(over: Overlattice) -> tuple:
-    """(B, D): the ambient basis as integer rows B over one denominator D.
-    `glue` sets it; an overlattice built by hand derives it once and keeps
-    it."""
-    scaled = over._scaled
-    if scaled is None:
-        rows = [tuple(map(Fraction, row)) for row in over.ambient_basis]
-        denom = lcm(1, *(x.denominator for row in rows for x in row))
-        scaled = (tuple(tuple(int(x * denom) for x in row) for row in rows), denom)
-        object.__setattr__(over, "_scaled", scaled)
-    return scaled
+    def __eq__(self, other):
+        if not isinstance(other, Overlattice):
+            return NotImplemented
+        return (self.ambient_basis, self.gram, self.index) == (
+            other.ambient_basis, other.gram, other.index
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_basis, self.gram, self.index))
 
 
 def _dual_numerators(data: DiscriminantData, coeffs, denom: int) -> tuple:
@@ -112,7 +116,7 @@ def glue(s: IntegerLattice, t: IntegerLattice, phi: FiniteFormMap) -> Overlattic
     data_t = discriminant_data(t)
     n = s.rank + t.rank
     k = data_t.form.ngens
-    denom = data_t.form.orders[-1] if k else 1
+    denom = data_t.form.exponent
     rows = [tuple(denom * int(i == j) for j in range(n)) for i in range(n)]
     for i, img in enumerate(phi.images):
         unit = tuple(int(i == j) for j in range(k))
@@ -120,10 +124,7 @@ def glue(s: IntegerLattice, t: IntegerLattice, phi: FiniteFormMap) -> Overlattic
     basis_scaled = intmat.hermite_row_basis(rows)
     if len(basis_scaled) != n:
         raise RuntimeError("glued lattice lost rank")
-    basis = tuple(
-        tuple(Fraction(x, denom) for x in row) for row in basis_scaled
-    )
-    # basis_scaled = denom * basis, so its Gram is denom^2 times the glued one
+    # basis_scaled / denom is a basis of L, so this Gram is denom^2 times L's
     gram_st = direct_sum(s, t).gram
     gram_scaled = intmat.matmul(
         basis_scaled, intmat.matmul(gram_st, intmat.transpose(basis_scaled))
@@ -146,18 +147,12 @@ def glue(s: IntegerLattice, t: IntegerLattice, phi: FiniteFormMap) -> Overlattic
         raise RuntimeError("glued lattice is not unimodular")
     if index * index * abs(det_l) != abs(s.det * t.det):
         raise RuntimeError("glue index identity violated")
-    over = Overlattice(basis, gram, index)
-    object.__setattr__(over, "_scaled", (basis_scaled, denom))
-    return over
+    return Overlattice(basis_scaled, denom, gram, index)
 
 
 def trivial_overlattice(s: IntegerLattice, t: IntegerLattice) -> Overlattice:
     """S + T itself, with no glue vectors (index 1)."""
-    n = s.rank + t.rank
-    basis = tuple(
-        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-    )
-    return Overlattice(basis, direct_sum(s, t).gram, 1)
+    return Overlattice(intmat.identity(s.rank + t.rank), 1, direct_sum(s, t).gram, 1)
 
 
 @dataclass(frozen=True)
@@ -199,14 +194,13 @@ def verify_overlattice(over: Overlattice, s: IntegerLattice, t: IntegerLattice) 
     blocks swapped.  On an L that contains S + T this is the same as the
     complement being isometric to S, since a lattice containing S and
     isometric to it has index 1 over it.  Both tests run on the integer rows
-    B = D * ambient_basis: a vector x . B / D is integral when D divides
-    x . B."""
+    B over D of the overlattice: a vector x . B / D is integral when D
+    divides x . B."""
     n = s.rank + t.rank
     even = all(over.gram[i][i] % 2 == 0 for i in range(n))
     unimodular = abs(intmat.det(over.gram)) == 1
-    basis, denom = _scaled_basis(over)
-    t_primitive = _meets_block_in_itself(basis, denom, s.rank, n)
-    complement_is_s = _meets_block_in_itself(basis, denom, 0, s.rank)
+    t_primitive = _meets_block_in_itself(over.basis, over.denom, s.rank, n)
+    complement_is_s = _meets_block_in_itself(over.basis, over.denom, 0, s.rank)
     return OverlatticeReport(even, unimodular, t_primitive, complement_is_s)
 
 
@@ -215,17 +209,17 @@ def recovered_gluing_map(over: Overlattice, s: IntegerLattice, t: IntegerLattice
     L/(S + T) off a Smith form and take each coset's S- and T-projections
     in discriminant coordinates.
 
-    With B = D * ambient_basis and u B v = diag(d_1, ..., d_n), the rows of
-    u B / D are a basis of L, and row i times v is (d_i / D) e_i.  So L
-    contains S + T = Z^n exactly when every d_i divides D, and then row i of
-    u B / D generates a cyclic summand of L/(S + T) of order D / d_i.
-    Classification is a group homomorphism, so only these generators are
-    classified; every coset's classes are sums of theirs, and every coset is
-    still checked against the graph condition."""
+    With the rows B over D of the overlattice and u B v = diag(d_1, ...,
+    d_n), the rows of u B / D are a basis of L, and row i times v is
+    (d_i / D) e_i.  So L contains S + T = Z^n exactly when every d_i divides
+    D, and then row i of u B / D generates a cyclic summand of L/(S + T) of
+    order D / d_i.  Classification is a group homomorphism, so only these
+    generators are classified; every coset's classes are sums of theirs,
+    and every coset is still checked against the graph condition."""
     data_s = discriminant_data(s)
     data_t = discriminant_data(t)
     n = s.rank + t.rank
-    basis, denom = _scaled_basis(over)
+    basis, denom = over.basis, over.denom
     u, d, _ = intmat.smith_normal_form(basis)
     diag = [d[i][i] for i in range(min(len(d), n))]
     if len(diag) != n or any(x == 0 or denom % x for x in diag):

@@ -2,10 +2,13 @@
 
 A lattice is a free Z-module with a nondegenerate symmetric integer pairing,
 held as its Gram matrix.  The discriminant group A_L = L*/L with its Q/2Z
-quadratic form is computed from the Smith decomposition of the Gram matrix;
-all rational arithmetic is exact.  Dual generator i is column i of the Smith
-transform v over d_i; `DiscriminantData.classify` reads a dual vector given
-as integer numerators over a denominator, with no `Fraction` on the way.
+quadratic form is computed from the Smith decomposition of the Gram matrix,
+on integers: dual generator i is column v_i of the Smith transform v over
+d_i, and the form's tables over the exponent N are
+N*b_ij = (v_i . G v_j / d_j)(N / d_i), with no `Fraction` on the way.
+`DiscriminantData.classify` reads a dual vector given as integer numerators
+over a denominator; `DiscriminantData.generators` shows the dual generators
+as `Fraction` vectors.  `signature` eliminates over Q.
 """
 
 from __future__ import annotations
@@ -274,14 +277,16 @@ def _compute_discriminant_data(lat: IntegerLattice) -> DiscriminantData:
     # divided by d_i
     cols = [tuple(row[i] for row in snf.v) for i in keep]
     g_cols = [intmat.mat_vec(lat.gram, col) for col in cols]
+    n = orders[-1] if orders else 1
 
-    def pairing(i, j) -> Fraction:
-        """(v_i/d_i) G (v_j/d_j), from the integer v_i G v_j."""
-        return Fraction(sum(x * y for x, y in zip(cols[i], g_cols[j])), orders[i] * orders[j])
+    def scaled(i, j) -> int:
+        """N (v_i/d_i) G (v_j/d_j) = (v_i . G v_j / d_j) (N / d_i): G v_j / d_j
+        is integral, as v_j / d_j lies in L*."""
+        return sum(x * y for x, y in zip(cols[i], g_cols[j])) // orders[j] * (n // orders[i])
 
     idx = range(len(keep))
-    q = tuple(pairing(i, i) % 2 for i in idx)
-    b = tuple(tuple(pairing(i, j) % 1 for j in idx) for i in idx)
+    q = tuple(scaled(i, i) % (2 * n) for i in idx)
+    b = tuple(tuple(scaled(i, j) % n for j in idx) for i in idx)
     form = FiniteQuadraticForm(orders, q, b)
     if form.order != abs(lat.det):
         raise RuntimeError("discriminant group order does not match |det|")

@@ -8,7 +8,17 @@ import pytest
 
 from k3fm.cli import main
 from k3fm.errors import LatticeParseError
-from k3fm.lattice import discriminant_data, json_integer, lattice_from_obj, make_lattice
+from k3fm.lattice import (
+    diagonal_lattice,
+    direct_sum,
+    discriminant_data,
+    e8_lattice,
+    hyperbolic_plane,
+    json_integer,
+    lattice_from_obj,
+    make_lattice,
+    rescale,
+)
 
 ORDER_MESSAGE = "k3fm: Hodge group order must be a positive even integer\n"
 
@@ -65,6 +75,12 @@ def run_action(tmp_path, capsys, action):
         ({"orders": [5], "q": ["2/5"], "images": [[True]]}, "images must be integers"),
         ({"orders": [True], "q": ["2/5"], "images": [[4]]}, "orders must be integers"),
         ({"orders": ["5x"], "q": ["2/5"], "images": [[4]]}, "orders must be integers"),
+        # a short row of b or a q list shorter than the orders once ended in a traceback
+        (
+            {"orders": [2, 2], "q": [0, 0], "b": [[0], [0, 0]], "images": [[1, 0], [0, 1]]},
+            "generator data lengths disagree",
+        ),
+        ({"orders": [5], "q": [], "images": [[4]]}, "generator data lengths disagree"),
     ],
 )
 def test_bad_action_file_exits_2(tmp_path, capsys, action, message):
@@ -134,3 +150,36 @@ def test_rank1_takes_the_hodge_flags_like_the_lattice_it_names(tmp_path, capsys,
 
 def test_rank1_zero_message_unchanged(capsys):
     assert run(capsys, ["fm", "--rank1", "0"]) == (2, "", "k3fm: n must be a positive integer\n")
+
+
+U_PLUS_MINUS_2 = [[0, 1, 0], [1, 0, 0], [0, 0, -2]]
+RHO_3_COUNT = "fm=1\nmethod: nikulin\n  gram [[0, 1, 0], [1, 0, 0], [0, 0, -2]]: 1\n"
+
+
+@pytest.mark.parametrize(
+    "gram, order, expected",
+    [
+        ([[2, 1], [1, -2]], "14", (2, "", "k3fm: Hodge group order violates phi(2I) | 20\n")),
+        (U_PLUS_MINUS_2, "2", (0, RHO_3_COUNT, "")),
+        (U_PLUS_MINUS_2, "4", (2, "", "k3fm: Hodge group order violates phi(2I) | 19\n")),
+        (U_PLUS_MINUS_2, "6", (2, "", "k3fm: Hodge group order violates phi(2I) | 19\n")),
+        (U_PLUS_MINUS_2, "66", (2, "", "k3fm: Hodge group order violates phi(2I) | 19\n")),
+    ],
+)
+def test_hodge_order_rule_at_every_picard_number(tmp_path, capsys, gram, order, expected):
+    # rank T = 22 - rho; at rho = 3 it is 19, and only phi(2) = 1 divides it
+    ns = write(tmp_path, "ns.json", {"gram": gram})
+    assert run(capsys, ["fm", "--lattice", ns, "--hodge-order", order]) == expected
+
+
+@pytest.mark.parametrize("rank", [20, 21, 22])
+def test_picard_number_is_at_most_20(tmp_path, capsys, rank):
+    e8m = rescale(e8_lattice(), -1)
+    lat = direct_sum(hyperbolic_plane(), e8m, e8m, diagonal_lattice(*[-2] * (rank - 18)))
+    ns = write(tmp_path, "ns.json", {"gram": [list(row) for row in lat.gram]})
+    code, out, err = run(capsys, ["fm", "--lattice", ns])
+    if rank == 20:
+        assert (code, out.splitlines()[0], err) == (0, "fm=1", "")
+    else:
+        message = "k3fm: Neron-Severi lattice of a projective K3 has rank at most 20\n"
+        assert (code, out, err) == (2, "", message)

@@ -7,7 +7,7 @@ classifier (rank 1: the Gram; rank 2: reduced forms, the `bqf` cycle walk,
 or c mod f in a basis [[0, f], [f, 2c]] when isotropic; rank 3 and up:
 determinant, signature and an isometry of discriminant forms).  The
 production `verify_overlattice` runs them on the integer rows B over one
-denominator D kept on the `Overlattice`, and asks instead whether S is
+denominator D that the `Overlattice` holds, and asks instead whether S is
 primitive in L.  The two agree on every L that contains S + T, so both must
 give equal reports on glued overlattices and on hand-built ones that fail
 each check.
@@ -33,7 +33,7 @@ from k3fm import (
     verify_overlattice,
 )
 from k3fm import bqf, intmat
-from k3fm.gluing import Overlattice, OverlatticeReport, _scaled_basis
+from k3fm.gluing import Overlattice, OverlatticeReport
 from k3fm.lattice import IntegerLattice, signature
 
 
@@ -158,10 +158,6 @@ def reference_verify_overlattice(over, s, t):
     return OverlatticeReport(even, unimodular, t_primitive, complement_is_s)
 
 
-def _unmemoised(over):
-    return Overlattice(over.ambient_basis, over.gram, over.index)
-
-
 ISOTROPIC = [make_lattice([[0, f], [f, 0]]) for f in (2, 3, 4)]
 ISOTROPIC.append(make_lattice([[0, 3], [3, 2]]))
 RANK3 = [
@@ -181,12 +177,9 @@ def test_verify_overlattice_matches_the_fraction_reference(s, t):
         expected = reference_verify_overlattice(over, s, t)
         assert expected.all_ok
         assert verify_overlattice(over, s, t) == expected
-        # the same basis over its least denominator, not the one glue chose
-        assert verify_overlattice(_unmemoised(over), s, t) == expected
-
-
-def _half(*xs):
-    return tuple(Fraction(x, 2) for x in xs)
+        # the same lattice over twice the denominator glue chose
+        wide = Overlattice(intmat.scale(over.basis, 2), 2 * over.denom, over.gram, over.index)
+        assert verify_overlattice(wide, s, t) == expected
 
 
 # (S, T, overlattice, the report expected); each fails at least one check
@@ -207,35 +200,35 @@ HAND_BUILT = {
     "t_not_primitive": (
         diagonal_lattice(-2),
         diagonal_lattice(8),
-        Overlattice((_half(2, 0), _half(0, 1)), ((-2, 0), (0, 2)), 2),
+        Overlattice(((2, 0), (0, 1)), 2, ((-2, 0), (0, 2)), 2),
         OverlatticeReport(True, False, False, True),
     ),
     # L = S + T + (1/2, 0): the complement of T is <-2>, not S = <-8>
     "complement_not_s": (
         diagonal_lattice(-8),
         diagonal_lattice(2),
-        Overlattice((_half(1, 0), _half(0, 2)), ((-2, 0), (0, 2)), 2),
+        Overlattice(((1, 0), (0, 2)), 2, ((-2, 0), (0, 2)), 2),
         OverlatticeReport(True, False, True, False),
     ),
     # L meets T x Q in (0, 3/2) Z, which is not even inside T
     "t_part_not_integral": (
         diagonal_lattice(-2),
         diagonal_lattice(2),
-        Overlattice(((1, 0), _half(0, 3)), ((-2, 0), (0, 2)), 2),
+        Overlattice(((2, 0), (0, 3)), 2, ((-2, 0), (0, 2)), 2),
         OverlatticeReport(True, False, False, True),
     ),
     # L = 2S + T misses S: the complement of T is (2, 0) Z, of norm -8
     "s_not_in_l": (
         diagonal_lattice(-2),
         diagonal_lattice(2),
-        Overlattice(((2, 0), (0, 1)), ((-8, 0), (0, 2)), 1),
+        Overlattice(((2, 0), (0, 1)), 1, ((-8, 0), (0, 2)), 1),
         OverlatticeReport(True, False, True, False),
     ),
     # the complement of T is (1/2, 0) Z, of norm -1/4 for S = <-1>
     "complement_gram_not_integral": (
         diagonal_lattice(-1),
         diagonal_lattice(2),
-        Overlattice((_half(1, 0), (0, 1)), ((-2, 0), (0, 2)), 2),
+        Overlattice(((1, 0), (0, 2)), 2, ((-2, 0), (0, 2)), 2),
         OverlatticeReport(True, False, True, False),
     ),
     # L = S + T + (1/2, 0) + (0, 1/2) is not integral: the vectors of L in
@@ -243,7 +236,7 @@ HAND_BUILT = {
     "not_integral": (
         diagonal_lattice(-2),
         diagonal_lattice(2),
-        Overlattice((_half(1, 0), _half(0, 1)), ((-1, 0), (0, 1)), 4),
+        Overlattice(((1, 0), (0, 1)), 2, ((-1, 0), (0, 1)), 4),
         OverlatticeReport(False, True, False, False),
     ),
 }
@@ -253,7 +246,7 @@ HAND_BUILT = {
 def test_hand_built_overlattices_fail_the_same_checks(case):
     s, t, over, expected = HAND_BUILT[case]
     report = verify_overlattice(over, s, t)
-    assert report == reference_verify_overlattice(_unmemoised(over), s, t)
+    assert report == reference_verify_overlattice(over, s, t)
     assert report == expected
 
 
@@ -268,39 +261,35 @@ def test_a_rotated_copy_of_s_is_not_the_complement():
     # the complement of T is gS, isometric to S but not S, so S is not
     # primitive in L; the isometry classifier of the reference accepts it
     s, t = diagonal_lattice(-2, -2), diagonal_lattice(2, 2)
-    basis = tuple(
-        tuple(Fraction(x, 5) for x in row)
-        for row in ((3, -4, 0, 0), (4, 3, 0, 0), (0, 0, 5, 0), (0, 0, 0, 5))
-    )
-    over = Overlattice(basis, diagonal_lattice(-2, -2, 2, 2).gram, 1)
+    basis = ((3, -4, 0, 0), (4, 3, 0, 0), (0, 0, 5, 0), (0, 0, 0, 5))
+    over = Overlattice(basis, 5, diagonal_lattice(-2, -2, 2, 2).gram, 1)
     assert verify_overlattice(over, s, t) == OverlatticeReport(True, False, True, False)
     assert reference_verify_overlattice(over, s, t).complement_is_s
 
 
 @pytest.mark.parametrize(
-    "basis",
+    "basis, denom",
     [
-        ((2, 0), (0, 1)),  # 2S + T
-        (_half(1, 1), (0, 2)),  # misses (1, 0)
-        ((1, 0), (2, 0)),  # singular
-        ((1, 0),),  # too few rows
+        (((2, 0), (0, 1)), 1),  # 2S + T
+        (((1, 1), (0, 4)), 2),  # misses (1, 0)
+        (((1, 0), (2, 0)), 1),  # singular
+        (((1, 0),), 1),  # too few rows
     ],
 )
-def test_read_back_refuses_a_basis_that_misses_s_plus_t(basis):
+def test_read_back_refuses_a_basis_that_misses_s_plus_t(basis, denom):
     s, t = diagonal_lattice(-2), diagonal_lattice(2)
-    over = Overlattice(basis, ((-2, 0), (0, 2)), 2)
+    over = Overlattice(basis, denom, ((-2, 0), (0, 2)), 2)
     with pytest.raises(ValueError, match="^S \\+ T is not a sublattice of the overlattice$"):
         recovered_gluing_map(over, s, t)
 
 
 def test_read_back_of_a_basis_over_a_larger_denominator():
-    # the same lattice as glue gives, held over 4 instead of 2
+    # the same lattice as glue gives, held as (2B, 2D)
     s, t = diagonal_lattice(-2), diagonal_lattice(2)
     sigma = isometries_signed(discriminant_form(t), discriminant_form(s), -1)[0]
     over = glue(s, t, sigma)
-    basis, denom = _scaled_basis(over)
-    wide = _unmemoised(over)
-    object.__setattr__(wide, "_scaled", (intmat.scale(basis, 2), 2 * denom))
+    wide = Overlattice(intmat.scale(over.basis, 2), 2 * over.denom, over.gram, over.index)
+    assert wide == over and hash(wide) == hash(over)
     assert recovered_gluing_map(wide, s, t) == sigma
     assert verify_overlattice(wide, s, t).all_ok
     assert reference_recovered_gluing_map(wide, s, t) == sigma
@@ -311,35 +300,6 @@ def test_glue_keeps_its_integer_basis():
     t = rescale(s, -1)
     sigma = isometries_signed(discriminant_form(t), discriminant_form(s), -1)[0]
     over = glue(s, t, sigma)
-    basis, denom = over._scaled
-    assert denom == discriminant_form(t).orders[-1]
-    assert all(type(x) is int for row in basis for x in row)
-    assert intmat.scale(over.ambient_basis, denom) == basis
-
-
-def test_hand_built_overlattice_derives_its_memo_once():
-    s, t = diagonal_lattice(-2), diagonal_lattice(2)
-    basis = (_half(1, 1), (Fraction(0), Fraction(1)))
-    over = Overlattice(basis, ((0, 1), (1, 2)), 2)
-    fresh = Overlattice(basis, ((0, 1), (1, 2)), 2)
-    assert over._scaled is None
-    verify_overlattice(over, s, t)
-    assert over._scaled == (((1, 1), (0, 2)), 2)
-    memo = over._scaled
-    recovered_gluing_map(over, s, t)
-    assert over._scaled is memo
-    assert over == fresh and fresh._scaled is None
-    assert repr(over) == repr(fresh)
-    assert "_scaled" not in repr(over)
-
-
-def test_glued_overlattice_equals_its_copy_without_memo():
-    s = make_lattice([[2, 1], [1, -2]])
-    t = rescale(s, -1)
-    for sigma in isometries_signed(discriminant_form(t), discriminant_form(s), -1):
-        over = glue(s, t, sigma)
-        copy = _unmemoised(over)
-        assert over._scaled is not None and copy._scaled is None
-        assert over == copy
-        assert repr(over) == repr(copy)
-        assert hash(over) == hash(copy)
+    assert over.denom == discriminant_form(t).orders[-1]
+    assert all(type(x) is int for row in over.basis for x in row)
+    assert intmat.scale(over.ambient_basis, over.denom) == over.basis

@@ -71,7 +71,7 @@ def reference_glue(s, t, phi):
     gram = tuple(tuple(int(x) for x in row) for row in gram_frac)
     assert all(gram[i][i] % 2 == 0 for i in range(n))
     assert abs(intmat.det(gram)) == 1
-    return Overlattice(basis, gram, data_t.form.order)
+    return Overlattice(basis_scaled, denom, gram, data_t.form.order)
 
 
 def reference_recovered_gluing_map(over, s, t):
@@ -163,9 +163,7 @@ def test_quotient_that_is_not_a_graph_raises():
     # L = S + T + (1/2, 1/2) + (1/2, 0): the second glue vector has a zero
     # T-part and a nonzero S-class, so the T-class 0 meets two S-classes
     s, t = diagonal_lattice(-2), diagonal_lattice(2)
-    half = Fraction(1, 2)
-    basis = ((half, Fraction(0)), (Fraction(0), half))
-    over = Overlattice(basis, ((-1, 0), (0, 1)), 4)
+    over = Overlattice(((1, 0), (0, 1)), 2, ((-1, 0), (0, 1)), 4)
     for read_back in (recovered_gluing_map, reference_recovered_gluing_map):
         with pytest.raises(ValueError, match="not a gluing graph"):
             read_back(over, s, t)

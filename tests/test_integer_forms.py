@@ -1,19 +1,24 @@
-"""Integer `DiscriminantData.classify` and `validate_map` against the
-`Fraction` code they replaced, and the cached hash of a finite form.
+"""Integer forms, `DiscriminantData.classify` and `validate_map` against
+the `Fraction` code they replaced.
 
 `reference_classify` tests a dual vector of `Fraction`s for integrality of
 G * vec; `reference_validate_map` compares q and b as `Fraction`s in Q/2Z
 and Q/Z.  The production code runs on integer numerators and on the integer
-tables N*q mod 2N and N*b mod N; both must accept and reject alike, with
-the same message.
+tables N*q mod 2N and N*b mod N that a form holds; both must accept and
+reject alike, with the same message.  `reference_discriminant_values` and
+`reference_parts` compute a discriminant form and its p-parts as
+`Fraction`s, as the code did before a form held integers, and every
+malformed input keeps the message it had then.
 """
+
+import re
 
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from test_isometry_reference import forms_of
+from test_isometry_reference import _raw_b, _raw_q, forms_of
 
 from k3fm import (
     diagonal_lattice,
@@ -21,16 +26,20 @@ from k3fm import (
     isometries_signed,
     make_lattice,
     negate_form,
+    smith_normal_form,
 )
 from k3fm import intmat
+from k3fm.arith import prime_factors
 from k3fm.finite_qform import (
     FiniteFormMap,
+    FiniteQuadraticForm,
     _generates,
     all_elements,
     element_order,
     evaluate_b,
     evaluate_q,
     finite_form,
+    primary_parts,
     validate_map,
 )
 from k3fm.lattice import discriminant_data, induced_form_map
@@ -120,10 +129,10 @@ def reference_validate_map(f):
             raise ValueError("image vector length mismatch")
         if a.orders[i] % element_order(b, img) != 0:
             raise ValueError("image order does not divide generator order")
-        if evaluate_q(b, img) != Fraction(f.sign * a.q_gens[i]) % 2:
+        if _raw_q(b.orders, b.q_gens, b.b_matrix, img) != Fraction(f.sign * a.q_gens[i]) % 2:
             raise ValueError("map does not rescale q by its sign")
         for j in range(i):
-            if evaluate_b(b, img, f.images[j]) != Fraction(f.sign * a.b_matrix[i][j]) % 1:
+            if _raw_b(b.b_matrix, img, f.images[j]) != Fraction(f.sign * a.b_matrix[i][j]) % 1:
                 raise ValueError("map does not rescale b by its sign")
     if not _generates(b.orders, f.images):
         raise ValueError("images do not generate the target group")
@@ -198,14 +207,23 @@ def test_integer_validate_map_matches_the_fraction_reference(a):
 
 
 def test_validate_map_with_unequal_exponents():
-    # Z/4 and Z/2 + Z/2 have one order but different exponents
-    half = Fraction(1, 2)
+    # Z/4 and Z/2 + Z/2 have one order but different exponents, as have
+    # Z/8, Z/2 + Z/4 and (Z/2)^3; a map from Z/2 + Z/4 to (Z/2)^3 checks b
+    # on target tables scaled up to the source exponent
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
     forms = [
         finite_form((4,), (half,)),
-        finite_form((4,), (Fraction(1, 4),)),
+        finite_form((4,), (quarter,)),
         finite_form((2, 2), (half, half)),
         finite_form((2, 2), (0, 0), [[0, half], [half, 0]]),
         finite_form((2, 2), (0, 0)),
+        finite_form((8,), (Fraction(1, 8),)),
+        finite_form((2, 4), (half, quarter)),
+        finite_form((2, 4), (0, quarter), [[0, half], [half, quarter]]),
+        finite_form((2, 4), (half, half)),
+        finite_form((2, 4), (half, 1), [[half, half], [half, 0]]),
+        finite_form((2, 2, 2), (half, half, half)),
+        finite_form((2, 2, 2), (0, 0, half), [[0, half, 0], [half, 0, 0], [0, 0, half]]),
     ]
     seen = set()
     for a in forms:
@@ -257,8 +275,6 @@ def test_equal_forms_built_apart_hash_alike():
     second = finite_form([2, 2], [Fraction(5, 2), Fraction(-3, 2)])
     assert first is not second and first == second
     assert hash(first) == hash(second)
-    assert hash(first) == hash((first.orders, first.q_gens, first.b_matrix))
-    assert "_hash" not in repr(first)
     s1, s2 = make_lattice([[2, 1], [1, -2]]), make_lattice([[2, 1], [1, -2]])
     a1, a2 = discriminant_form(s1), discriminant_form(s2)
     assert a1 is not a2 and a1 == a2 and hash(a1) == hash(a2)
@@ -266,3 +282,134 @@ def test_equal_forms_built_apart_hash_alike():
     maps2 = isometries_signed(a2, a2, 1)
     assert set(maps1) == set(maps2)
     assert {f: i for i, f in enumerate(maps1)} == {f: i for i, f in enumerate(maps2)}
+
+
+def reference_discriminant_values(lat):
+    """(orders, q, b) of the discriminant form, q and b as `Fraction`s."""
+    snf = smith_normal_form(lat.gram)
+    diag = snf.diagonal()
+    keep = tuple(i for i, d in enumerate(diag) if d > 1)
+    orders = tuple(diag[i] for i in keep)
+    cols = [tuple(row[i] for row in snf.v) for i in keep]
+    g_cols = [intmat.mat_vec(lat.gram, col) for col in cols]
+
+    def pairing(i, j) -> Fraction:
+        """(v_i/d_i) G (v_j/d_j), from the integer v_i G v_j."""
+        return Fraction(sum(x * y for x, y in zip(cols[i], g_cols[j])), orders[i] * orders[j])
+
+    idx = range(len(keep))
+    q = tuple(pairing(i, i) % 2 for i in idx)
+    b = tuple(tuple(pairing(i, j) % 1 for j in idx) for i in idx)
+    return orders, q, b
+
+
+def reference_parts(orders, q_gens, b_matrix):
+    """(orders, q, b) of each p-part: d_i = m_i p^e_i gives the generator
+    m_i g_i of order p^e_i, with q and b scaled by m_i m_j."""
+    out = []
+    for p in prime_factors(orders[-1]) if orders else ():
+        index, mult, part_orders = [], [], []
+        for i, d in enumerate(orders):
+            m = d
+            while m % p == 0:
+                m //= p
+            if m != d:
+                index.append(i)
+                mult.append(m)
+                part_orders.append(d // m)
+        pairs = list(zip(index, mult))
+        q = tuple(m * m * q_gens[i] % 2 for i, m in pairs)
+        b = tuple(tuple(mi * mj * b_matrix[i][j] % 1 for j, mj in pairs) for i, mi in pairs)
+        out.append((tuple(part_orders), q, b))
+    return out
+
+
+def _sweep_lattices():
+    """The lattices above, the rank-1 family of the isometry reference, and
+    every non-degenerate even rank-2 Gram with entries of size at most 12."""
+    grams = [lat.gram for lat in LATTICES] + [((2 * n,),) for n in range(1, 61)]
+    grams += [
+        ((2 * a, b), (b, 2 * c))
+        for a in range(-6, 7)
+        for b in range(-12, 13)
+        for c in range(-6, 7)
+        if 4 * a * c != b * b
+    ]
+    return [make_lattice(g) for g in grams]
+
+
+def test_forms_hold_the_values_of_the_fraction_reference():
+    for lat in _sweep_lattices():
+        orders, q, b = reference_discriminant_values(lat)
+        a = discriminant_form(lat)
+        parts = [part.form for part in primary_parts(a)]
+        expected = [(orders, q, b)] + reference_parts(orders, q, b)
+        assert [(f.orders, f.q_gens, f.b_matrix) for f in [a] + parts] == expected, lat.gram
+        for f in [a] + parts:
+            rebuilt = finite_form(f.orders, f.q_gens, f.b_matrix)
+            assert rebuilt == f and hash(rebuilt) == hash(f)
+        ones = (1,) * a.ngens
+        for x in product(range(3), repeat=a.ngens):
+            assert evaluate_q(a, x) == _raw_q(orders, q, b, x)
+            assert evaluate_b(a, x, ones) == _raw_b(b, x, ones)
+        assert negate_form(a).q_gens == tuple(-x % 2 for x in q)
+
+
+# (orders, q, b, message): each malformed input with the message of its
+# first failed check, recorded while forms held `Fraction`s.  (4,) with
+# q = 1/8 is not integral at the exponent, but its first failed check is b.
+MALFORMED = [
+    ((2,), ("1/2", "1/2"), None, "generator data lengths disagree"),
+    ((2, 2), ("1/2", "1/2"), [["1/2", 0]], "generator data lengths disagree"),
+    ((1,), (0,), None, "orders must be integers > 1"),
+    ((0,), (0,), None, "orders must be integers > 1"),
+    ((-2,), ("1/2",), None, "orders must be integers > 1"),
+    ((2, 3), ("1/2", "2/3"), None, "orders must form a divisibility chain"),
+    ((4, 2), ("1/4", "1/2"), None, "orders must form a divisibility chain"),
+    ((2,), ("1/3",), None, "q value incompatible with generator order"),
+    ((3,), ("1/3",), None, "q value incompatible with generator order"),
+    ((4,), ("1/16",), None, "q value incompatible with generator order"),
+    ((2, 2), ("1/2", "1/3"), None, "q value incompatible with generator order"),
+    (
+        (2, 4),
+        ("1/3", "1/4"),
+        [["1/2", "1/4"], ["1/4", "1/4"]],
+        "q value incompatible with generator order",
+    ),
+    ((2,), ("1/2",), [[0]], "b(g,g) must agree with q(g) mod Z"),
+    ((4,), ("1/4",), [["3/4"]], "b(g,g) must agree with q(g) mod Z"),
+    ((2, 2), (0, 0), [[0, "1/2"], [0, 0]], "b matrix must be symmetric"),
+    ((2, 4), ("1/2", "1/4"), [["1/2", "1/4"], ["1/2", "1/4"]], "b matrix must be symmetric"),
+    ((4,), ("1/8",), None, "b value incompatible with generator order"),
+    ((2, 4), (0, "1/4"), [[0, "1/4"], ["1/4", "1/4"]], "b value incompatible with generator order"),
+    (
+        (2, 2),
+        ("1/2", "1/2"),
+        [["1/2", "1/3"], ["1/3", "1/2"]],
+        "b value incompatible with generator order",
+    ),
+    (
+        (2, 4),
+        ("1/2", "1/4"),
+        [["1/2", "1/8"], ["1/8", "1/4"]],
+        "b value incompatible with generator order",
+    ),
+]
+
+
+@pytest.mark.parametrize("orders, q, b, message", MALFORMED)
+def test_malformed_forms_keep_their_messages(orders, q, b, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        finite_form(orders, q, b)
+
+
+@pytest.mark.parametrize(
+    "q_table, b_table, message",
+    [
+        ((4,), ((0,),), "q values must be reduced into [0, 2)"),
+        ((1,), ((3,),), "b values must be reduced into [0, 1)"),
+    ],
+)
+def test_tables_out_of_range_keep_their_messages(q_table, b_table, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FiniteQuadraticForm((2,), q_table, b_table)

@@ -1,9 +1,10 @@
 """The integer isometry search against the plain `Fraction` search it replaced.
 
-`reference_isometries` evaluates q and b as `Fraction`s on every element and
-tests each complete candidate map by building the whole span of its images.
-The production `isometries_signed` must return the same maps in the same
-order, for both signs and with `_first_only`.
+`reference_isometries` evaluates q and b as `Fraction`s on every element,
+with `_raw_q` and `_raw_b`, the `Fraction` evaluators the integer tables of
+a form replaced, and tests each complete candidate map by building the whole
+span of its images.  The production `isometries_signed` must return the
+same maps in the same order, for both signs and with `_first_only`.
 """
 
 from fractions import Fraction
@@ -23,11 +24,37 @@ from k3fm.finite_qform import (
     FiniteFormMap,
     all_elements,
     element_order,
-    evaluate_b,
-    evaluate_q,
     finite_form,
     validate_map,
 )
+
+
+def _mod2(x) -> Fraction:
+    return Fraction(x) % 2
+
+
+def _mod1(x) -> Fraction:
+    return Fraction(x) % 1
+
+
+def _raw_q(orders, q_raw, b_raw, coeffs) -> Fraction:
+    total = Fraction(0)
+    k = len(orders)
+    for i in range(k):
+        total += coeffs[i] * coeffs[i] * q_raw[i]
+        for j in range(i + 1, k):
+            total += 2 * coeffs[i] * coeffs[j] * b_raw[i][j]
+    return _mod2(total)
+
+
+def _raw_b(b_raw, x, y) -> Fraction:
+    total = Fraction(0)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    total += xi * yj * b_raw[i][j]
+    return _mod1(total)
 
 
 def _span_size(a, elements):
@@ -47,13 +74,15 @@ def reference_isometries(a, b, sign):
         return []
     k = a.ngens
     elems = list(all_elements(b))
+    q_b, b_b = b.q_gens, b.b_matrix
     target_q = [Fraction(sign * qi) % 2 for qi in a.q_gens]
     target_b = [[Fraction(sign * a.b_matrix[i][j]) % 1 for j in range(k)] for i in range(k)]
     candidates = [
         [
             x
             for x in elems
-            if a.orders[i] % element_order(b, x) == 0 and evaluate_q(b, x) == target_q[i]
+            if a.orders[i] % element_order(b, x) == 0
+            and _raw_q(b.orders, q_b, b_b, x) == target_q[i]
         ]
         for i in range(k)
     ]
@@ -66,7 +95,7 @@ def reference_isometries(a, b, sign):
                 results.append(FiniteFormMap(a, b, tuple(images), sign))
             return
         for x in candidates[i]:
-            if all(evaluate_b(b, x, images[j]) == target_b[i][j] for j in range(i)):
+            if all(_raw_b(b_b, x, images[j]) == target_b[i][j] for j in range(i)):
                 images.append(x)
                 backtrack(i + 1)
                 images.pop()
