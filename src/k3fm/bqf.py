@@ -389,18 +389,23 @@ def principal_form(d: int) -> BinaryQuadraticForm:
 def pell_fundamental(d: int) -> tuple:
     """Minimal t, u > 0 with t^2 - d*u^2 = 4, read off the accumulated
     transform of one trip around the principal cycle (the matrix form of the
-    continued-fraction expansion attached to sqrt(d))."""
+    continued-fraction expansion attached to sqrt(d)).  A walk that outlasts
+    the number of reduced forms raises RuntimeError."""
     f0 = principal_form(d)
     root = isqrt(d)
     b0 = b = f0.b
     c = f0.c
     m00, m01, m10, m11 = 1, 0, 0, 1
+    steps, limit = 0, _walk_limit(root)
     while True:
         a, (b, c, s) = c, _step(b, c, d, root)
         m00, m01 = m01, s * m01 - m00
         m10, m11 = m11, s * m11 - m10
         if a == 1 and b == b0:
             break
+        steps += 1
+        if steps > limit:
+            raise RuntimeError(f"cycle of discriminant {d} did not close")
     # M = [[(t - b0 u)/2, -c0 u], [u, (t + b0 u)/2]] up to sign and
     # inversion, since the leading coefficient of f0 is 1
     t, u = abs(m00 + m11), abs(m10)

@@ -4,20 +4,21 @@ Verbs: discform, fm, classnum, genus, table, scan, glue, verify-t14.
 Exit codes: 0 success, 1 verify-t14 mismatch, 2 invalid input, 3 unsupported
 case, 4 enumeration cap exceeded, 5 internal check failed.  Every error path
 prints a single diagnostic line to stderr.
-The K3FM_CAP environment variable overrides the finite-group enumeration cap.
+The K3FM_CAP environment variable overrides the finite-group enumeration cap;
+`finite_qform` reads it when a search runs, so a malformed value exits 2 only
+from a run that searches.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import bqf, gluing
 from .errors import CapExceededError, K3FMError, LatticeParseError, UnsupportedError
-from .finite_qform import DEFAULT_CAP, FiniteFormMap, finite_form, isometries_signed
+from .finite_qform import FiniteFormMap, finite_form, isometries_signed
 from .fm_count import (
     HodgeGroupSpec,
     NeronSeveriSpec,
@@ -36,19 +37,6 @@ from .lattice import (
 )
 
 TABLE_PRIMES = (229, 257, 401, 577, 733, 761, 1009, 1093, 1129, 1229, 1297, 1373, 1429, 1489)
-
-
-def _cap() -> int:
-    raw = os.environ.get("K3FM_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise LatticeParseError(f"K3FM_CAP must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise LatticeParseError("K3FM_CAP must be positive")
-    return value
 
 
 def _emit_table(headers, rows, csv: bool, out) -> None:
@@ -121,12 +109,11 @@ def _cmd_discform(args) -> int:
 
 
 def _cmd_fm(args) -> int:
-    cap = _cap()
     if args.rank1 is not None:
-        result = fm_number_rank1(args.rank1, cap=cap, hodge=_hodge_from_args(args))
+        result = fm_number_rank1(args.rank1, _hodge_from_args(args))
     else:
         ns = NeronSeveriSpec(parse_lattice_file(args.lattice))
-        result = fm_number(ns, _hodge_from_args(args), cap=cap)
+        result = fm_number(ns, _hodge_from_args(args))
     print(f"fm={result.total}")
     print(f"method: {result.method}")
     for item, summand in result.breakdown:
@@ -165,13 +152,13 @@ def _cmd_table(args) -> int:
             primes = tuple(int(p) for p in args.list.split(","))
         except ValueError as exc:
             raise LatticeParseError(f"bad prime list: {args.list!r}") from exc
-    rows = fm_table(primes, cap=_cap())
+    rows = fm_table(primes)
     _emit_table(("p", "h", "fm"), rows, args.format == "csv", sys.stdout)
     return 0
 
 
 def _cmd_scan(args) -> int:
-    report = gauss_scan(args.max, cap=_cap())
+    report = gauss_scan(args.max)
     print(f"scan up to {report.bound}")
     print("fm=1 primes: " + " ".join(str(p) for p in report.fm_one_primes))
     print("running max: " + " ".join(f"{p}:{fm}" for p, fm in report.running_max))
@@ -179,10 +166,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_glue(args) -> int:
-    cap = _cap()
     s = parse_lattice_file(args.s)
     t = parse_lattice_file(args.t)
-    sigmas = isometries_signed(discriminant_form(t), discriminant_form(s), -1, cap=cap)
+    sigmas = isometries_signed(discriminant_form(t), discriminant_form(s), -1)
     print(f"anti-isometries: {len(sigmas)}")
     chosen = sigmas if args.list else sigmas[:1]
     for i, sigma in enumerate(chosen, start=1):
@@ -193,7 +179,6 @@ def _cmd_glue(args) -> int:
 
 
 def _cmd_verify_t14(args) -> int:
-    cap = _cap()
     s = parse_lattice_file(args.s)
     t = parse_lattice_file(args.t)
     hodge = HodgeGroupSpec(args.g_order)
@@ -205,10 +190,10 @@ def _cmd_verify_t14(args) -> int:
             refuse_isotropic_rank2(s, "S")
             s_list = [bqf.form_to_lattice(f) for f in bqf.genus_representative_forms(s)]
         else:
-            s_list = list(gluing.definite_genus_lattices(s, cap=cap))
+            s_list = list(gluing.definite_genus_lattices(s))
     else:
         raise UnsupportedError("genus enumeration available only for rank <= 2")
-    report = gluing.verify_gluing_counts(s_list, t, hodge, cap=cap)
+    report = gluing.verify_gluing_counts(s_list, t, hodge)
     for i, row in enumerate(report.rows, start=1):
         gram = [list(r) for r in row.s.gram]
         print(f"S_{i} gram {gram}: orbits={row.orbit_count} cosets={row.coset_count} equal={row.equal}")

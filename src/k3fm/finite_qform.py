@@ -8,11 +8,14 @@ search and check runs on these integers; `q_gens`, `b_matrix`, `evaluate_q`
 and `evaluate_b` show the values as `Fraction`s, and `finite_form` reads
 them from `Fraction`s.  Signed isometry enumeration, orthogonal groups,
 subgroup closure and `double_coset_count` are brute force over these
-coordinates, guarded by a size cap.  The production count,
-`double_coset_count_by_parts`, splits A into its p-parts A_p first: every
-isometry keeps each A_p, so O(A) is the product of the O(A_p), and only the
-A_p are searched and capped.  The whole-group functions stay as its
-reference.
+coordinates.  The production count, `double_coset_count_by_parts`, splits A
+into its p-parts A_p first: every isometry keeps each A_p, so O(A) is the
+product of the O(A_p), and only the A_p are searched.  The whole-group
+functions stay as its reference.
+
+The size cap on what is enumerated lives here alone: `isometries_signed` and
+`double_coset_count_by_parts` read K3FM_CAP (else DEFAULT_CAP) when they
+search, for the CLI and library callers alike, and raise CapExceededError.
 
 A map between two forms is checked on both tables scaled to the lcm of
 their exponents.  Generation is tested by a Hermite basis of the images
@@ -21,6 +24,7 @@ stacked on diag(d_1, ..., d_k) rather than by building the span.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -28,9 +32,24 @@ from math import gcd, lcm, prod
 
 from . import intmat
 from .arith import prime_factors
-from .errors import CapExceededError
+from .errors import CapExceededError, LatticeParseError
 
 DEFAULT_CAP = 10_000
+
+
+def _enumeration_cap() -> int:
+    """The largest group a search may enumerate: K3FM_CAP if it is set, else
+    DEFAULT_CAP.  Read when a search runs, so it binds every caller alike."""
+    raw = os.environ.get("K3FM_CAP")
+    if raw is None:
+        return DEFAULT_CAP
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise LatticeParseError(f"K3FM_CAP must be an integer, got {raw!r}") from exc
+    if value < 1:
+        raise LatticeParseError("K3FM_CAP must be positive")
+    return value
 
 
 def _check(orders, q_table, b_table, n: int) -> None:
@@ -344,7 +363,6 @@ def isometries_signed(
     a: FiniteQuadraticForm,
     b: FiniteQuadraticForm,
     sign: int,
-    cap: int | None = None,
     _first_only: bool = False,
 ) -> list:
     """All bijective maps f: A -> B with q_B(f(x)) = sign * q_A(x).
@@ -354,14 +372,14 @@ def isometries_signed(
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    cap = DEFAULT_CAP if cap is None else cap
-    if a.order > cap or b.order > cap:
-        raise CapExceededError(
-            f"finite group too large: |A| = {max(a.order, b.order)} exceeds the cap {cap}"
-            " (raise it with K3FM_CAP)"
-        )
     if a.orders != b.orders:
         return []
+    cap = _enumeration_cap()
+    if a.order > cap:
+        raise CapExceededError(
+            f"finite group too large: |A| = {a.order} exceeds the cap {cap}"
+            " (raise it with K3FM_CAP)"
+        )
     orders = b.orders
     k = len(orders)
     if k == 0:
@@ -418,8 +436,8 @@ def isometries_signed(
     return results
 
 
-def are_isometric(a: FiniteQuadraticForm, b: FiniteQuadraticForm, cap: int | None = None) -> bool:
-    return bool(isometries_signed(a, b, 1, cap=cap, _first_only=True))
+def are_isometric(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> bool:
+    return bool(isometries_signed(a, b, 1, _first_only=True))
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +471,8 @@ class FiniteOrthogonalGroup:
         return negation_map(self.form)
 
 
-def orthogonal_group(a: FiniteQuadraticForm, cap: int | None = None) -> FiniteOrthogonalGroup:
-    elems = isometries_signed(a, a, 1, cap=cap)
+def orthogonal_group(a: FiniteQuadraticForm) -> FiniteOrthogonalGroup:
+    elems = isometries_signed(a, a, 1)
     return FiniteOrthogonalGroup(a, tuple(elems))
 
 
@@ -578,9 +596,7 @@ def _position(where: dict, images: tuple, p: int) -> int:
     return n
 
 
-def double_coset_count_by_parts(
-    a: FiniteQuadraticForm, h_gens, k_gens, cap: int | None = None
-) -> int:
+def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
     """Number of double cosets H \\ O(A) / K, found one p-part at a time.
 
     O(A) is the product of the O(A_p), each found by `isometries_signed` on
@@ -591,7 +607,7 @@ def double_coset_count_by_parts(
     x -> h o x o k on the product of the parts are walked on index tuples.
     Agrees with `double_coset_count(orthogonal_group(a), h_gens, k_gens)`.
     """
-    cap = DEFAULT_CAP if cap is None else cap
+    cap = _enumeration_cap()
     parts = primary_parts(a)
     for part in parts:
         if part.form.order > cap:
@@ -608,7 +624,7 @@ def double_coset_count_by_parts(
     moves = [[] for _ in gens]  # per generator, one table per part
     for part in parts:
         orders = part.form.orders
-        elements = [f.images for f in isometries_signed(part.form, part.form, 1, cap=cap)]
+        elements = [f.images for f in isometries_signed(part.form, part.form, 1)]
         where = {x: n for n, x in enumerate(elements)}
         sizes.append(len(elements))
         restricted = [elements[_position(where, part.restrict(g), part.p)] for g in gens]

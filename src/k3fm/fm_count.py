@@ -6,7 +6,8 @@ sum, over the isomorphism classes S_j in the genus of NS(X), of the number of
 double cosets O(S_j) \\ O(A_{S_j}) / G (`coset_summand`).  Each summand is
 counted one p-part at a time: A_S is the sum of its p-parts A_p and every
 isometry keeps each A_p (Nikulin), so O(A_S) is the product of the O(A_p),
-only the A_p are searched, and the enumeration cap bounds the largest |A_p|.
+only the A_p are searched, and the enumeration cap bounds the largest |A_p|
+(`finite_qform` owns the cap and reads K3FM_CAP; nothing here takes one).
 
 Dispatch: Picard number 1 closes to the 2^(tau(n)-1) formula; every rank >= 2
 first tries the surjectivity shortcut (rank >= l + 2, which in rank 2 means
@@ -101,7 +102,7 @@ def hodge_generators(a_t, hodge: HodgeGroupSpec) -> list:
     return [negation_map(a_t), hodge.action]
 
 
-def carried_hodge_generators(a_s, hodge: HodgeGroupSpec, cap: int | None = None) -> list:
+def carried_hodge_generators(a_s, hodge: HodgeGroupSpec) -> list:
     """G carried onto O(A_S) for an S glued to T: `hodge_generators` on the
     form the explicit action lives on (A_T), conjugated by the first
     anti-isometry from that form onto a_s.  With no explicit action G is
@@ -109,7 +110,7 @@ def carried_hodge_generators(a_s, hodge: HodgeGroupSpec, cap: int | None = None)
     if hodge.action is None:
         return hodge_generators(a_s, hodge)
     a_t = hodge.action.source
-    anti = isometries_signed(a_t, a_s, -1, cap=cap, _first_only=True)
+    anti = isometries_signed(a_t, a_s, -1, _first_only=True)
     if not anti:
         raise ValueError(
             "Hodge action lives on a form that is not anti-isometric to the target"
@@ -118,20 +119,15 @@ def carried_hodge_generators(a_s, hodge: HodgeGroupSpec, cap: int | None = None)
     return [phi.compose(g).compose(back) for g in hodge_generators(a_t, hodge)]
 
 
-def coset_summand(
-    s: IntegerLattice,
-    isometries,
-    hodge: HodgeGroupSpec = GENERIC_HODGE,
-    cap: int | None = None,
-) -> int:
+def coset_summand(s: IntegerLattice, isometries, hodge: HodgeGroupSpec = GENERIC_HODGE) -> int:
     """The Counting Formula's term for one genus member S: the double cosets
     O(S) \\ O(A_S) / G.  O(S) is given by generator matrices and acts on A_S
     through `induced_form_map`; G is `carried_hodge_generators`.  The cosets
     are counted one p-part of A_S at a time."""
     a_s = discriminant_form(s)
     h_gens = [induced_form_map(s, m) for m in isometries]
-    k_gens = carried_hodge_generators(a_s, hodge, cap)
-    return double_coset_count_by_parts(a_s, h_gens, k_gens, cap)
+    k_gens = carried_hodge_generators(a_s, hodge)
+    return double_coset_count_by_parts(a_s, h_gens, k_gens)
 
 
 def refuse_isotropic_rank2(lat: IntegerLattice, role: str) -> None:
@@ -167,11 +163,7 @@ def hodge_order_candidates(t: int) -> tuple:
     )
 
 
-def fm_number_rank1(
-    n: int,
-    cap: int | None = None,
-    hodge: HodgeGroupSpec = GENERIC_HODGE,
-) -> FMCountResult:
+def fm_number_rank1(n: int, hodge: HodgeGroupSpec = GENERIC_HODGE) -> FMCountResult:
     """Partner count for NS = <2n>: 2^(tau(n)-1), cross-checked against the
     double cosets {+-1} \\ O(A) / {+-1} of A = (Z/2n, 1/2n), counted one
     p-part at a time (so the cap bounds the largest |A_p|, not 2n).
@@ -182,7 +174,7 @@ def fm_number_rank1(
         raise ValueError("Picard number 1 forces a Hodge group of order 2 (phi(2I) | 21)")
     a = cyclic_form(2 * n, Fraction(1, 2 * n))
     neg = negation_map(a)
-    counted = double_coset_count_by_parts(a, [neg], [neg], cap)
+    counted = double_coset_count_by_parts(a, [neg], [neg])
     expected = 2 ** (tau(n) - 1)
     if counted != expected:
         raise RuntimeError(
@@ -202,11 +194,7 @@ def fm_number_nikulin(ns: NeronSeveriSpec) -> FMCountResult | None:
     return None
 
 
-def fm_number_rank2(
-    ns: NeronSeveriSpec,
-    hodge: HodgeGroupSpec = GENERIC_HODGE,
-    cap: int | None = None,
-) -> FMCountResult:
+def fm_number_rank2(ns: NeronSeveriSpec, hodge: HodgeGroupSpec = GENERIC_HODGE) -> FMCountResult:
     """Partner count for Picard number 2.
 
     The genus of NS comes from `bqf.genus_representative_forms` (proper
@@ -223,28 +211,22 @@ def fm_number_rank2(
     breakdown = []
     for rep in bqf.genus_representative_forms(ns.lattice):
         lat = bqf.form_to_lattice(rep)
-        breakdown.append(
-            (rep, coset_summand(lat, bqf.lattice_isometry_generators(lat), hodge, cap))
-        )
+        breakdown.append((rep, coset_summand(lat, bqf.lattice_isometry_generators(lat), hodge)))
     total = sum(s for _, s in breakdown)
     return FMCountResult(total, tuple(breakdown), "rank2")
 
 
-def fm_number(
-    ns: NeronSeveriSpec,
-    hodge: HodgeGroupSpec = GENERIC_HODGE,
-    cap: int | None = None,
-) -> FMCountResult:
+def fm_number(ns: NeronSeveriSpec, hodge: HodgeGroupSpec = GENERIC_HODGE) -> FMCountResult:
     """Dispatch on the Picard number; see the module docstring."""
     if ns.rank == 1:
-        return fm_number_rank1(ns.lattice.gram[0][0] // 2, cap=cap, hodge=hodge)
+        return fm_number_rank1(ns.lattice.gram[0][0] // 2, hodge)
     if hodge.order > 2 and hodge.order not in hodge_order_candidates(22 - ns.rank):
         raise ValueError(f"Hodge group order violates phi(2I) | {22 - ns.rank}")
     result = fm_number_nikulin(ns)
     if result is not None:
         return result
     if ns.rank == 2:
-        return fm_number_rank2(ns, hodge, cap=cap)
+        return fm_number_rank2(ns, hodge)
     raise UnsupportedError(
         "unsupported: rank >= 3 with l(S) > rank - 2 requires general "
         "indefinite genus enumeration (out of scope)"
@@ -259,7 +241,7 @@ def even_hyperbolic_prime_lattice(p: int) -> IntegerLattice:
     return IntegerLattice(((2, 1), (1, (1 - p) // 2)))
 
 
-def fm_table(primes, cap: int | None = None) -> tuple:
+def fm_table(primes) -> tuple:
     """(p, h(p), partner count) rows; the two computations (class-number fold
     and double cosets) must agree at every prime."""
     rows = []
@@ -268,7 +250,7 @@ def fm_table(primes, cap: int | None = None) -> tuple:
             raise ValueError(f"table requires primes p = 1 mod 4, got {p}")
         cgd = bqf.proper_classes(p)
         ns = NeronSeveriSpec(even_hyperbolic_prime_lattice(p))
-        result = fm_number_rank2(ns, cap=cap)
+        result = fm_number_rank2(ns)
         if 2 * result.total != cgd.h + 1:
             raise RuntimeError(
                 f"partner count and class number disagree at p={p}: "
@@ -286,12 +268,12 @@ class ScanReport:
     running_max: tuple  # (p, fm) where fm first exceeds every earlier value
 
 
-def gauss_scan(bound: int, cap: int | None = None) -> ScanReport:
+def gauss_scan(bound: int) -> ScanReport:
     """Partner counts for all primes p = 1 mod 4 up to the bound: the primes
     with a single partner class (h = 1) and the running-maximum subsequence."""
     if bound < 5:
         raise ValueError("bound must be at least 5")
-    rows = fm_table(primes_one_mod_four(bound), cap=cap)
+    rows = fm_table(primes_one_mod_four(bound))
     ones = tuple(p for p, _, fm in rows if fm == 1)
     running = []
     best = 0

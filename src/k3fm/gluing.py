@@ -312,14 +312,13 @@ def gluing_classes(
     s: IntegerLattice,
     t: IntegerLattice,
     hodge: HodgeGroupSpec = GENERIC_HODGE,
-    cap: int | None = None,
 ) -> GluingClasses:
     """Partition the full set of anti-isometries A_T -> A_S into orbits under
     sigma -> h o sigma o g, with h running over the image of O(S) and g over
     the image of the Hodge group in O(A_T)."""
     a_s = discriminant_form(s)
     a_t = discriminant_form(t)
-    sigmas = isometries_signed(a_t, a_s, -1, cap=cap)
+    sigmas = isometries_signed(a_t, a_s, -1)
     if not sigmas:
         return GluingClasses(0, ())
     if a_s.order == 1:
@@ -374,7 +373,6 @@ def verify_gluing_counts(
     s_list,
     t: IntegerLattice,
     hodge: HodgeGroupSpec = GENERIC_HODGE,
-    cap: int | None = None,
 ) -> GluingCountReport:
     """For each genus representative S_j compare the number of gluing orbits
     (a walk over every anti-isometry A_T -> A_S) with the engine's summand
@@ -383,14 +381,14 @@ def verify_gluing_counts(
     a_t = discriminant_form(t)
     rows = []
     for s in s_list:
-        classes = gluing_classes(s, t, hodge, cap=cap)
+        classes = gluing_classes(s, t, hodge)
         if classes.count == 0:
             raise ValueError(
                 "no gluing exists: discriminant forms of S and T are not anti-isometric"
             )
         isometries = () if discriminant_form(s).order == 1 else lattice_isometry_generators(s)
         hodge_generators(a_t, hodge)  # refuses an action off A_T, also when A_S is trivial
-        rows.append(GluingCountRow(s, classes.count, coset_summand(s, isometries, hodge, cap)))
+        rows.append(GluingCountRow(s, classes.count, coset_summand(s, isometries, hodge)))
     return GluingCountReport(
         tuple(rows),
         sum(r.orbit_count for r in rows),
@@ -398,7 +396,7 @@ def verify_gluing_counts(
     )
 
 
-def definite_genus_lattices(lat: IntegerLattice, cap: int | None = None) -> tuple:
+def definite_genus_lattices(lat: IntegerLattice) -> tuple:
     """Isomorphism-class representatives of the genus of an even definite
     rank-2 lattice, by exhausting reduced positive forms of the right
     determinant and filtering on discriminant-form isometry."""
@@ -422,7 +420,7 @@ def definite_genus_lattices(lat: IntegerLattice, cap: int | None = None) -> tupl
                 continue
             gram = ((2 * a * sign, b * sign), (b * sign, 2 * c * sign))
             candidate = IntegerLattice(gram)
-            if isometries_signed(discriminant_form(candidate), target, 1, cap=cap, _first_only=True):
+            if isometries_signed(discriminant_form(candidate), target, 1, _first_only=True):
                 out.append(candidate)
         a += 1
     return tuple(out)

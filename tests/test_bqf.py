@@ -341,3 +341,5 @@ def test_equivalence_walk_that_never_closes_raises(monkeypatch):
         is_properly_equivalent(f, g)
     with pytest.raises(RuntimeError, match="did not close"):
         cycle(f)
+    with pytest.raises(RuntimeError, match="did not close"):
+        pell_fundamental(205)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from k3fm import NeronSeveriSpec, fm_number, make_lattice
 from k3fm.cli import main
+from k3fm.errors import CapExceededError
 
 TABLE_EXPECTED = (
     (229, 3, 2), (257, 3, 2), (401, 5, 3), (577, 7, 4), (733, 3, 2),
@@ -185,6 +187,60 @@ def test_cap_message_names_the_sizes_and_the_variable(capsys, lattice_file, monk
     assert code == 4
     assert err.startswith("k3fm: finite group too large")
     assert "|A| = 5" in err and "cap 3" in err and "K3FM_CAP" in err
+
+
+def test_the_library_honours_k3fm_cap(monkeypatch):
+    ns = NeronSeveriSpec(make_lattice([[2, 1], [1, -5004]]))  # |A_S| = 10009, a prime
+    monkeypatch.delenv("K3FM_CAP", raising=False)
+    with pytest.raises(CapExceededError) as info:
+        fm_number(ns)
+    assert str(info.value) == (
+        "finite group too large: |A| = 10009; its p-part for p = 10009 has "
+        "|A_10009| = 10009, which exceeds the cap 10000 (raise it with K3FM_CAP)"
+    )
+    monkeypatch.setenv("K3FM_CAP", "20000")
+    assert fm_number(ns).total == 1
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("abc", "K3FM_CAP must be an integer, got 'abc'"), ("0", "K3FM_CAP must be positive")],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fm", "--rank1", "6"],
+        ["table", "--list", "5"],
+        ["scan", "--max", "5"],
+        ["glue"],
+        ["verify-t14"],
+    ],
+)
+def test_a_malformed_cap_exits_2_from_a_search(
+    capsys, lattice_file, monkeypatch, argv, value, message
+):
+    if argv[0] in ("glue", "verify-t14"):
+        argv = [*argv, "--s", lattice_file([[-6]]), "--t", lattice_file([[6]])]
+    monkeypatch.setenv("K3FM_CAP", value)
+    assert run(capsys, argv) == (2, "", f"k3fm: {message}\n")
+
+
+def test_a_malformed_cap_is_not_read_without_a_search(capsys, lattice_file, monkeypatch):
+    monkeypatch.setenv("K3FM_CAP", "abc")
+    code, out, _ = run(capsys, ["fm", "--lattice", lattice_file([[0, 1], [1, 0]])])
+    assert (code, out.splitlines()[0]) == (0, "fm=1")
+
+
+@pytest.mark.parametrize("s, t", [(-6, 10), (-20002, 20004)])
+def test_unequal_discriminant_groups_are_not_capped(capsys, lattice_file, monkeypatch, s, t):
+    monkeypatch.delenv("K3FM_CAP", raising=False)
+    files = ["--s", lattice_file([[s]]), "--t", lattice_file([[t]])]
+    assert run(capsys, ["glue", *files]) == (0, "anti-isometries: 0\n", "")
+    assert run(capsys, ["verify-t14", *files]) == (
+        2,
+        "",
+        "k3fm: no gluing exists: discriminant forms of S and T are not anti-isometric\n",
+    )
 
 
 @pytest.mark.parametrize("argv", [["classnum", "9"], ["classnum", "1"], ["genus", "16"]])

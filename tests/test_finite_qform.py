@@ -170,10 +170,11 @@ def test_are_isometric_examples():
     assert are_isometric(trivial_form(), trivial_form())
 
 
-def test_cap_exceeded():
+def test_cap_exceeded(monkeypatch):
+    monkeypatch.setenv("K3FM_CAP", "10")
     a = cyclic_form(24, Fraction(1, 24))
     with pytest.raises(CapExceededError, match="finite group too large"):
-        orthogonal_group(a, cap=10)
+        orthogonal_group(a)
 
 
 def test_rank1_group_law_small():

@@ -24,7 +24,7 @@ def brute_force_partition(cgd) -> tuple:
     parts = []
     for i, fa in enumerate(forms):
         for part in parts:
-            if are_isometric(fa, forms[part[0]], cap=10**6):
+            if are_isometric(fa, forms[part[0]]):
                 part.append(i)
                 break
         else:
@@ -32,7 +32,8 @@ def brute_force_partition(cgd) -> tuple:
     return tuple(tuple(p) for p in parts)
 
 
-def test_key_partition_equals_brute_force_up_to_2000():
+def test_key_partition_equals_brute_force_up_to_2000(monkeypatch):
+    monkeypatch.setenv("K3FM_CAP", str(10**6))
     for d in VALID_D:
         cgd = bqf.proper_classes(d)
         assert cgd.genus_partition == brute_force_partition(cgd), f"D={d}"

@@ -52,3 +52,58 @@ def test_the_check_sees_a_private_import(tmp_path):
         "x = bqf._helper(1)\n"
     )
     assert private_imports(bad) == ["fm_count._hidden", "bqf._helper"]
+
+
+def cap_offenders(path: Path) -> tuple:
+    """(functions with a `cap` parameter, code outside docstrings that names
+    K3FM_CAP or reads the environment) of one module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    with_cap, env = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if any(a.arg == "cap" for a in params):
+                with_cap.append(node.name)
+        elif isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            env.append(node.attr)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "K3FM_CAP" in node.value
+            and id(node) not in docstrings
+        ):
+            env.append("K3FM_CAP")
+    return with_cap, env
+
+
+def test_no_function_takes_a_cap_and_only_finite_qform_reads_it():
+    with_cap = {}
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        names, env = cap_offenders(path)
+        if names:
+            with_cap[path.name] = names
+        if env:
+            readers.add(path.name)
+    assert with_cap == {}
+    assert readers == {"finite_qform.py"}
+
+
+def test_the_check_sees_a_cap_parameter_and_an_environment_read(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        '"""Reads K3FM_CAP."""\n'
+        "import os\n"
+        "def f(a, cap=None):\n"
+        '    return os.environ.get("K3FM_CAP")\n'
+    )
+    with_cap, env = cap_offenders(bad)
+    assert with_cap == ["f"] and sorted(env) == ["K3FM_CAP", "environ"]

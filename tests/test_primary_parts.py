@@ -159,12 +159,14 @@ def test_a_map_outside_the_orthogonal_group_is_an_internal_error():
         double_coset_count_by_parts(a, [], [other])
 
 
-def test_cap_bounds_the_largest_part():
+def test_cap_bounds_the_largest_part(monkeypatch):
     a = cyclic_form(12000, Fraction(1, 12000))
     neg = negation_map(a)
-    assert double_coset_count_by_parts(a, [neg], [neg], cap=125) == 4
+    monkeypatch.setenv("K3FM_CAP", "125")
+    assert double_coset_count_by_parts(a, [neg], [neg]) == 4
+    monkeypatch.setenv("K3FM_CAP", "124")
     with pytest.raises(CapExceededError) as info:
-        double_coset_count_by_parts(a, [neg], [neg], cap=124)
+        double_coset_count_by_parts(a, [neg], [neg])
     message = str(info.value)
     assert "finite group too large" in message and "|A| = 12000" in message
     assert "p = 5" in message and "|A_5| = 125" in message and "cap 124" in message
