@@ -11,7 +11,8 @@ integer triples and accumulate their transform in four integers; a
 `BinaryQuadraticForm` is built only for a form a public function returns.
 Genera are keyed by the content of a form and Gauss's assigned characters of
 its primitive part, so nothing here touches a finite group or the
-enumeration cap.
+enumeration cap.  `lattice_isometry_generators` gives O(S) for every lattice
+the program counts, of rank 1, definite rank 2 and hyperbolic rank 2.
 """
 
 from __future__ import annotations
@@ -462,10 +463,44 @@ def improper_automorph(f: BinaryQuadraticForm) -> Automorph | None:
     return Automorph(m, -1)
 
 
+def _definite_isometries(gram: tuple) -> tuple:
+    """All integer matrices M with M^T G M = G for a positive definite rank-2
+    Gram G = [[p, q], [q, r]]: the columns of M have norms p and r, and a
+    vector (x, y) of norm m has x^2 <= m r / det and y^2 <= m p / det."""
+    p, q, r = gram[0][0], gram[0][1], gram[1][1]
+    det = p * r - q * q
+
+    def vectors_of_norm(norm: int) -> list:
+        out = []
+        bx = isqrt(norm * r // det) + 1
+        by = isqrt(norm * p // det) + 1
+        for x in range(-bx, bx + 1):
+            for y in range(-by, by + 1):
+                if p * x * x + 2 * q * x * y + r * y * y == norm:
+                    out.append((x, y))
+        return out
+
+    out = []
+    for v in vectors_of_norm(p):
+        for w in vectors_of_norm(r):
+            cross = p * v[0] * w[0] + q * (v[0] * w[1] + v[1] * w[0]) + r * v[1] * w[1]
+            if cross == q:
+                out.append(((v[0], w[0]), (v[1], w[1])))
+    return tuple(out)
+
+
 def lattice_isometry_generators(lat: IntegerLattice) -> tuple:
-    """Generators of O(lat) for an even hyperbolic rank-2 lattice:
-    -I, the proper automorph generator, and an improper automorph if the
-    class is ambiguous."""
+    """Generators of O(lat): -I in rank 1; the whole finite group in definite
+    rank 2; in hyperbolic rank 2, -I, the proper automorph generator and an
+    improper automorph if the class is ambiguous.  A rank-2 Gram is definite
+    exactly when g00 g11 - g01^2 > 0, so no signature is computed to tell."""
+    if lat.rank == 1:
+        return (((-1,),),)
+    if lat.rank != 2:
+        raise UnsupportedError("isometry generators available only for rank <= 2")
+    g = lat.gram
+    if g[0][0] * g[1][1] - g[0][1] * g[0][1] > 0:
+        return _definite_isometries(g if g[0][0] > 0 else intmat.scale(g, -1))
     f = lattice_to_form(lat)
     gens = [((-1, 0), (0, -1)), proper_automorph_generator(f).matrix]
     imp = improper_automorph(f)

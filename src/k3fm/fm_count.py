@@ -8,6 +8,8 @@ counted one p-part at a time: A_S is the sum of its p-parts A_p and every
 isometry keeps each A_p (Nikulin), so O(A_S) is the product of the O(A_p),
 only the A_p are searched, and the enumeration cap bounds the largest |A_p|
 (`finite_qform` owns the cap and reads K3FM_CAP; nothing here takes one).
+O(S) comes from `bqf` for every lattice, and `isometry_image_generators`
+gives its image in O(A_S) to this engine and the gluing oracle alike.
 
 Dispatch: Picard number 1 closes to the 2^(tau(n)-1) formula; every rank >= 2
 first tries the surjectivity shortcut (rank >= l + 2, which in rank 2 means
@@ -20,7 +22,6 @@ primality test come from `arith`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from . import bqf
@@ -28,7 +29,7 @@ from .arith import euler_phi, is_prime, primes_one_mod_four, tau
 from .errors import UnsupportedError
 from .finite_qform import (
     FiniteFormMap,
-    cyclic_form,
+    FiniteQuadraticForm,
     double_coset_count_by_parts,
     isometries_signed,
     negation_map,
@@ -119,13 +120,22 @@ def carried_hodge_generators(a_s, hodge: HodgeGroupSpec) -> list:
     return [phi.compose(g).compose(back) for g in hodge_generators(a_t, hodge)]
 
 
-def coset_summand(s: IntegerLattice, isometries, hodge: HodgeGroupSpec = GENERIC_HODGE) -> int:
+def isometry_image_generators(s: IntegerLattice, a_s) -> list:
+    """Generators of the image of O(S) in O(A_S), for a_s the discriminant
+    form of S: none when A_S is trivial, whatever the rank of S, else
+    `bqf.lattice_isometry_generators` acting through `induced_form_map`."""
+    if a_s.order == 1:
+        return []
+    return [induced_form_map(s, m) for m in bqf.lattice_isometry_generators(s)]
+
+
+def coset_summand(s: IntegerLattice, hodge: HodgeGroupSpec = GENERIC_HODGE) -> int:
     """The Counting Formula's term for one genus member S: the double cosets
-    O(S) \\ O(A_S) / G.  O(S) is given by generator matrices and acts on A_S
-    through `induced_form_map`; G is `carried_hodge_generators`.  The cosets
-    are counted one p-part of A_S at a time."""
+    O(S) \\ O(A_S) / G, with O(S) from `isometry_image_generators` and G
+    from `carried_hodge_generators`.  The cosets are counted one p-part of
+    A_S at a time."""
     a_s = discriminant_form(s)
-    h_gens = [induced_form_map(s, m) for m in isometries]
+    h_gens = isometry_image_generators(s, a_s)
     k_gens = carried_hodge_generators(a_s, hodge)
     return double_coset_count_by_parts(a_s, h_gens, k_gens)
 
@@ -172,7 +182,7 @@ def fm_number_rank1(n: int, hodge: HodgeGroupSpec = GENERIC_HODGE) -> FMCountRes
         raise ValueError("n must be a positive integer")
     if hodge.order != 2:
         raise ValueError("Picard number 1 forces a Hodge group of order 2 (phi(2I) | 21)")
-    a = cyclic_form(2 * n, Fraction(1, 2 * n))
+    a = FiniteQuadraticForm((2 * n,), (1,), ((1,),))  # q(g) = 1/(2n)
     neg = negation_map(a)
     counted = double_coset_count_by_parts(a, [neg], [neg])
     expected = 2 ** (tau(n) - 1)
@@ -210,8 +220,7 @@ def fm_number_rank2(ns: NeronSeveriSpec, hodge: HodgeGroupSpec = GENERIC_HODGE) 
     refuse_isotropic_rank2(ns.lattice, "NS")
     breakdown = []
     for rep in bqf.genus_representative_forms(ns.lattice):
-        lat = bqf.form_to_lattice(rep)
-        breakdown.append((rep, coset_summand(lat, bqf.lattice_isometry_generators(lat), hodge)))
+        breakdown.append((rep, coset_summand(bqf.form_to_lattice(rep), hodge)))
     total = sum(s for _, s in breakdown)
     return FMCountResult(total, tuple(breakdown), "rank2")
 

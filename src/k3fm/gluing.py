@@ -5,10 +5,11 @@ q_S(phi(x)) = -q_T(x), the overlattice generated by S + T together with the
 lifts phi(a) + a is integral, even and unimodular, contains T primitively,
 and has T-orthogonal complement S.  Enumerating all such phi and counting
 orbits under O(S) x G provides an independent check of the double-coset
-counts used by the partner-counting engine.  The oracle takes G from the
-engine's module: `fm_count.hodge_generators` on A_T for the orbits, and the
-engine's own summand `fm_count.coset_summand` for the cosets it compares, so
-the p-part coset count is checked against a whole-group orbit walk.
+counts used by the partner-counting engine.  The oracle holds no O(S) code:
+its orbits use `fm_count.isometry_image_generators` (O(S) from `bqf`) and
+`fm_count.hodge_generators` on A_T, and it compares their count with the
+engine's own summand `fm_count.coset_summand`, so the p-part coset count is
+checked against a whole-group orbit walk.
 
 The oracle runs on integers.  An overlattice holds its basis as integer
 rows B over one denominator D (`Overlattice.ambient_basis` shows B / D as
@@ -27,10 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
-from . import bqf, intmat
-from .errors import UnsupportedError
+from . import fm_count, intmat
 from .finite_qform import FiniteFormMap, isometries_signed, validate_map
 from .fm_count import GENERIC_HODGE, HodgeGroupSpec, coset_summand, hodge_generators
 from .lattice import (
@@ -39,7 +38,6 @@ from .lattice import (
     direct_sum,
     discriminant_data,
     discriminant_form,
-    induced_form_map,
     signature,
 )
 
@@ -256,52 +254,6 @@ def _add_mod(x: tuple, y: tuple, orders: tuple) -> tuple:
 # orbit counting
 
 
-def _definite_isometry_search(g1: tuple, g2: tuple) -> tuple:
-    """All integer matrices M with M^T g1 M = g2 for positive definite rank-2
-    g1, g2 (finite: column norms bound the coefficients)."""
-    det1 = intmat.det(g1)
-    p, q, r = g1[0][0], g1[0][1], g1[1][1]
-
-    def vectors_of_norm(norm: int) -> list:
-        if norm <= 0:
-            return []
-        out = []
-        bx = isqrt(norm * r // det1) + 1
-        by = isqrt(norm * p // det1) + 1
-        for x in range(-bx, bx + 1):
-            for y in range(-by, by + 1):
-                if p * x * x + 2 * q * x * y + r * y * y == norm:
-                    out.append((x, y))
-        return out
-
-    firsts = vectors_of_norm(g2[0][0])
-    seconds = vectors_of_norm(g2[1][1])
-    out = []
-    for v in firsts:
-        for w in seconds:
-            cross = (
-                p * v[0] * w[0]
-                + q * (v[0] * w[1] + v[1] * w[0])
-                + r * v[1] * w[1]
-            )
-            if cross == g2[0][1]:
-                out.append(((v[0], w[0]), (v[1], w[1])))
-    return tuple(out)
-
-
-def lattice_isometry_generators(lat: IntegerLattice) -> tuple:
-    """Generating matrices for O(lat) when the rank is at most 2."""
-    if lat.rank == 1:
-        return (((-1,),),)
-    if lat.rank == 2:
-        sig = signature(lat).as_pair()
-        if sig == (1, 1):
-            return bqf.lattice_isometry_generators(lat)
-        g_abs = lat.gram if sig == (2, 0) else intmat.scale(lat.gram, -1)
-        return _definite_isometry_search(g_abs, g_abs)
-    raise UnsupportedError("isometry generators available only for rank <= 2")
-
-
 @dataclass(frozen=True)
 class GluingClasses:
     count: int
@@ -321,9 +273,7 @@ def gluing_classes(
     sigmas = isometries_signed(a_t, a_s, -1)
     if not sigmas:
         return GluingClasses(0, ())
-    if a_s.order == 1:
-        return GluingClasses(1, (sigmas[0],))
-    h_maps = [induced_form_map(s, m) for m in lattice_isometry_generators(s)]
+    h_maps = fm_count.isometry_image_generators(s, a_s)
     g_maps = hodge_generators(a_t, hodge)
     remaining = dict.fromkeys(sigmas)
     reps = []
@@ -378,7 +328,6 @@ def verify_gluing_counts(
     (a walk over every anti-isometry A_T -> A_S) with the engine's summand
     `fm_count.coset_summand` (double cosets counted one p-part at a time);
     both totals must agree."""
-    a_t = discriminant_form(t)
     rows = []
     for s in s_list:
         classes = gluing_classes(s, t, hodge)
@@ -386,9 +335,7 @@ def verify_gluing_counts(
             raise ValueError(
                 "no gluing exists: discriminant forms of S and T are not anti-isometric"
             )
-        isometries = () if discriminant_form(s).order == 1 else lattice_isometry_generators(s)
-        hodge_generators(a_t, hodge)  # refuses an action off A_T, also when A_S is trivial
-        rows.append(GluingCountRow(s, classes.count, coset_summand(s, isometries, hodge)))
+        rows.append(GluingCountRow(s, classes.count, coset_summand(s, hodge)))
     return GluingCountReport(
         tuple(rows),
         sum(r.orbit_count for r in rows),

@@ -315,6 +315,30 @@ def test_isometry_generators_cover_window():
             assert induced_form_map(lat, m) in closure
 
 
+def test_definite_isometries_are_the_whole_group():
+    # by x^2 <= max(p, r) r / det no isometry entry here exceeds 3, so the
+    # window of 6 holds every isometry of |G|
+    checked = 0
+    for a in range(1, 13):
+        for c in range(a, 13):
+            for b in range(-2 * a, 2 * a + 1):
+                if 4 * a * c - b * b <= 0:
+                    continue
+                gram = ((2 * a, b), (b, 2 * c))
+                expected = set(window_automorphs(gram, 6))
+                for sign in (1, -1):
+                    lat = make_lattice([[sign * x for x in row] for row in gram])
+                    assert set(bqf_module.lattice_isometry_generators(lat)) == expected, gram
+                checked += 1
+    assert checked == 1510
+
+
+def test_isometry_generators_in_rank_one_and_three():
+    assert bqf_module.lattice_isometry_generators(make_lattice([[-6]])) == (((-1,),),)
+    with pytest.raises(UnsupportedError, match="rank"):
+        bqf_module.lattice_isometry_generators(make_lattice([[2, 0, 0], [0, -2, 0], [0, 0, -2]]))
+
+
 _TRUE_STEP = bqf_module._step
 
 

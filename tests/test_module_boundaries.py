@@ -107,3 +107,15 @@ def test_the_check_sees_a_cap_parameter_and_an_environment_read(tmp_path):
     )
     with_cap, env = cap_offenders(bad)
     assert with_cap == ["f"] and sorted(env) == ["K3FM_CAP", "environ"]
+
+
+def test_one_module_defines_the_isometry_generators():
+    owners = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(
+            isinstance(node, ast.FunctionDef) and node.name == "lattice_isometry_generators"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    ]
+    assert owners == ["bqf.py"]
