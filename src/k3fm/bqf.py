@@ -23,7 +23,7 @@ from math import gcd, isqrt, prod
 from . import intmat
 from .arith import divisors, prime_factors
 from .errors import UnsupportedError
-from .lattice import IntegerLattice, signature
+from .lattice import IntegerLattice
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,6 @@ class BinaryQuadraticForm:
 class TransformedForm:
     form: BinaryQuadraticForm
     transform: tuple
-    origin: BinaryQuadraticForm
 
 
 @dataclass(frozen=True)
@@ -91,12 +90,13 @@ def gram_of(f: BinaryQuadraticForm) -> tuple:
 
 def lattice_to_form(lat: IntegerLattice) -> BinaryQuadraticForm:
     """Read (a, b, c) off the Gram matrix [[2a, b], [b, 2c]] of an even
-    hyperbolic rank-2 lattice; the discriminant is -det."""
+    hyperbolic rank-2 lattice (a rank-2 lattice is hyperbolic exactly when
+    det < 0); the discriminant is -det."""
     if lat.rank != 2:
         raise ValueError("rank-2 lattice required")
     if not lat.is_even:
         raise ValueError("even lattice required")
-    if signature(lat).as_pair() != (1, 1):
+    if lat.det >= 0:
         raise ValueError("hyperbolic signature (1,1) required")
     g = lat.gram
     return BinaryQuadraticForm(g[0][0] // 2, g[0][1], g[1][1] // 2)
@@ -164,7 +164,7 @@ def reduce_form(f: BinaryQuadraticForm) -> TransformedForm:
         if guard > limit:
             raise RuntimeError("reduction failed to terminate")
     out = f if guard == 0 else BinaryQuadraticForm(a, b, c)
-    return TransformedForm(out, ((m00, m01), (m10, m11)), f)
+    return TransformedForm(out, ((m00, m01), (m10, m11)))
 
 
 def _walk_limit(root: int) -> int:

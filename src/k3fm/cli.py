@@ -7,6 +7,8 @@ prints a single diagnostic line to stderr.
 The K3FM_CAP environment variable overrides the finite-group enumeration cap;
 `finite_qform` reads it when a search runs, so a malformed value exits 2 only
 from a run that searches.
+`fm` and `verify-t14` take the genus of S from `fm_count.genus_lattices`;
+no verb picks genus members itself.
 """
 
 from __future__ import annotations
@@ -26,15 +28,9 @@ from .fm_count import (
     fm_number_rank1,
     fm_table,
     gauss_scan,
-    refuse_isotropic_rank2,
+    genus_lattices,
 )
-from .lattice import (
-    discriminant_data,
-    discriminant_form,
-    json_integer,
-    parse_lattice_file,
-    signature,
-)
+from .lattice import discriminant_data, discriminant_form, json_integer, parse_lattice_file
 
 TABLE_PRIMES = (229, 257, 401, 577, 733, 761, 1009, 1093, 1129, 1229, 1297, 1373, 1429, 1489)
 
@@ -182,18 +178,7 @@ def _cmd_verify_t14(args) -> int:
     s = parse_lattice_file(args.s)
     t = parse_lattice_file(args.t)
     hodge = HodgeGroupSpec(args.g_order)
-    if s.rank == 1 or discriminant_form(s).order == 1:
-        s_list = [s]
-    elif s.rank == 2:
-        sig = signature(s).as_pair()
-        if sig == (1, 1):
-            refuse_isotropic_rank2(s, "S")
-            s_list = [bqf.form_to_lattice(f) for f in bqf.genus_representative_forms(s)]
-        else:
-            s_list = list(gluing.definite_genus_lattices(s))
-    else:
-        raise UnsupportedError("genus enumeration available only for rank <= 2")
-    report = gluing.verify_gluing_counts(s_list, t, hodge)
+    report = gluing.verify_gluing_counts(genus_lattices(s), t, hodge)
     for i, row in enumerate(report.rows, start=1):
         gram = [list(r) for r in row.s.gram]
         print(f"S_{i} gram {gram}: orbits={row.orbit_count} cosets={row.coset_count} equal={row.equal}")

@@ -9,12 +9,15 @@ isometry keeps each A_p (Nikulin), so O(A_S) is the product of the O(A_p),
 only the A_p are searched, and the enumeration cap bounds the largest |A_p|
 (`finite_qform` owns the cap and reads K3FM_CAP; nothing here takes one).
 O(S) comes from `bqf` for every lattice, and `isometry_image_generators`
-gives its image in O(A_S) to this engine and the gluing oracle alike.
+gives its image in O(A_S) to this engine and the gluing oracle alike.  The
+genus, the sum's index set, is listed by `genus_lattices` alone, for `fm`
+and `verify-t14` alike.
 
 Dispatch: Picard number 1 closes to the 2^(tau(n)-1) formula; every rank >= 2
 first tries the surjectivity shortcut (rank >= l + 2, which in rank 2 means
-NS = U); otherwise Picard number 2 runs the binary-form class engine
-(non-square discriminant only) and rank >= 3 is refused.  A Hodge group of
+NS = U); otherwise Picard number 2 sums over `genus_lattices`, whose
+hyperbolic branch is the binary-form class engine (non-square discriminant
+only), and rank >= 3 is refused.  A Hodge group of
 order 2I > 2 needs phi(2I) | rank T = 22 - rank NS.  tau, phi and the
 primality test come from `arith`.
 """
@@ -140,16 +143,53 @@ def coset_summand(s: IntegerLattice, hodge: HodgeGroupSpec = GENERIC_HODGE) -> i
     return double_coset_count_by_parts(a_s, h_gens, k_gens)
 
 
-def refuse_isotropic_rank2(lat: IntegerLattice, role: str) -> None:
-    """Raise UnsupportedError for a rank-2 lattice (the role names it, "NS" or
-    "S") of square discriminant: such a lattice is isotropic, and unless it is
-    U its genus needs an isotropic class enumeration."""
-    d = -lat.det
-    if isqrt(d) ** 2 == d:
+def genus_lattices(s: IntegerLattice) -> tuple:
+    """Isomorphism-class representatives of the genus of S, the index set of
+    the Counting Formula.
+
+    Rank 1 and unimodular S are alone in their genus, except a definite
+    unimodular S of rank >= 16 (E8 + E8 and D16+ share one), which is
+    refused.  A definite rank-2 S (det > 0) gives the reduced
+    Grams of its determinant and sign whose discriminant form is isometric
+    to S's; a hyperbolic one gives `bqf.genus_representative_forms`, and a
+    square discriminant (isotropic, not U) is refused."""
+    if not s.is_even:
+        raise ValueError("even lattice required")
+    det = s.det
+    if s.rank == 1 or abs(det) == 1:
+        if s.rank >= 16 and 0 in signature(s).as_pair():
+            raise UnsupportedError(
+                f"unsupported: definite unimodular S of rank {s.rank} is not alone in "
+                "its genus; its genus needs definite class enumeration (out of scope)"
+            )
+        return (s,)
+    if s.rank != 2:
+        raise UnsupportedError("genus enumeration available only for rank <= 2")
+    if det > 0:
+        sign = 1 if s.gram[0][0] > 0 else -1
+        target = discriminant_form(s)
+        out = []
+        a = 1
+        while 3 * a * a <= det:
+            for b in range(0, a + 1):
+                num = det + b * b
+                if num % (4 * a):
+                    continue
+                c = num // (4 * a)
+                if c < a:
+                    continue
+                gram = ((2 * a * sign, b * sign), (b * sign, 2 * c * sign))
+                candidate = IntegerLattice(gram)
+                if isometries_signed(discriminant_form(candidate), target, 1, _first_only=True):
+                    out.append(candidate)
+            a += 1
+        return tuple(out)
+    if isqrt(-det) ** 2 == -det:
         raise UnsupportedError(
-            f"unsupported: rank-2 {role} with square discriminant D = {d} is isotropic "
+            f"unsupported: rank-2 S with square discriminant D = {-det} is isotropic "
             "but not U; its genus needs isotropic class enumeration (out of scope)"
         )
+    return tuple(bqf.form_to_lattice(f) for f in bqf.genus_representative_forms(s))
 
 
 @dataclass(frozen=True)
@@ -207,20 +247,18 @@ def fm_number_nikulin(ns: NeronSeveriSpec) -> FMCountResult | None:
 def fm_number_rank2(ns: NeronSeveriSpec, hodge: HodgeGroupSpec = GENERIC_HODGE) -> FMCountResult:
     """Partner count for Picard number 2.
 
-    The genus of NS comes from `bqf.genus_representative_forms` (proper
-    classes keyed by content and assigned characters, folded to isomorphism
-    classes under the opposite involution); each representative contributes
-    the double cosets of the image of its automorph group against
-    `carried_hodge_generators` on its discriminant form.  A square D is
-    refused: U is counted by the shortcut in `fm_number`, and the other
-    isotropic lattices are out of scope.
+    The genus of NS comes from `genus_lattices` (proper classes keyed by
+    content and assigned characters, folded to isomorphism classes under the
+    opposite involution); each representative, reported as its form,
+    contributes its `coset_summand`.  A square D is refused there: U is
+    counted by the shortcut in `fm_number`, and the other isotropic lattices
+    are out of scope.
     """
     if ns.rank != 2:
         raise ValueError("rank-2 lattice required")
-    refuse_isotropic_rank2(ns.lattice, "NS")
-    breakdown = []
-    for rep in bqf.genus_representative_forms(ns.lattice):
-        breakdown.append((rep, coset_summand(bqf.form_to_lattice(rep), hodge)))
+    breakdown = [
+        (bqf.lattice_to_form(s), coset_summand(s, hodge)) for s in genus_lattices(ns.lattice)
+    ]
     total = sum(s for _, s in breakdown)
     return FMCountResult(total, tuple(breakdown), "rank2")
 

@@ -5,11 +5,12 @@ q_S(phi(x)) = -q_T(x), the overlattice generated by S + T together with the
 lifts phi(a) + a is integral, even and unimodular, contains T primitively,
 and has T-orthogonal complement S.  Enumerating all such phi and counting
 orbits under O(S) x G provides an independent check of the double-coset
-counts used by the partner-counting engine.  The oracle holds no O(S) code:
-its orbits use `fm_count.isometry_image_generators` (O(S) from `bqf`) and
-`fm_count.hodge_generators` on A_T, and it compares their count with the
-engine's own summand `fm_count.coset_summand`, so the p-part coset count is
-checked against a whole-group orbit walk.
+counts used by the partner-counting engine.  The oracle holds no O(S) code
+and enumerates no genus: its orbits use `fm_count.isometry_image_generators`
+(O(S) from `bqf`) and `fm_count.hodge_generators` on A_T, it is handed the
+genus members (`fm_count.genus_lattices`), and it compares their count with
+the engine's own summand `fm_count.coset_summand`, so the p-part coset count
+is checked against a whole-group orbit walk.
 
 The oracle runs on integers.  An overlattice holds its basis as integer
 rows B over one denominator D (`Overlattice.ambient_basis` shows B / D as
@@ -38,7 +39,6 @@ from .lattice import (
     direct_sum,
     discriminant_data,
     discriminant_form,
-    signature,
 )
 
 
@@ -341,33 +341,3 @@ def verify_gluing_counts(
         sum(r.orbit_count for r in rows),
         sum(r.coset_count for r in rows),
     )
-
-
-def definite_genus_lattices(lat: IntegerLattice) -> tuple:
-    """Isomorphism-class representatives of the genus of an even definite
-    rank-2 lattice, by exhausting reduced positive forms of the right
-    determinant and filtering on discriminant-form isometry."""
-    if lat.rank != 2:
-        raise ValueError("rank-2 lattice required")
-    sig = signature(lat).as_pair()
-    if sig not in ((2, 0), (0, 2)):
-        raise ValueError("definite lattice required")
-    sign = 1 if sig == (2, 0) else -1
-    target = discriminant_form(lat)
-    n = abs(lat.det)
-    out = []
-    a = 1
-    while 3 * a * a <= n:
-        for b in range(0, a + 1):
-            num = n + b * b
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            gram = ((2 * a * sign, b * sign), (b * sign, 2 * c * sign))
-            candidate = IntegerLattice(gram)
-            if isometries_signed(discriminant_form(candidate), target, 1, _first_only=True):
-                out.append(candidate)
-        a += 1
-    return tuple(out)

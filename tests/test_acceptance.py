@@ -15,7 +15,6 @@ from k3fm import (
     GENERIC_HODGE,
     NeronSeveriSpec,
     cyclic_form,
-    definite_genus_lattices,
     diagonal_lattice,
     direct_sum,
     discriminant_form,
@@ -23,7 +22,7 @@ from k3fm import (
     fm_number_rank1,
     fm_number_rank2,
     form_to_lattice,
-    genus_representative_forms,
+    genus_lattices,
     glue,
     hodge_order_candidates,
     hyperbolic_plane,
@@ -35,7 +34,6 @@ from k3fm import (
     proper_classes,
     recovered_gluing_map,
     rescale,
-    signature,
     verify_gluing_counts,
     verify_overlattice,
 )
@@ -149,21 +147,12 @@ def _oracle_suite():
     return pairs
 
 
-def _genus_reps(s):
-    if s.rank == 1 or discriminant_form(s).order == 1:
-        return [s]
-    sig = signature(s).as_pair()
-    if sig == (1, 1):
-        return [form_to_lattice(f) for f in genus_representative_forms(s)]
-    return list(definite_genus_lattices(s))
-
-
 def test_criterion_04_oracle_equivalence():
     pairs = _oracle_suite()
     assert len(pairs) >= 20
     for s, t in pairs:
         assert discriminant_form(s).order <= 30
-        report_rows = verify_gluing_counts(_genus_reps(s), t)
+        report_rows = verify_gluing_counts(genus_lattices(s), t)
         assert report_rows.all_equal, f"orbit/coset mismatch for {s.gram}"
         for row in report_rows.rows:
             assert row.orbit_count == row.coset_count

@@ -119,3 +119,52 @@ def test_one_module_defines_the_isometry_generators():
         )
     ]
     assert owners == ["bqf.py"]
+
+
+def calls_and_names(path: Path) -> tuple:
+    """(names of the functions called, every name read) in one module; a call
+    `m.f(...)` counts as a call of f."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    called, named = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+    return called, named
+
+
+# the genus enumerators that `fm_count.genus_lattices` wraps or replaced
+GENUS_ENUMERATORS = {"genus_representative_forms", "definite_genus_lattices"}
+
+
+def test_one_function_lists_the_genus():
+    callers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "genus_representative_forms" in calls_and_names(path)[0]
+    )
+    assert callers == ["fm_count.py"]
+    _, cli_names = calls_and_names(PACKAGE / "cli.py")
+    assert "signature" not in cli_names
+    assert cli_names & GENUS_ENUMERATORS == set()
+
+
+def test_the_check_sees_a_genus_dispatch(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import bqf, gluing\n"
+        "from .lattice import signature\n"
+        "def f(s):\n"
+        "    if signature(s).as_pair() == (1, 1):\n"
+        "        return bqf.genus_representative_forms(s)\n"
+        "    return gluing.definite_genus_lattices(s)\n"
+    )
+    called, named = calls_and_names(bad)
+    assert {"genus_representative_forms", "definite_genus_lattices", "signature"} <= called
+    assert {"signature", "definite_genus_lattices"} <= named
