@@ -9,11 +9,15 @@ The K3FM_CAP environment variable overrides the finite-group enumeration cap;
 from a run that searches.
 `fm` and `verify-t14` take the genus of S from `fm_count.genus_lattices`;
 no verb picks genus members itself.
+`main(argv)` may be called repeatedly in one process: the argument parser is
+built on the first call and reused, since parsing returns a fresh namespace
+each time and argparse looks up sys.stdout and sys.stderr only when it prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -189,7 +193,9 @@ def _cmd_verify_t14(args) -> int:
     return 0 if report.all_equal else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="k3fm",
         description="Fourier-Mukai partner counts for K3 surfaces from Neron-Severi lattices",
@@ -241,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (LatticeParseError, ValueError) as exc:

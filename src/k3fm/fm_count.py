@@ -250,14 +250,15 @@ def fm_number_rank2(ns: NeronSeveriSpec, hodge: HodgeGroupSpec = GENERIC_HODGE) 
     The genus of NS comes from `genus_lattices` (proper classes keyed by
     content and assigned characters, folded to isomorphism classes under the
     opposite involution); each representative, reported as its form,
-    contributes its `coset_summand`.  A square D is refused there: U is
-    counted by the shortcut in `fm_number`, and the other isotropic lattices
-    are out of scope.
+    contributes its `coset_summand`.  U (D = 1, a square) is alone in its
+    genus and has no binary form, so it stands as itself with summand 1;
+    `genus_lattices` refuses every other square D as out of scope.
     """
     if ns.rank != 2:
         raise ValueError("rank-2 lattice required")
     breakdown = [
-        (bqf.lattice_to_form(s), coset_summand(s, hodge)) for s in genus_lattices(ns.lattice)
+        (s if s.det == -1 else bqf.lattice_to_form(s), coset_summand(s, hodge))
+        for s in genus_lattices(ns.lattice)
     ]
     total = sum(s for _, s in breakdown)
     return FMCountResult(total, tuple(breakdown), "rank2")

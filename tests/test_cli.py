@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from k3fm import NeronSeveriSpec, fm_number, make_lattice
-from k3fm.cli import main
+from k3fm.cli import build_parser, main
 from k3fm.errors import CapExceededError
 
 TABLE_EXPECTED = (
@@ -313,3 +317,55 @@ def test_exit_code_internal_check(capsys, lattice_file, monkeypatch):
     code, _, err = run(capsys, ["glue", "--s", s, "--t", t])
     assert code == 5
     assert err.splitlines() == ["k3fm: internal check failed: glued lattice is not unimodular"]
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# (argv, K3FM_CAP or None, exit code): parse errors, a library error, a cap
+# error and successes, in one order, so that each call sees the parser the
+# calls before it used
+REUSE_SEQUENCE = (
+    (["fm"], None, 2),
+    (["fm", "--rank1", "0"], None, 2),
+    (["fm", "--rank1", "6000"], "100", 4),
+    (["fm", "--rank1", "6"], None, 0),
+    (["fm", "--rank1", "6"], None, 0),
+    (["table", "--list", "229", "--format", "csv"], None, 0),
+    (["genus", "205"], None, 0),
+)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        return exc.code
+
+
+def test_reused_parser_matches_a_fresh_process(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    monkeypatch.delenv("K3FM_CAP", raising=False)
+    for argv, cap, expected in REUSE_SEQUENCE:
+        with monkeypatch.context() as patch:
+            if cap is not None:
+                patch.setenv("K3FM_CAP", cap)
+            code = _exit_code(argv)
+            out, err = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "k3fm", *argv],
+                env=dict(os.environ, PYTHONPATH=SRC),
+                capture_output=True,
+                text=True,
+            )
+        assert code == expected, argv
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert build_parser() is build_parser()
+
+
+def test_main_reads_sys_argv_at_each_call(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["k3fm", "fm", "--rank1", "6"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("fm=2\n")
+    monkeypatch.setattr(sys, "argv", ["k3fm", "classnum", "229"])
+    assert main() == 0
+    assert capsys.readouterr().out == "h=3\n"

@@ -136,6 +136,17 @@ def test_square_determinant(tmp_path):
     assert main(["fm", "--lattice", str(path)]) == 3
 
 
+def test_rank2_count_of_u_agrees_with_the_shortcut():
+    # U has no binary form (D = 1 is a square): it stands as itself
+    u = hyperbolic_plane()
+    result = fm_number_rank2(NeronSeveriSpec(u))
+    assert result.total == fm_number(NeronSeveriSpec(u)).total == 1
+    assert result.breakdown == ((u, 1),)
+    assert result.method == "rank2"
+    with pytest.raises(UnsupportedError, match="square discriminant"):
+        fm_number_rank2(NeronSeveriSpec(make_lattice([[0, 2], [2, 0]])))
+
+
 def test_table_rows():
     rows = fm_table((229, 401, 1489))
     assert rows == ((229, 3, 2), (401, 5, 3), (1489, 3, 2))
