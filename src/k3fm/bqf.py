@@ -13,11 +13,19 @@ Genera are keyed by the content of a form and Gauss's assigned characters of
 its primitive part, so nothing here touches a finite group or the
 enumeration cap.  `lattice_isometry_generators` gives O(S) for every lattice
 the program counts, of rank 1, definite rank 2 and hyperbolic rank 2.
+
+`proper_classes` keeps its last result (a one-entry memo; `ClassGroupData`
+is immutable, so sharing it is safe): a `table` row asks for the classes of
+p twice, in `fm_table` and again in `genus_representative_forms`, and
+enumerates them once.  The memo can give way to passing the
+`ClassGroupData` down once the benchmark's pin on the number of
+`proper_classes` calls per row is restated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt, prod
 
 from . import intmat
@@ -272,6 +280,7 @@ def genus_key(f: BinaryQuadraticForm) -> tuple:
     return tuple(key)
 
 
+@lru_cache(maxsize=1)
 def proper_classes(d: int) -> ClassGroupData:
     """Enumerate the proper (SL2) classes of discriminant d as reduction
     cycles; attach the genus partition (classes grouped by `genus_key` of

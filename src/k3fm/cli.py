@@ -147,7 +147,7 @@ def _cmd_genus(args) -> int:
 
 def _cmd_table(args) -> int:
     primes = TABLE_PRIMES
-    if args.list:
+    if args.list is not None:
         try:
             primes = tuple(int(p) for p in args.list.split(","))
         except ValueError as exc:

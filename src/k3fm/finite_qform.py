@@ -8,10 +8,14 @@ search and check runs on these integers; `q_gens`, `b_matrix`, `evaluate_q`
 and `evaluate_b` show the values as `Fraction`s, and `finite_form` reads
 them from `Fraction`s.  Signed isometry enumeration, orthogonal groups,
 subgroup closure and `double_coset_count` are brute force over these
-coordinates.  The production count, `double_coset_count_by_parts`, splits A
-into its p-parts A_p first: every isometry keeps each A_p, so O(A) is the
-product of the O(A_p), and only the A_p are searched.  The whole-group
-functions stay as its reference.
+coordinates, with one closed form: a cyclic group of odd prime-power order
+p^e whose generator has p not dividing Q_1/2 gets its candidate images from
+a square root mod p^e (Tonelli-Shanks, then Hensel), not from a filter over
+the whole group; that is O(A_p) = {+-1} of each `table` and `scan` row.
+The production count, `double_coset_count_by_parts`, splits A into its
+p-parts A_p first: every isometry keeps each A_p, so O(A) is the product of
+the O(A_p), and only the A_p are searched.  The whole-group functions stay
+as its reference.
 
 The size cap on what is enumerated lives here alone: `isometries_signed` and
 `double_coset_count_by_parts` read K3FM_CAP (else DEFAULT_CAP) when they
@@ -359,6 +363,51 @@ def validate_map(f: FiniteFormMap) -> None:
         raise ValueError("images do not generate the target group")
 
 
+def _sqrt_mod_prime(u: int, p: int) -> int:
+    """A square root of the quadratic residue u mod the odd prime p, by
+    Tonelli-Shanks (Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 1.5.1)."""
+    s, m = 0, p - 1
+    while m % 2 == 0:
+        m //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, m, p), pow(u, m, p), pow(u, (m + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        f = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, f * f % p, t * f * f % p, r * f % p
+    return r
+
+
+def _cyclic_unit_roots(n: int, q1: int, t: int):
+    """The units x of Z/n with x^2 Q_1 = t mod 2n, ascending, in closed form
+    when n = p^e for an odd prime p that does not divide Q_1/2; None in every
+    other case, which the caller filters over range(n).
+
+    For odd n the values Q_1 and t are even, so the congruence reads
+    x^2 = u = (t/2)(Q_1/2)^-1 mod n.  A unit u that is a residue mod p has
+    exactly the two roots +-r, r found mod p and Hensel-lifted to p^e; a
+    non-unit or non-residue u has no unit root."""
+    primes = prime_factors(n)
+    p = primes[0]
+    if len(primes) != 1 or p == 2 or (q1 // 2) % p == 0:
+        return None
+    u = t // 2 * pow(q1 // 2, -1, n) % n
+    if u % p == 0 or pow(u, (p - 1) // 2, p) != 1:
+        return []
+    r, m = _sqrt_mod_prime(u % p, p), p
+    while m < n:  # Newton step: a root mod m is a root mod min(m^2, n)
+        m = min(m * m, n)
+        r = (r - (r * r - u) * pow(2 * r, -1, m)) % m
+    return sorted((r, n - r))
+
+
 def isometries_signed(
     a: FiniteQuadraticForm,
     b: FiniteQuadraticForm,
@@ -368,7 +417,11 @@ def isometries_signed(
     """All bijective maps f: A -> B with q_B(f(x)) = sign * q_A(x).
 
     Enumeration tries generator images in lexicographic order of coefficient
-    vectors, so the first entry of the result is the canonical choice.
+    vectors, so the first entry of the result is the canonical choice.  A
+    cyclic form of odd prime-power order N = p^e with p not dividing Q_B/2
+    takes its candidates from `_cyclic_unit_roots` (at most two, in closed
+    form); every other cyclic form filters range(N).  Both give the same
+    maps in the same order.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -393,7 +446,10 @@ def isometries_signed(
     if k == 1:
         # cyclic: q(x) = x^2 Q_1 mod 2N, and every x has order dividing N
         q1, t = qb[0], target_q[0]
-        candidates = [[(x,) for x in range(n) if x * x * q1 % two_n == t]]
+        roots = _cyclic_unit_roots(n, q1, t)
+        if roots is None:
+            roots = [x for x in range(n) if x * x * q1 % two_n == t]
+        candidates = [[(x,) for x in roots]]
     else:
         # elements of B by q-value, each bucket in lexicographic order
         by_q: dict[int, list] = {}

@@ -183,3 +183,8 @@ def test_picard_number_is_at_most_20(tmp_path, capsys, rank):
     else:
         message = "k3fm: Neron-Severi lattice of a projective K3 has rank at most 20\n"
         assert (code, out, err) == (2, "", message)
+
+
+def test_table_empty_prime_list_exits_2(capsys):
+    # an empty --list is a bad list, not a request for the default table
+    assert run(capsys, ["table", "--list", ""]) == (2, "", "k3fm: bad prime list: ''\n")

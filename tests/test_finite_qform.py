@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,6 +17,8 @@ from k3fm import (
     subgroup_generated,
     trivial_form,
 )
+from k3fm import finite_qform
+from k3fm.arith import prime_factors
 from k3fm.finite_qform import (
     FiniteFormMap,
     all_elements,
@@ -204,3 +207,61 @@ def test_maps_well_defined_on_all_elements():
     for f in orthogonal_group(a):
         for x in all_elements(a):
             assert evaluate_q(a, f.apply(x)) == evaluate_q(a, x)
+
+
+def _odd_prime_powers(bound):
+    """(N, p) for every odd prime power N = p^e <= bound."""
+    out = []
+    for n in range(3, bound + 1, 2):
+        primes = prime_factors(n)
+        if len(primes) == 1:
+            out.append((n, primes[0]))
+    return out
+
+
+def _filtered(monkeypatch, a, b, sign):
+    """isometries_signed with the cyclic closed form switched off, so every
+    cyclic search filters range(N): the reference."""
+    with monkeypatch.context() as m:
+        m.setattr(finite_qform, "_cyclic_unit_roots", lambda n, q1, t: None)
+        return isometries_signed(a, b, sign)
+
+
+def test_cyclic_closed_form_equals_the_filter(monkeypatch):
+    # every odd prime power N <= 2000; every Q_b with p not dividing Q_b/2
+    # up to N = 150, above that Q_b/2 in {1, c, N - 1, (N + 1)/2} with c the
+    # least non-residue mod p.  Q_a runs over Q_b, 2N - Q_b, a residue and a
+    # non-residue multiple of Q_b, and 2p mod 2N (p | Q_a/2); both signs.
+    checked = 0
+    for n, p in _odd_prime_powers(2000):
+        c = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+        halves = range(1, n) if n <= 150 else (1, c, n - 1, (n + 1) // 2)
+        for v in halves:
+            if v % p == 0:
+                continue
+            qb = 2 * v
+            b = cyclic_form(n, Fraction(qb, n))
+            for qa in {qb, 2 * n - qb, 4 * qb % (2 * n), c * qb % (2 * n), 2 * p % (2 * n)}:
+                a = cyclic_form(n, Fraction(qa, n))
+                for sign in (1, -1):
+                    got = isometries_signed(a, b, sign)
+                    assert got == _filtered(monkeypatch, a, b, sign), (n, qa, qb, sign)
+                    checked += bool(got)
+    assert checked > 0
+
+
+def test_cyclic_unit_roots_solve_every_congruence():
+    # x^2 * 2 = t mod 2N for every even t: the units of the filter, in order
+    for n, _ in _odd_prime_powers(2000):
+        by_value = {}
+        for x in range(n):
+            by_value.setdefault(x * x * 2 % (2 * n), []).append(x)
+        for t in range(0, 2 * n, 2):
+            units = [x for x in by_value.get(t, ()) if gcd(x, n) == 1]
+            assert finite_qform._cyclic_unit_roots(n, 2, t) == units, (n, t)
+
+
+@pytest.mark.parametrize("n, q1", [(4, 1), (8, 6), (15, 2), (45, 4), (9, 6), (25, 10)])
+def test_cyclic_closed_form_leaves_the_other_cases_to_the_filter(n, q1):
+    # p = 2, composite N, and p | Q_1/2
+    assert finite_qform._cyclic_unit_roots(n, q1, q1) is None

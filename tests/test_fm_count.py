@@ -27,6 +27,7 @@ from k3fm import (
     orthogonal_group,
     rescale,
 )
+from k3fm import bqf
 from k3fm.cli import main
 from k3fm.arith import euler_phi as _euler_phi, tau as _tau
 
@@ -154,6 +155,23 @@ def test_table_rows():
         fm_table((15,))
     with pytest.raises(ValueError, match="primes"):
         fm_table((7,))  # prime but 3 mod 4
+
+
+def test_a_table_row_enumerates_its_classes_once(monkeypatch):
+    # fm_table and fm_number_rank2 both ask for the classes of p; the
+    # one-entry memo answers the second ask, and a prime that comes back
+    # after another is enumerated again
+    calls = []
+    original = bqf.enumerate_reduced
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(bqf, "enumerate_reduced", counted)
+    bqf.proper_classes.cache_clear()
+    assert fm_table((229, 257, 229)) == ((229, 3, 2), (257, 3, 2), (229, 3, 2))
+    assert calls == [229, 257, 229]
 
 
 def test_rank2_composite_determinant():
