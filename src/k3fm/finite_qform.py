@@ -8,18 +8,27 @@ search and check runs on these integers; `q_gens`, `b_matrix`, `evaluate_q`
 and `evaluate_b` show the values as `Fraction`s, and `finite_form` reads
 them from `Fraction`s.  Signed isometry enumeration, orthogonal groups,
 subgroup closure and `double_coset_count` are brute force over these
-coordinates, with one closed form: a cyclic group of odd prime-power order
-p^e whose generator has p not dividing Q_1/2 gets its candidate images from
-a square root mod p^e (Tonelli-Shanks, then Hensel), not from a filter over
-the whole group; that is O(A_p) = {+-1} of each `table` and `scan` row.
-The production count, `double_coset_count_by_parts`, splits A into its
-p-parts A_p first: every isometry keeps each A_p, so O(A) is the product of
-the O(A_p), and only the A_p are searched.  The whole-group functions stay
-as its reference.
+coordinates, with one closed form: a nondegenerate cyclic group of
+prime-power order p^e gets its candidate images from a square root, mod
+p^e for odd p (Tonelli-Shanks, then Hensel) and mod 2^(e+1) for p = 2 (one
+bit at a time), not from a filter over the whole group; that is
+O(A_p) = {+-1} of each `table` and `scan` row.
 
-The size cap on what is enumerated lives here alone: `isometries_signed` and
-`double_coset_count_by_parts` read K3FM_CAP (else DEFAULT_CAP) when they
-search, for the CLI and library callers alike, and raise CapExceededError.
+Double cosets H \\ O(A) / K are counted on the p-parts A_p of A: every
+isometry keeps each A_p, so O(A) is the product of the O(A_p), and only the
+A_p are searched.  When every A_p is cyclic (A is cyclic), O(A) is an
+abelian group of unit tuples and `cyclic_coset_count` returns
+|O(A)| / |<H u K>| without walking orbits; otherwise
+`double_coset_count_by_parts` walks the orbits on the product of the
+O(A_p).  The walk is also the reference for the closed count, and the
+whole-group functions are the reference for the walk.
+
+The size cap on what is enumerated lives here alone: K3FM_CAP (else
+DEFAULT_CAP) is read by every isometry search, for the CLI and library
+callers alike, and bounds each group that is enumerated: the range(N)
+filter of a cyclic form without a closed form, a non-cyclic search, each
+part the walk searches and `FiniteFormMap.inverse`.  A group that exceeds
+it raises CapExceededError; the closed forms are not capped.
 
 A map between two forms is checked on both tables scaled to the lcm of
 their exponents.  Generation is tested by a Hermite basis of the images
@@ -296,6 +305,7 @@ class FiniteFormMap:
         return FiniteFormMap(other.source, self.target, images, self.sign * other.sign)
 
     def inverse(self) -> "FiniteFormMap":
+        _within_cap(self.source.order)
         back = {self.apply(x): x for x in all_elements(self.source)}
         if len(back) != self.source.order:
             raise ValueError("map is not bijective")
@@ -385,18 +395,41 @@ def _sqrt_mod_prime(u: int, p: int) -> int:
     return r
 
 
-def _cyclic_unit_roots(n: int, q1: int, t: int):
+def _cyclic_unit_roots(n: int, q1: int, t: int, p: int | None = None):
     """The units x of Z/n with x^2 Q_1 = t mod 2n, ascending, in closed form
-    when n = p^e for an odd prime p that does not divide Q_1/2; None in every
-    other case, which the caller filters over range(n).
+    when n = p^e and the form is nondegenerate: p odd not dividing Q_1/2, or
+    p = 2 with Q_1 odd; None in every other case, which the caller filters
+    over range(n).  p is the prime of n when the caller knows it; otherwise
+    n is factored here.
 
     For odd n the values Q_1 and t are even, so the congruence reads
     x^2 = u = (t/2)(Q_1/2)^-1 mod n.  A unit u that is a residue mod p has
     exactly the two roots +-r, r found mod p and Hensel-lifted to p^e; a
-    non-unit or non-residue u has no unit root."""
-    primes = prime_factors(n)
-    p = primes[0]
-    if len(primes) != 1 or p == 2 or (q1 // 2) % p == 0:
+    non-unit or non-residue u has no unit root.
+
+    For n = 2^e it reads x^2 = u = t Q_1^-1 mod 2n, and x^2 mod 2n depends
+    only on x mod n.  An odd square is 1 mod min(8, 2n); such a u has the
+    roots +-r and +-r + n mod 2n, r lifted one bit at a time, and these are
+    +-r mod n."""
+    if p is None:
+        primes = (2,) if n & (n - 1) == 0 else prime_factors(n)
+        if len(primes) != 1:
+            return None
+        p = primes[0]
+    if p == 2:
+        if q1 % 2 == 0:
+            return None
+        two_n = 2 * n
+        u = t * pow(q1, -1, two_n) % two_n
+        if u % 8 != 1:  # for 2n < 8, u is reduced: this reads u = 1 mod 2n
+            return []
+        r, m = 1, 8
+        while m < two_n:  # r^2 = u mod m; fix the bit that makes it hold mod 2m
+            if (r * r - u) % (2 * m):
+                r += m // 2
+            m *= 2
+        return sorted({r % n, -r % n})
+    if (q1 // 2) % p == 0:
         return None
     u = t // 2 * pow(q1 // 2, -1, n) % n
     if u % p == 0 or pow(u, (p - 1) // 2, p) != 1:
@@ -408,31 +441,42 @@ def _cyclic_unit_roots(n: int, q1: int, t: int):
     return sorted((r, n - r))
 
 
+def _within_cap(order: int) -> None:
+    """Raise CapExceededError before a group of this order is enumerated."""
+    cap = _enumeration_cap()
+    if order > cap:
+        raise CapExceededError(
+            f"finite group too large: |A| = {order} exceeds the cap {cap}"
+            " (raise it with K3FM_CAP)"
+        )
+
+
 def isometries_signed(
     a: FiniteQuadraticForm,
     b: FiniteQuadraticForm,
     sign: int,
     _first_only: bool = False,
+    prime: int | None = None,
 ) -> list:
     """All bijective maps f: A -> B with q_B(f(x)) = sign * q_A(x).
 
     Enumeration tries generator images in lexicographic order of coefficient
     vectors, so the first entry of the result is the canonical choice.  A
-    cyclic form of odd prime-power order N = p^e with p not dividing Q_B/2
-    takes its candidates from `_cyclic_unit_roots` (at most two, in closed
-    form); every other cyclic form filters range(N).  Both give the same
-    maps in the same order.
+    nondegenerate cyclic form of prime-power order N = p^e takes its
+    candidates from `_cyclic_unit_roots` (at most two, in closed form); every
+    other cyclic form filters range(N).  Both give the same maps in the same
+    order.  `prime` is p when A and B are known to be p-groups (a
+    `PrimaryPart`), so that N is not factored again.
+
+    K3FM_CAP is read on every call with equal invariant factors, but the cap
+    is compared with |A| only before an enumeration: the range(N) filter or
+    the search of a non-cyclic form.  The closed form is not capped.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if a.orders != b.orders:
         return []
-    cap = _enumeration_cap()
-    if a.order > cap:
-        raise CapExceededError(
-            f"finite group too large: |A| = {a.order} exceeds the cap {cap}"
-            " (raise it with K3FM_CAP)"
-        )
+    _enumeration_cap()  # a malformed K3FM_CAP fails every call, searching or not
     orders = b.orders
     k = len(orders)
     if k == 0:
@@ -446,11 +490,13 @@ def isometries_signed(
     if k == 1:
         # cyclic: q(x) = x^2 Q_1 mod 2N, and every x has order dividing N
         q1, t = qb[0], target_q[0]
-        roots = _cyclic_unit_roots(n, q1, t)
+        roots = _cyclic_unit_roots(n, q1, t, prime)
         if roots is None:
+            _within_cap(a.order)
             roots = [x for x in range(n) if x * x * q1 % two_n == t]
         candidates = [[(x,) for x in roots]]
     else:
+        _within_cap(a.order)
         # elements of B by q-value, each bucket in lexicographic order
         by_q: dict[int, list] = {}
         for x in all_elements(b):
@@ -680,7 +726,8 @@ def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
     moves = [[] for _ in gens]  # per generator, one table per part
     for part in parts:
         orders = part.form.orders
-        elements = [f.images for f in isometries_signed(part.form, part.form, 1)]
+        found = isometries_signed(part.form, part.form, 1, prime=part.p)
+        elements = [f.images for f in found]
         where = {x: n for n, x in enumerate(elements)}
         sizes.append(len(elements))
         restricted = [elements[_position(where, part.restrict(g), part.p)] for g in gens]
@@ -709,3 +756,59 @@ def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
         visited |= orbit
         count += 1
     return count
+
+
+def cyclic_coset_count(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
+    """Number of double cosets H \\ O(A) / K for a cyclic A (at most one
+    generator), without walking orbits.
+
+    Every p-part A_p is cyclic, so an isometry acts on it as multiplication
+    by a unit u_p, and O(A) is the abelian group of the tuples (u_p) with
+    each u_p in O(A_p); each O(A_p) comes from `isometries_signed` on A_p.
+    Double cosets of an abelian group are the cosets of <H u K>, so the
+    count is |O(A)| / |<H u K>|, closed on unit tuples: at most |O(A)| of
+    them, and nothing of size |A_p| is built.  K is closed first; when it
+    fills O(A) the count is 1 and H is never read, so `h_gens` may be a
+    callable that returns the generators, evaluated only when needed.
+    Agrees with `double_coset_count_by_parts(a, h_gens, k_gens)`.
+    """
+    if a.ngens > 1:
+        raise ValueError("cyclic form required")
+    parts = primary_parts(a)
+    allowed = [
+        {f.images[0][0] for f in isometries_signed(part.form, part.form, 1, prime=part.p)}
+        for part in parts
+    ]
+    size = prod(len(units) for units in allowed)
+    moduli = [part.form.exponent for part in parts]
+
+    def units_of(g: FiniteFormMap) -> tuple:
+        if g.source != a or g.target != a or g.sign != 1:
+            raise RuntimeError("generator is not a self-isometry of the form")
+        out = []
+        for part, units in zip(parts, allowed):
+            ((u,),) = part.restrict(g)
+            if u not in units:
+                raise RuntimeError(f"a generator does not restrict into O(A_{part.p})")
+            out.append(u)
+        return tuple(out)
+
+    def close(group: set, gens: list) -> set:
+        frontier = list(group)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = tuple(xi * gi % m for xi, gi, m in zip(x, g, moduli))
+                if y not in group:
+                    group.add(y)
+                    frontier.append(y)
+        return group
+
+    gens = [units_of(g) for g in k_gens]
+    group = close({(1,) * len(parts)}, gens)
+    if len(group) < size:
+        gens += [units_of(g) for g in (h_gens() if callable(h_gens) else h_gens)]
+        group = close(group, gens)
+    if size % len(group):
+        raise RuntimeError("double cosets do not partition the group")
+    return size // len(group)

@@ -4,14 +4,17 @@ The partner count of X is assembled from the Neron-Severi lattice alone once
 the Hodge isometry group of the transcendental lattice is fixed: it is the
 sum, over the isomorphism classes S_j in the genus of NS(X), of the number of
 double cosets O(S_j) \\ O(A_{S_j}) / G (`coset_summand`).  Each summand is
-counted one p-part at a time: A_S is the sum of its p-parts A_p and every
-isometry keeps each A_p (Nikulin), so O(A_S) is the product of the O(A_p),
-only the A_p are searched, and the enumeration cap bounds the largest |A_p|
-(`finite_qform` owns the cap and reads K3FM_CAP; nothing here takes one).
-O(S) comes from `bqf` for every lattice, and `isometry_image_generators`
-gives its image in O(A_S) to this engine and the gluing oracle alike.  The
-genus, the sum's index set, is listed by `genus_lattices` alone, for `fm`
-and `verify-t14` alike.
+counted on the p-parts A_p of A_S: every isometry keeps each A_p (Nikulin),
+so O(A_S) is the product of the O(A_p).  A cyclic A_S (every rank-1 NS,
+every prime row of `table` and `scan`) has an abelian O(A_S), counted as
+|O(A_S)| / |<O(S) u G>| with each O(A_p) in closed form, so no cap bounds
+that count; O(S) is built only when G alone does not fill O(A_S).  Any other
+A_S is walked one p-part at a time, and the enumeration cap bounds its
+largest |A_p| (`finite_qform` owns the cap and reads K3FM_CAP; nothing
+here takes one).  O(S) comes from `bqf` for every lattice, and
+`isometry_image_generators` gives its image in O(A_S) to this engine and
+the gluing oracle alike.  The genus, the sum's index set, is listed by
+`genus_lattices` alone, for `fm` and `verify-t14` alike.
 
 Dispatch: Picard number 1 closes to the 2^(tau(n)-1) formula; every rank >= 2
 first tries the surjectivity shortcut (rank >= l + 2, which in rank 2 means
@@ -33,6 +36,7 @@ from .errors import UnsupportedError
 from .finite_qform import (
     FiniteFormMap,
     FiniteQuadraticForm,
+    cyclic_coset_count,
     double_coset_count_by_parts,
     isometries_signed,
     negation_map,
@@ -135,12 +139,15 @@ def isometry_image_generators(s: IntegerLattice, a_s) -> list:
 def coset_summand(s: IntegerLattice, hodge: HodgeGroupSpec = GENERIC_HODGE) -> int:
     """The Counting Formula's term for one genus member S: the double cosets
     O(S) \\ O(A_S) / G, with O(S) from `isometry_image_generators` and G
-    from `carried_hodge_generators`.  The cosets are counted one p-part of
-    A_S at a time."""
+    from `carried_hodge_generators`.  A cyclic A_S is counted as
+    |O(A_S)| / |<O(S) u G>| by `cyclic_coset_count`, which builds O(S) only
+    when G alone does not fill O(A_S); any other A_S by the walk one p-part
+    at a time."""
     a_s = discriminant_form(s)
-    h_gens = isometry_image_generators(s, a_s)
     k_gens = carried_hodge_generators(a_s, hodge)
-    return double_coset_count_by_parts(a_s, h_gens, k_gens)
+    if a_s.ngens <= 1:
+        return cyclic_coset_count(a_s, lambda: isometry_image_generators(s, a_s), k_gens)
+    return double_coset_count_by_parts(a_s, isometry_image_generators(s, a_s), k_gens)
 
 
 def genus_lattices(s: IntegerLattice) -> tuple:
@@ -215,16 +222,17 @@ def hodge_order_candidates(t: int) -> tuple:
 
 def fm_number_rank1(n: int, hodge: HodgeGroupSpec = GENERIC_HODGE) -> FMCountResult:
     """Partner count for NS = <2n>: 2^(tau(n)-1), cross-checked against the
-    double cosets {+-1} \\ O(A) / {+-1} of A = (Z/2n, 1/2n), counted one
-    p-part at a time (so the cap bounds the largest |A_p|, not 2n).
-    The Hodge group must be {+-id}: phi(2I) divides rank T = 21."""
+    double cosets {+-1} \\ O(A) / {+-1} of the cyclic A = (Z/2n, 1/2n),
+    counted by `cyclic_coset_count` as |O(A)| / 2.  Each O(A_p) is in closed
+    form, so no cap applies; 2n is factored once for its parts and n once
+    for tau.  The Hodge group must be {+-id}: phi(2I) divides rank T = 21."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if hodge.order != 2:
         raise ValueError("Picard number 1 forces a Hodge group of order 2 (phi(2I) | 21)")
     a = FiniteQuadraticForm((2 * n,), (1,), ((1,),))  # q(g) = 1/(2n)
     neg = negation_map(a)
-    counted = double_coset_count_by_parts(a, [neg], [neg])
+    counted = cyclic_coset_count(a, [neg], [neg])
     expected = 2 ** (tau(n) - 1)
     if counted != expected:
         raise RuntimeError(

@@ -178,32 +178,42 @@ def test_exit_code_unsupported(capsys, lattice_file):
     assert "out of scope" in err
 
 
+# A_S = Z/5 + Z/25: its 5-part is not cyclic, so it is searched and capped
+NON_CYCLIC = [[10, 5], [5, -10]]
+
+
 def test_exit_code_cap(capsys, lattice_file, monkeypatch):
-    monkeypatch.setenv("K3FM_CAP", "3")
-    code, _, err = run(capsys, ["fm", "--lattice", lattice_file([[2, 1], [1, -2]])])
+    monkeypatch.setenv("K3FM_CAP", "100")
+    code, _, err = run(capsys, ["fm", "--lattice", lattice_file(NON_CYCLIC)])
     assert code == 4
     assert "finite group too large" in err
 
 
 def test_cap_message_names_the_sizes_and_the_variable(capsys, lattice_file, monkeypatch):
-    monkeypatch.setenv("K3FM_CAP", "3")
-    code, _, err = run(capsys, ["fm", "--lattice", lattice_file([[2, 1], [1, -2]])])
-    assert code == 4
-    assert err.startswith("k3fm: finite group too large")
-    assert "|A| = 5" in err and "cap 3" in err and "K3FM_CAP" in err
+    path = lattice_file(NON_CYCLIC)
+    monkeypatch.setenv("K3FM_CAP", "124")
+    code, out, err = run(capsys, ["fm", "--lattice", path])
+    assert (code, out) == (4, "")
+    assert err == (
+        "k3fm: finite group too large: |A| = 125; its p-part for p = 5 has |A_5| = 125, "
+        "which exceeds the cap 124 (raise it with K3FM_CAP)\n"
+    )
+    monkeypatch.setenv("K3FM_CAP", "125")
+    code, out, _ = run(capsys, ["fm", "--lattice", path])
+    assert (code, out.splitlines()[0]) == (0, "fm=1")
 
 
 def test_the_library_honours_k3fm_cap(monkeypatch):
-    ns = NeronSeveriSpec(make_lattice([[2, 1], [1, -5004]]))  # |A_S| = 10009, a prime
     monkeypatch.delenv("K3FM_CAP", raising=False)
+    # |A_S| = 10009, a prime: cyclic, counted in closed form under any cap
+    assert fm_number(NeronSeveriSpec(make_lattice([[2, 1], [1, -5004]]))).total == 1
+    monkeypatch.setenv("K3FM_CAP", "100")
     with pytest.raises(CapExceededError) as info:
-        fm_number(ns)
+        fm_number(NeronSeveriSpec(make_lattice(NON_CYCLIC)))
     assert str(info.value) == (
-        "finite group too large: |A| = 10009; its p-part for p = 10009 has "
-        "|A_10009| = 10009, which exceeds the cap 10000 (raise it with K3FM_CAP)"
+        "finite group too large: |A| = 125; its p-part for p = 5 has "
+        "|A_5| = 125, which exceeds the cap 100 (raise it with K3FM_CAP)"
     )
-    monkeypatch.setenv("K3FM_CAP", "20000")
-    assert fm_number(ns).total == 1
 
 
 @pytest.mark.parametrize(
@@ -323,11 +333,11 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # (argv, K3FM_CAP or None, exit code): parse errors, a library error, a cap
 # error and successes, in one order, so that each call sees the parser the
-# calls before it used
+# calls before it used; "NON_CYCLIC" stands for a file holding that lattice
 REUSE_SEQUENCE = (
     (["fm"], None, 2),
     (["fm", "--rank1", "0"], None, 2),
-    (["fm", "--rank1", "6000"], "100", 4),
+    (["fm", "--lattice", "NON_CYCLIC"], "100", 4),
     (["fm", "--rank1", "6"], None, 0),
     (["fm", "--rank1", "6"], None, 0),
     (["table", "--list", "229", "--format", "csv"], None, 0),
@@ -342,10 +352,12 @@ def _exit_code(argv):
         return exc.code
 
 
-def test_reused_parser_matches_a_fresh_process(capsys, monkeypatch):
+def test_reused_parser_matches_a_fresh_process(capsys, lattice_file, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
     monkeypatch.delenv("K3FM_CAP", raising=False)
+    path = lattice_file(NON_CYCLIC)
     for argv, cap, expected in REUSE_SEQUENCE:
+        argv = [path if arg == "NON_CYCLIC" else arg for arg in argv]
         with monkeypatch.context() as patch:
             if cap is not None:
                 patch.setenv("K3FM_CAP", cap)

@@ -1,0 +1,134 @@
+"""The closed-form count of a cyclic A: `cyclic_coset_count` must equal the
+walk `double_coset_count_by_parts`, build O(S) only when it can change the
+count, and factor each integer of a rank-1 count once."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from k3fm import arith, bqf, finite_qform, fm_count
+from k3fm.cli import main
+from k3fm.finite_qform import (
+    FiniteFormMap,
+    FiniteQuadraticForm,
+    cyclic_coset_count,
+    cyclic_form,
+    double_coset_count_by_parts,
+    finite_form,
+    isometries_signed,
+    negation_map,
+)
+from k3fm.fm_count import fm_table
+
+PAPER_ROWS = ((229, 3, 2), (401, 5, 3), (1009, 7, 4))
+
+
+def test_equals_the_walk_on_every_cyclic_form_up_to_600():
+    # every N <= 600; every nondegenerate q (N Q even, Q prime to N) up to
+    # N = 200, above that about eight of them spread over [0, 2N); H and K
+    # are random subsets of O(A), empty ones included
+    rng = random.Random(16)
+    empty_h = empty_k = forms = 0
+    for n in range(2, 601):
+        admissible = [q for q in range(2 * n) if gcd(q, n) == 1 and n * q % 2 == 0]
+        qs = admissible if n <= 200 else admissible[:: len(admissible) // 8 + 1]
+        for q in qs:
+            a = FiniteQuadraticForm((n,), (q,), ((q % n,),))
+            group = isometries_signed(a, a, 1)
+            h = [f for f in group if rng.random() < 0.3]
+            k = [f for f in group if rng.random() < 0.3]
+            assert cyclic_coset_count(a, h, k) == double_coset_count_by_parts(a, h, k), (n, q)
+            empty_h += not h
+            empty_k += not k
+            forms += 1
+    assert forms > 15000 and empty_h > 1000 and empty_k > 1000
+
+
+def test_a_trivial_form_counts_one():
+    a = FiniteQuadraticForm((), (), ())
+    assert cyclic_coset_count(a, [], []) == 1 == double_coset_count_by_parts(a, [], [])
+
+
+def test_h_is_read_only_when_k_does_not_fill_the_group():
+    def refuse():
+        raise AssertionError("O(S) built")
+
+    prime = cyclic_form(229, Fraction(2, 229))  # O(A) = {+-1}
+    assert cyclic_coset_count(prime, refuse, [negation_map(prime)]) == 1
+    a = cyclic_form(15, Fraction(2, 15))  # O(A) = {1, 4, 11, 14}
+    neg = negation_map(a)
+    calls = []
+
+    def h_gens():
+        calls.append(1)
+        return [FiniteFormMap(a, a, ((4,),), 1)]
+
+    assert cyclic_coset_count(a, h_gens, [neg]) == 1
+    assert calls == [1]
+    assert cyclic_coset_count(a, [], [neg]) == 2
+
+
+def test_a_map_outside_the_orthogonal_group_is_an_internal_error():
+    a = cyclic_form(15, Fraction(2, 15))
+    doubling = FiniteFormMap(a, a, ((2,),), 1)  # x -> 2x: -1 on A_3, but 4 != 1 mod 5
+    with pytest.raises(RuntimeError, match=r"O\(A_5\)"):
+        cyclic_coset_count(a, [doubling], [])
+    other = negation_map(cyclic_form(15, Fraction(4, 15)))
+    with pytest.raises(RuntimeError, match="self-isometry"):
+        cyclic_coset_count(a, [], [other])
+    two = finite_form((3, 3), (Fraction(2, 3), Fraction(2, 3)))
+    with pytest.raises(ValueError, match="cyclic"):
+        cyclic_coset_count(two, [], [])
+
+
+def test_prime_rows_never_build_o_s(monkeypatch):
+    def refuse(lat):
+        raise AssertionError("O(S) built")
+
+    monkeypatch.setattr(bqf, "lattice_isometry_generators", refuse)
+    assert fm_table((229, 401, 1009)) == PAPER_ROWS
+
+
+def test_o_s_is_built_where_it_can_change_the_count(tmp_path, capsys, monkeypatch):
+    # D = 32045 = 5 * 13 * 17 * 29: |O(A_S)| = 16 > |{+-1}|
+    calls = []
+    real = bqf.lattice_isometry_generators
+
+    def counting(lat):
+        calls.append(lat)
+        return real(lat)
+
+    monkeypatch.setattr(bqf, "lattice_isometry_generators", counting)
+    monkeypatch.delenv("K3FM_CAP", raising=False)
+    lat = tmp_path / "ns.json"
+    lat.write_text('{"gram": [[2, 1], [1, -16022]]}')
+    assert main(["fm", "--lattice", str(lat)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "fm=8"
+    assert calls
+
+
+def test_rank_one_factors_2n_and_n_once_each(monkeypatch, capsys):
+    n = 999999999989  # a prime: each factorization is a full trial division
+    calls = []
+    real = arith.prime_factors
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(arith, "prime_factors", counting)
+    monkeypatch.setattr(finite_qform, "prime_factors", counting)
+    assert main(["fm", "--rank1", str(n)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "fm=1"
+    assert sorted(calls) == [n, 2 * n]
+
+
+def test_fm_count_counts_a_cyclic_summand_in_closed_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbits walked")
+
+    monkeypatch.setattr(fm_count, "double_coset_count_by_parts", refuse)
+    assert fm_count.fm_number_rank1(9699690).total == 128
+    assert fm_table((229,)) == PAPER_ROWS[:1]

@@ -223,7 +223,7 @@ def _filtered(monkeypatch, a, b, sign):
     """isometries_signed with the cyclic closed form switched off, so every
     cyclic search filters range(N): the reference."""
     with monkeypatch.context() as m:
-        m.setattr(finite_qform, "_cyclic_unit_roots", lambda n, q1, t: None)
+        m.setattr(finite_qform, "_cyclic_unit_roots", lambda n, q1, t, p=None: None)
         return isometries_signed(a, b, sign)
 
 
@@ -261,7 +261,51 @@ def test_cyclic_unit_roots_solve_every_congruence():
             assert finite_qform._cyclic_unit_roots(n, 2, t) == units, (n, t)
 
 
-@pytest.mark.parametrize("n, q1", [(4, 1), (8, 6), (15, 2), (45, 4), (9, 6), (25, 10)])
+def test_two_power_closed_form_equals_the_filter():
+    # every N = 2^e <= 2^12 and every t mod 2N; every odd Q up to N = 2^9,
+    # above that the odd Q in {1, 3, 5, 7, N - 1, N + 1, 2N - 1}: the units
+    # of the filter, in its order
+    checked = 0
+    for e in range(1, 13):
+        n = 2**e
+        qs = range(1, 2 * n, 2) if n <= 2**9 else (1, 3, 5, 7, n - 1, n + 1, 2 * n - 1)
+        for q in qs:
+            by_value = {}
+            for x in range(1, n, 2):
+                by_value.setdefault(x * x * q % (2 * n), []).append(x)
+            for t in range(2 * n):
+                got = finite_qform._cyclic_unit_roots(n, q, t)
+                assert got == by_value.get(t, []), (n, q, t)
+                assert finite_qform._cyclic_unit_roots(n, q, t, 2) == got
+                checked += bool(got)
+    assert checked > 0
+
+
+def test_two_power_isometries_equal_the_filter(monkeypatch):
+    # isometries_signed on Z/2^e, e <= 6, every odd Q_a and Q_b, both signs
+    for e in range(1, 7):
+        n = 2**e
+        forms = [cyclic_form(n, Fraction(q, n)) for q in range(1, 2 * n, 2)]
+        for b in forms:
+            for a in forms:
+                for sign in (1, -1):
+                    expected = _filtered(monkeypatch, a, b, sign)
+                    assert isometries_signed(a, b, sign) == expected, (n, a, b, sign)
+
+
+@pytest.mark.parametrize("n, q1", [(4, 2), (8, 6), (15, 2), (45, 4), (9, 6), (25, 10)])
 def test_cyclic_closed_form_leaves_the_other_cases_to_the_filter(n, q1):
-    # p = 2, composite N, and p | Q_1/2
+    # degenerate N = 2^e (Q_1 even), composite N, and p | Q_1/2
     assert finite_qform._cyclic_unit_roots(n, q1, q1) is None
+
+
+def test_the_closed_form_is_not_capped_and_the_filter_is(monkeypatch):
+    monkeypatch.setenv("K3FM_CAP", "10")
+    big = cyclic_form(2**20, Fraction(1, 2**20))
+    assert [f.images for f in isometries_signed(big, big, 1)] == [((1,),), ((2**20 - 1,),)]
+    prime = cyclic_form(10009, Fraction(2, 10009))
+    assert len(isometries_signed(prime, prime, 1, prime=10009)) == 2
+    with pytest.raises(CapExceededError, match=r"\|A\| = 24 exceeds the cap 10"):
+        isometries_signed(cyclic_form(24, Fraction(1, 24)), cyclic_form(24, Fraction(1, 24)), 1)
+    with pytest.raises(CapExceededError, match=r"\|A\| = 10009 exceeds the cap 10"):
+        isometries_signed(prime, prime, -1)[0].inverse()

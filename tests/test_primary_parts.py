@@ -170,18 +170,26 @@ def test_cap_bounds_the_largest_part(monkeypatch):
     assert "p = 5" in message and "|A_5| = 125" in message and "cap 124" in message
 
 
-def test_cli_cap_names_the_part(capsys, monkeypatch):
+def test_cli_cap_names_the_part(tmp_path, capsys, monkeypatch):
+    lat = tmp_path / "ns.json"
+    lat.write_text('{"gram": [[10, 5], [5, -10]]}')  # A_S = Z/5 + Z/25, not cyclic
     monkeypatch.setenv("K3FM_CAP", "100")
-    assert main(["fm", "--rank1", "6000"]) == 4
+    assert main(["fm", "--lattice", str(lat)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("k3fm: finite group too large")
-    assert "|A| = 12000" in err and "p = 5" in err and "|A_5| = 125" in err
+    assert "|A| = 125" in err and "p = 5" in err and "|A_5| = 125" in err
     assert "cap 100" in err and "K3FM_CAP" in err
 
 
 @pytest.mark.parametrize(
     "argv, fm",
-    [(["fm", "--rank1", "6000"], 4), (["fm", "--rank1", "9699690"], 128)],
+    [
+        (["fm", "--rank1", "6000"], 4),
+        (["fm", "--rank1", "9699690"], 128),
+        (["fm", "--rank1", "10009"], 1),
+        (["fm", "--rank1", "16384"], 1),  # |A_2| = 32768
+        (["fm", "--rank1", "999999999989"], 1),
+    ],
 )
 def test_past_the_old_wall_with_the_default_cap(capsys, monkeypatch, argv, fm):
     monkeypatch.delenv("K3FM_CAP", raising=False)
