@@ -8,15 +8,16 @@ from math import isqrt, prod
 
 
 def prime_factors(n: int) -> tuple:
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    """The distinct primes dividing n >= 1, ascending, by trial division by 2
+    and the odd numbers."""
     primes = []
-    p = 2
+    p, step = 2, 1
     while p * p <= n:
         if n % p == 0:
             primes.append(p)
             while n % p == 0:
                 n //= p
-        p += 1
+        p, step = p + step, 2
     if n > 1:
         primes.append(n)
     return tuple(primes)

@@ -6,30 +6,34 @@ sqrt(D) is an integer comparison against isqrt(D), computed once per walk, so
 the module never touches floating point.  Proper classes are the cycles of
 reduced forms under the neighbor step; the class number, the opposite-class
 map (hence the ambiguous classes) and automorphs are all derived from that
-enumeration.  Reduction, cycles, the Pell walk and the equivalence walk step
-integer triples and accumulate their transform in four integers; a
-`BinaryQuadraticForm` is built only for a form a public function returns.
+enumeration.  The enumeration of reduced forms, reduction, cycles, the Pell
+walk and the equivalence walk step integer triples and accumulate their
+transform in four integers; a `BinaryQuadraticForm` is built only for a form
+a public function returns.  So `proper_classes` keys its class index by
+triples and builds the h class representatives alone, and
+`ClassGroupData.cycles` builds the other forms of each cycle on first read.
 Genera are keyed by the content of a form and Gauss's assigned characters of
 its primitive part, so nothing here touches a finite group or the
 enumeration cap.  `lattice_isometry_generators` gives O(S) for every lattice
 the program counts, of rank 1, definite rank 2 and hyperbolic rank 2.
 
-`proper_classes` keeps its last result (a one-entry memo; `ClassGroupData`
-is immutable, so sharing it is safe): a `table` row asks for the classes of
-p twice, in `fm_table` and again in `genus_representative_forms`, and
-enumerates them once.  The memo can give way to passing the
-`ClassGroupData` down once the benchmark's pin on the number of
-`proper_classes` calls per row is restated.
+`proper_classes` keeps its last result (a one-entry memo; a
+`ClassGroupData` is never changed once built, as its index is only read and
+its cycles are filled in once, so sharing it is safe): a `table` row asks
+for the classes of p twice, in `fm_table` and again in
+`genus_representative_forms`, and enumerates them once.  The memo can give
+way to passing the `ClassGroupData` down once the benchmark's pin on the
+number of `proper_classes` calls per row is restated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
 
 from . import intmat
-from .arith import divisors, prime_factors
+from .arith import prime_factors
 from .errors import UnsupportedError
 from .lattice import IntegerLattice
 
@@ -75,17 +79,27 @@ class Automorph:
 @dataclass(frozen=True)
 class ClassGroupData:
     d: int
-    cycles: tuple
+    cycle_triples: tuple  # each class's cycle as (a, b, c) triples
     h: int
     genus_partition: tuple
     opposite: tuple  # index of the class of (a, -b, c), for each class
+    index: dict = field(compare=False, repr=False)  # reduced triple -> class
+    reps: tuple = field(compare=False, repr=False)  # the first form of each cycle
+
+    @cached_property
+    def cycles(self) -> tuple:
+        """Each class's cycle of reduced forms, built on first read."""
+        return tuple(
+            (rep, *(BinaryQuadraticForm(*t) for t in cyc[1:]))
+            for rep, cyc in zip(self.reps, self.cycle_triples)
+        )
 
     @property
     def ambiguous_indices(self) -> tuple:
         return tuple(i for i, j in enumerate(self.opposite) if i == j)
 
     def representatives(self) -> tuple:
-        return tuple(cycle[0] for cycle in self.cycles)
+        return self.reps
 
 
 def form(a: int, b: int, c: int) -> BinaryQuadraticForm:
@@ -181,23 +195,30 @@ def _walk_limit(root: int) -> int:
     return 2 * root * root
 
 
-def cycle(f: BinaryQuadraticForm) -> tuple:
-    """The full cycle of reduced forms through f (equals its proper class).
-    A walk that outlasts the number of reduced forms raises RuntimeError."""
-    a0, b0, c = f.a, f.b, f.c
-    d = f.disc
-    root = isqrt(d)
-    if not _reduced(a0, b0, root):
-        raise ValueError("form is not reduced")
-    out = [f]
+def _cycle_triples(a0: int, b0: int, c: int, d: int, root: int) -> tuple:
+    """The cycle through the reduced (a0, b0, c) of discriminant d, as
+    triples in walk order, with root = isqrt(d).  A walk that outlasts the
+    number of reduced forms raises RuntimeError."""
+    out = [(a0, b0, c)]
     limit = _walk_limit(root)
     a, (b, c, _) = c, _step(b0, c, d, root)
     while a != a0 or b != b0:  # (a, b) fixes c at discriminant d
-        out.append(BinaryQuadraticForm(a, b, c))
+        out.append((a, b, c))
         if len(out) > limit:
             raise RuntimeError(f"cycle of discriminant {d} did not close")
         a, (b, c, _) = c, _step(b, c, d, root)
     return tuple(out)
+
+
+def cycle(f: BinaryQuadraticForm) -> tuple:
+    """The full cycle of reduced forms through f (equals its proper class).
+    A walk that outlasts the number of reduced forms raises RuntimeError."""
+    d = f.disc
+    root = isqrt(d)
+    if not _reduced(f.a, f.b, root):
+        raise ValueError("form is not reduced")
+    rest = _cycle_triples(f.a, f.b, f.c, d, root)[1:]
+    return (f, *(BinaryQuadraticForm(*t) for t in rest))
 
 
 def opposite(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
@@ -216,23 +237,32 @@ def _validate_disc(d: int) -> None:
         )
 
 
-def enumerate_reduced(d: int) -> tuple:
-    """All reduced forms of discriminant d, sorted by coefficients: for each
-    b of the parity of d in (0, sqrt(d)), the factorizations
-    (d - b^2)/4 = a*c with 2a in the window (sqrt(d) - b, sqrt(d) + b), each
-    giving (a, b, -c) and (-a, b, c)."""
+def _reduced_triples(d: int) -> list:
+    """All reduced (a, b, c) of discriminant d, sorted: for each b of the
+    parity of d in (0, sqrt(d)), the factorizations (d - b^2)/4 = a*c with 2a
+    in the window (sqrt(d) - b, sqrt(d) + b), each giving (a, b, -c) and
+    (-a, b, c).  As (sqrt(d) - b)(sqrt(d) + b) = 4ac, 2a clears the bottom
+    of the window iff 2c stays under its top, so a pair a <= c is found by
+    trying a from the bottom of the window up to sqrt(ac) alone, and gives
+    both orders."""
     _validate_disc(d)
     root = isqrt(d)
     triples = []
     for b in range(2 - d % 2, root + 1, 2):
         n = (d - b * b) // 4
-        for a in divisors(n):
-            if root - b < 2 * a <= root + b:
+        for a in range((root - b) // 2 + 1, isqrt(n) + 1):
+            if n % a == 0:
                 c = n // a
-                triples.append((a, b, -c))
-                triples.append((-a, b, c))
+                triples += ((a, b, -c), (-a, b, c))
+                if c != a:
+                    triples += ((c, b, -a), (-c, b, a))
     triples.sort()
-    return tuple(BinaryQuadraticForm(a, b, c) for a, b, c in triples)
+    return triples
+
+
+def enumerate_reduced(d: int) -> tuple:
+    """All reduced forms of discriminant d, sorted by coefficients."""
+    return tuple(BinaryQuadraticForm(*t) for t in _reduced_triples(d))
 
 
 def is_odd_fundamental(d: int) -> bool:
@@ -291,23 +321,27 @@ def proper_classes(d: int) -> ClassGroupData:
     For odd square-free d the classical structure constraints (2^(n-1)
     ambiguous classes and genera, all genera equinumerous) are asserted.
     """
+    triples = _reduced_triples(d)
+    root = isqrt(d)
     cycles = []
     index_of = {}
-    for f in enumerate_reduced(d):
-        if f not in index_of:
-            cyc = cycle(f)
+    for t in triples:
+        if t not in index_of:
+            cyc = _cycle_triples(*t, d, root)
             index_of.update(dict.fromkeys(cyc, len(cycles)))
             cycles.append(cyc)
     h = len(cycles)
-    reps = [cyc[0] for cyc in cycles]
+    reps = tuple(BinaryQuadraticForm(*cyc[0]) for cyc in cycles)
 
     genera: dict = {}
     for i, rep in enumerate(reps):
         genera.setdefault(genus_key(rep), []).append(i)
-    parts = list(genera.values())
+    parts = tuple(tuple(p) for p in genera.values())
 
-    opp = tuple(index_of[reduce_form(opposite(rep)).form] for rep in reps)
-    cgd = ClassGroupData(d, tuple(cycles), h, tuple(tuple(p) for p in parts), opp)
+    # (a, -b, c) is properly equivalent to (c, b, a) by [[0, -1], [1, 0]],
+    # and (c, b, a) is reduced with (a, b, c): 2|a| 2|c| = D - b^2
+    opp = tuple(index_of[c, b, a] for a, b, c in (cyc[0] for cyc in cycles))
+    cgd = ClassGroupData(d, tuple(cycles), h, parts, opp, index_of, reps)
 
     if is_odd_fundamental(d):
         expected = 2 ** (len(prime_factors(d)) - 1)
@@ -324,11 +358,10 @@ def genus_partition(d: int) -> tuple:
 def class_index_of(cgd: ClassGroupData, f: BinaryQuadraticForm) -> int:
     if f.disc != cgd.d:
         raise ValueError("discriminant mismatch")
-    reduced = reduce_form(f).form
-    for i, cyc in enumerate(cgd.cycles):
-        if reduced in cyc:
-            return i
-    raise RuntimeError("reduced form missing from cycle enumeration")
+    i = cgd.index.get(reduce_form(f).form.coefficients())
+    if i is None:
+        raise RuntimeError("reduced form missing from cycle enumeration")
+    return i
 
 
 def fold_classes(cgd: ClassGroupData, indices) -> tuple:

@@ -698,21 +698,31 @@ def _position(where: dict, images: tuple, p: int) -> int:
     return n
 
 
+def _searched(part: PrimaryPart) -> bool:
+    """Whether `isometries_signed` enumerates A_p to find O(A_p): always,
+    unless A_p is cyclic and its units come in closed form."""
+    if part.form.ngens > 1:
+        return True
+    n, q1 = part.form.orders[0], part.form.q_table[0]
+    return _cyclic_unit_roots(n, q1, q1, part.p) is None
+
+
 def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
     """Number of double cosets H \\ O(A) / K, found one p-part at a time.
 
     O(A) is the product of the O(A_p), each found by `isometries_signed` on
     A_p alone, so the search costs the sum of the |A_p| and the cap bounds
-    the largest A_p.  Each generator is restricted to every part and must
-    land in O(A_p); it then acts on O(A_p) by a table of element indices
-    (left composition for H, right for K), and the orbits of
-    x -> h o x o k on the product of the parts are walked on index tuples.
+    each A_p that is searched: a cyclic A_p with units in closed form is
+    not.  Each generator is restricted to every part and must land in
+    O(A_p); it then acts on O(A_p) by a table of element indices (left
+    composition for H, right for K), and the orbits of x -> h o x o k on the
+    product of the parts are walked on index tuples.
     Agrees with `double_coset_count(orthogonal_group(a), h_gens, k_gens)`.
     """
     cap = _enumeration_cap()
     parts = primary_parts(a)
     for part in parts:
-        if part.form.order > cap:
+        if _searched(part) and part.form.order > cap:
             raise CapExceededError(
                 f"finite group too large: |A| = {a.order}; its p-part for p = {part.p} "
                 f"has |A_{part.p}| = {part.form.order}, which exceeds the cap {cap}"

@@ -1,9 +1,12 @@
-"""`k3fm.arith` against naive references for every n <= 5000.  prime_factors
-and euler_phi are checked in test_genus_key and test_fm_count."""
+"""`k3fm.arith` against naive references for every n <= 5000, and
+`prime_factors` for every n <= 10^5 and on products of two primes near 10^6.
+euler_phi is checked in test_genus_key and test_fm_count."""
 
 from math import isqrt
 
-from k3fm.arith import divisors, is_prime, primes_one_mod_four, tau
+import pytest
+
+from k3fm.arith import divisors, is_prime, prime_factors, primes_one_mod_four, tau
 
 N = 5000
 
@@ -37,3 +40,30 @@ def test_primes_one_mod_four():
     for bound in (0, 1, 4, 5, 12, 13, 14, 1000, N):
         expected = [p for p in NAIVE_PRIMES if p <= bound and p % 4 == 1]
         assert primes_one_mod_four(bound) == expected, bound
+
+
+def test_prime_factors_up_to_1e5():
+    bound = 10**5
+    smallest = list(range(bound + 1))  # smallest prime factor, by a sieve
+    for p in range(2, isqrt(bound) + 1):
+        if smallest[p] == p:
+            for m in range(p * p, bound + 1, p):
+                if smallest[m] == m:
+                    smallest[m] = p
+    assert prime_factors(1) == ()
+    for n in range(2, bound + 1):
+        expected, m = [], n
+        while m > 1:
+            p = smallest[m]
+            expected.append(p)
+            while m % p == 0:
+                m //= p
+        assert prime_factors(n) == tuple(expected), n
+
+
+@pytest.mark.parametrize(
+    "p, q", [(2, 999999999989), (999983, 999983), (999983, 1000003), (1000003, 1000033)]
+)
+def test_prime_factors_of_two_primes_near_1e6(p, q):
+    assert naive_is_prime(p) and naive_is_prime(q)
+    assert prime_factors(p * q) == tuple(sorted({p, q}))

@@ -162,13 +162,13 @@ def test_a_table_row_enumerates_its_classes_once(monkeypatch):
     # one-entry memo answers the second ask, and a prime that comes back
     # after another is enumerated again
     calls = []
-    original = bqf.enumerate_reduced
+    original = bqf._reduced_triples
 
     def counted(d):
         calls.append(d)
         return original(d)
 
-    monkeypatch.setattr(bqf, "enumerate_reduced", counted)
+    monkeypatch.setattr(bqf, "_reduced_triples", counted)
     bqf.proper_classes.cache_clear()
     assert fm_table((229, 257, 229)) == ((229, 3, 2), (257, 3, 2), (229, 3, 2))
     assert calls == [229, 257, 229]

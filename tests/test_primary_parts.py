@@ -158,16 +158,34 @@ def test_a_map_outside_the_orthogonal_group_is_an_internal_error():
 
 
 def test_cap_bounds_the_largest_part(monkeypatch):
-    a = cyclic_form(12000, Fraction(1, 12000))
+    # A_5 = Z/5 + Z/25 is searched; the cyclic A_2 = Z/128 and A_3 = Z/3 have
+    # their units in closed form, so A_2 passes a cap below its order
+    nc125 = discriminant_form(make_lattice([[10, 5], [5, -10]]))
+    a = orthogonal_sum(nc125, cyclic_form(384, Fraction(1, 384)))
+    assert [(part.p, part.form.orders) for part in primary_parts(a)] == [
+        (2, (128,)), (3, (3,)), (5, (5, 25))
+    ]
     neg = negation_map(a)
+    monkeypatch.setenv("K3FM_CAP", str(a.order))
+    expected = double_coset_count(orthogonal_group(a), [neg], [neg])
     monkeypatch.setenv("K3FM_CAP", "125")
-    assert double_coset_count_by_parts(a, [neg], [neg]) == 4
+    assert double_coset_count_by_parts(a, [neg], [neg]) == expected == 40
     monkeypatch.setenv("K3FM_CAP", "124")
     with pytest.raises(CapExceededError) as info:
         double_coset_count_by_parts(a, [neg], [neg])
     message = str(info.value)
-    assert "finite group too large" in message and "|A| = 12000" in message
+    assert "finite group too large" in message and "|A| = 48000" in message
     assert "p = 5" in message and "|A_5| = 125" in message and "cap 124" in message
+
+
+def test_cap_skips_a_cyclic_part_in_closed_form(tmp_path, capsys, monkeypatch):
+    # A_S = Z/2 + Z/20018: the searched A_2 has order 4, and A_10009 is
+    # cyclic, so the default cap of 10^4 does not stop the count
+    monkeypatch.delenv("K3FM_CAP", raising=False)
+    lat = tmp_path / "ns.json"
+    lat.write_text('{"gram": [[4, 2], [2, -10008]]}')
+    assert main(["fm", "--lattice", str(lat)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "fm=1"
 
 
 def test_cli_cap_names_the_part(tmp_path, capsys, monkeypatch):
