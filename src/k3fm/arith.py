@@ -38,19 +38,6 @@ def is_prime(n: int) -> bool:
     return n > 1 and prime_factors(n) == (n,)
 
 
-def divisors(n: int) -> list:
-    """The positive divisors of n >= 1, ascending."""
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
-
-
 def primes_one_mod_four(bound: int) -> list:
     """The primes p = 1 mod 4 up to the bound, by a sieve."""
     sieve = bytearray([1]) * (bound + 1)

@@ -136,18 +136,23 @@ def isometry_image_generators(s: IntegerLattice, a_s) -> list:
     return [induced_form_map(s, m) for m in bqf.lattice_isometry_generators(s)]
 
 
-def coset_summand(s: IntegerLattice, hodge: HodgeGroupSpec = GENERIC_HODGE) -> int:
+def coset_summand(s: IntegerLattice, hodge: HodgeGroupSpec = GENERIC_HODGE, h_maps=None) -> int:
     """The Counting Formula's term for one genus member S: the double cosets
     O(S) \\ O(A_S) / G, with O(S) from `isometry_image_generators` and G
     from `carried_hodge_generators`.  A cyclic A_S is counted as
     |O(A_S)| / |<O(S) u G>| by `cyclic_coset_count`, which builds O(S) only
     when G alone does not fill O(A_S); any other A_S by the walk one p-part
-    at a time."""
+    at a time.  A caller that holds the image of O(S) already hands it in as
+    h_maps, and it is used instead."""
     a_s = discriminant_form(s)
     k_gens = carried_hodge_generators(a_s, hodge)
     if a_s.ngens <= 1:
-        return cyclic_coset_count(a_s, lambda: isometry_image_generators(s, a_s), k_gens)
-    return double_coset_count_by_parts(a_s, isometry_image_generators(s, a_s), k_gens)
+        if h_maps is None:
+            return cyclic_coset_count(a_s, lambda: isometry_image_generators(s, a_s), k_gens)
+        return cyclic_coset_count(a_s, h_maps, k_gens)
+    if h_maps is None:
+        h_maps = isometry_image_generators(s, a_s)
+    return double_coset_count_by_parts(a_s, h_maps, k_gens)
 
 
 def genus_lattices(s: IntegerLattice) -> tuple:

@@ -15,19 +15,22 @@ is checked against a whole-group orbit walk.
 The oracle runs on integers.  An overlattice holds its basis as integer
 rows B over one denominator D (`Overlattice.ambient_basis` shows B / D as
 `Fraction`s), and every rationality test on it becomes a divisibility test
-by D or D^2.  "The complement of T equals S" means S is primitive in L:
-the complement is L meets S x Q, and it is checked by the same test as the
-primitivity of T, with the two coordinate blocks swapped, so no lattice is
-classified up to isometry.  Reading a gluing map back from
-an overlattice is linear: L/(S + T) is read off the Smith form of B, only
-its generators are classified, the classes of the other cosets are their
-sums, and every coset is still checked to lie on the graph of one
-bijection A_T -> A_S.
+by D or D^2.  The Gram of L is summed over the two coordinate blocks of B,
+since S + T is an orthogonal sum.  "The complement of T equals S" means S
+is primitive in L: the complement is L meets S x Q, and it is checked by
+the same test as the primitivity of T, with the two coordinate blocks
+swapped, so no lattice is classified up to isometry.  That test is a
+divisibility and a determinant: the vectors of L in the block must be
+integral and have determinant +-1.  Reading a gluing map back from an
+overlattice is linear: L/(S + T) is read off the Smith form of B, only its
+generators are classified, and the classes of the other cosets are their
+sums, built column-wise, one list of ints per coordinate.  Every coset is
+still checked to lie on the graph of one bijection A_T -> A_S.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import fm_count, intmat
@@ -115,18 +118,19 @@ def glue(s: IntegerLattice, t: IntegerLattice, phi: FiniteFormMap) -> Overlattic
     n = s.rank + t.rank
     k = data_t.form.ngens
     denom = data_t.form.exponent
-    rows = [tuple(denom * int(i == j) for j in range(n)) for i in range(n)]
-    for i, img in enumerate(phi.images):
-        unit = tuple(int(i == j) for j in range(k))
+    rows = list(intmat.scale(intmat.identity(n), denom))
+    for img, unit in zip(phi.images, intmat.identity(k)):
         rows.append(_dual_numerators(data_s, img, denom) + _dual_numerators(data_t, unit, denom))
     basis_scaled = intmat.hermite_row_basis(rows)
     if len(basis_scaled) != n:
         raise RuntimeError("glued lattice lost rank")
-    # basis_scaled / denom is a basis of L, so this Gram is denom^2 times L's
-    gram_st = direct_sum(s, t).gram
-    gram_scaled = intmat.matmul(
-        basis_scaled, intmat.matmul(gram_st, intmat.transpose(basis_scaled))
-    )
+    # basis_scaled / denom is a basis of L, so B (G_S + G_T) B^T is denom^2
+    # times L's Gram; S + T is an orthogonal sum, so the rows of B (G_S + G_T)
+    # are B_S G_S and B_T G_T side by side, one column block of B each
+    b_s = tuple(row[: s.rank] for row in basis_scaled)
+    b_t = tuple(row[s.rank :] for row in basis_scaled)
+    b_g = [x + y for x, y in zip(intmat.matmul(b_s, s.gram), intmat.matmul(b_t, t.gram))]
+    gram_scaled = intmat.matmul(basis_scaled, intmat.transpose(b_g))
     denom2 = denom * denom
     gram = []
     for i, row in enumerate(gram_scaled):
@@ -170,16 +174,18 @@ def _meets_block_in_itself(basis: tuple, denom: int, lo: int, hi: int) -> bool:
     exactly the integer vectors there.  The integer combinations x that make
     x . basis vanish off the block give the vectors of L in its span; each
     must be integral (denom divides x . basis) and together they must span
-    all of Z^(hi - lo)."""
+    all of Z^m, m = hi - lo.  Their m rows x . basis / denom are integral and
+    square, so they span Z^m exactly when their determinant is +-1, that is
+    when the m x m matrix of the x . basis has determinant +-denom^m."""
+    m = hi - lo
     outside = tuple(row[:lo] + row[hi:] for row in basis)
     kernel = intmat.row_kernel_basis(outside)
-    if len(kernel) != hi - lo:
+    if len(kernel) != m:
         return False
     part = intmat.matmul(kernel, tuple(row[lo:hi] for row in basis))
     if any(x % denom for row in part for x in row):
         return False
-    part = tuple(tuple(x // denom for x in row) for row in part)
-    return intmat.hermite_row_basis(part) == intmat.identity(hi - lo)
+    return abs(intmat.det(part)) == denom**m
 
 
 def verify_overlattice(over: Overlattice, s: IntegerLattice, t: IntegerLattice) -> OverlatticeReport:
@@ -213,7 +219,10 @@ def recovered_gluing_map(over: Overlattice, s: IntegerLattice, t: IntegerLattice
     D, and then row i of u B / D generates a cyclic summand of L/(S + T) of
     order D / d_i.  Classification is a group homomorphism, so only these
     generators are classified; every coset's classes are sums of theirs,
-    and every coset is still checked against the graph condition."""
+    kept as one list per coordinate.  Classification is also injective on
+    L/(S + T), so the cosets lie on the graph of a map A_T -> A_S exactly
+    when their T-parts are distinct, and every coset takes part in that
+    test."""
     data_s = discriminant_data(s)
     data_t = discriminant_data(t)
     n = s.rank + t.rank
@@ -224,30 +233,33 @@ def recovered_gluing_map(over: Overlattice, s: IntegerLattice, t: IntegerLattice
         raise ValueError("S + T is not a sublattice of the overlattice")
     k = data_t.form.ngens
     orders = data_t.form.orders + data_s.form.orders
-    # T-class followed by S-class of every coset, one generator at a time
-    cosets = [(0,) * len(orders)]
+    # one list per coordinate, T-classes then S-classes, entry j of every
+    # list belonging to coset j; each generator multiplies the coset count
+    cols = [[0] for _ in orders]
+    size = 1
     for row, d_i in zip(intmat.matmul(u, basis), diag):
         order = denom // d_i
         if order == 1:
             continue
         step = data_t.classify(row[s.rank :], denom) + data_s.classify(row[: s.rank], denom)
-        multiples = [cosets[0]]  # 0, step, 2*step, ...
-        for _ in range(order - 1):
-            multiples.append(_add_mod(multiples[-1], step, orders))
-        cosets = [_add_mod(c, m, orders) for c in cosets for m in multiples]
-    graph = {}
-    for c in cosets:
-        if graph.setdefault(c[:k], c[k:]) != c[k:]:
-            raise ValueError("overlattice quotient is not a gluing graph")
-    if len(graph) != data_t.form.order or len(cosets) != over.index:
+        cols = [
+            [(x + j * st) % m for x in col for j in range(order)]
+            for col, st, m in zip(cols, step, orders)
+        ]
+        size *= order
+    graph = dict(zip(_coset_parts(cols[:k], size), _coset_parts(cols[k:], size)))
+    if len(graph) != size:
+        raise ValueError("overlattice quotient is not a gluing graph")
+    if size != data_t.form.order or size != over.index:
         raise ValueError("overlattice quotient has the wrong size")
-    units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
-    images = tuple(graph[e] for e in units)
+    images = tuple(graph[e] for e in intmat.identity(k))
     return FiniteFormMap(data_t.form, data_s.form, images, -1)
 
 
-def _add_mod(x: tuple, y: tuple, orders: tuple) -> tuple:
-    return tuple((a + b) % m for a, b, m in zip(x, y, orders))
+def _coset_parts(cols: list, size: int) -> list:
+    """The coordinate tuples of the size cosets, one per coset, read across
+    the coordinate lists; the empty tuple for each when there are none."""
+    return list(zip(*cols)) if cols else [()] * size
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +270,8 @@ def _add_mod(x: tuple, y: tuple, orders: tuple) -> tuple:
 class GluingClasses:
     count: int
     representatives: tuple
+    # generators of the image of O(S) in O(A_S) that the orbit walk used
+    o_s_images: tuple = field(default=(), compare=False, repr=False)
 
 
 def gluing_classes(
@@ -267,13 +281,14 @@ def gluing_classes(
 ) -> GluingClasses:
     """Partition the full set of anti-isometries A_T -> A_S into orbits under
     sigma -> h o sigma o g, with h running over the image of O(S) and g over
-    the image of the Hodge group in O(A_T)."""
+    the image of the Hodge group in O(A_T).  The generators h are kept on
+    the result; none are built when there is no anti-isometry."""
     a_s = discriminant_form(s)
     a_t = discriminant_form(t)
     sigmas = isometries_signed(a_t, a_s, -1)
     if not sigmas:
         return GluingClasses(0, ())
-    h_maps = fm_count.isometry_image_generators(s, a_s)
+    h_maps = tuple(fm_count.isometry_image_generators(s, a_s))
     g_maps = hodge_generators(a_t, hodge)
     remaining = dict.fromkeys(sigmas)
     reps = []
@@ -294,7 +309,7 @@ def gluing_classes(
                     frontier.append(nxt)
         for sigma in seen:
             remaining.pop(sigma, None)
-    return GluingClasses(count, tuple(reps))
+    return GluingClasses(count, tuple(reps), h_maps)
 
 
 @dataclass(frozen=True)
@@ -327,7 +342,9 @@ def verify_gluing_counts(
     """For each genus representative S_j compare the number of gluing orbits
     (a walk over every anti-isometry A_T -> A_S) with the engine's summand
     `fm_count.coset_summand` (double cosets counted one p-part at a time);
-    both totals must agree."""
+    both totals must agree.  The image of O(S_j) in O(A_S_j) is built once
+    per S_j, by the orbit walk, and handed on to the summand; the walk
+    still moves whole maps."""
     rows = []
     for s in s_list:
         classes = gluing_classes(s, t, hodge)
@@ -335,7 +352,7 @@ def verify_gluing_counts(
             raise ValueError(
                 "no gluing exists: discriminant forms of S and T are not anti-isometric"
             )
-        rows.append(GluingCountRow(s, classes.count, coset_summand(s, hodge)))
+        rows.append(GluingCountRow(s, classes.count, coset_summand(s, hodge, classes.o_s_images)))
     return GluingCountReport(
         tuple(rows),
         sum(r.orbit_count for r in rows),

@@ -2,12 +2,15 @@
 
 Matrices are tuples of row tuples with int or Fraction entries.  Arbitrary
 precision comes for free from Python integers; rational elimination uses
-fractions.Fraction.
+fractions.Fraction.  `matmul` and `mat_vec` take either kind of entry.
+The row Hermite reduction carries its transform only for
+`row_kernel_basis`; `hermite_row_basis` runs it without one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 Matrix = tuple
 
@@ -17,7 +20,8 @@ def freeze(rows) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    zeros = (0,) * n
+    return tuple(zeros[:i] + (1,) + zeros[i + 1 :] for i in range(n))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -26,13 +30,11 @@ def transpose(m: Matrix) -> Matrix:
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     cols = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(m: Matrix, v) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def scale(m: Matrix, k) -> Matrix:
@@ -176,12 +178,13 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return freeze(u), freeze(a), freeze(v)
 
 
-def _row_echelon(m: Matrix) -> tuple[list, list, int]:
-    """Row Hermite reduction with transform: returns (h, w, rank), w*m = h."""
+def _row_echelon(m: Matrix, track: bool) -> tuple[list, list | None, int]:
+    """Row Hermite reduction: returns (h, w, rank) with w*m = h when track,
+    else (h, None, rank) with no transform carried."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [list(row) for row in m]
-    w = [list(row) for row in identity(rows)]
+    w = [list(row) for row in identity(rows)] if track else None
     r = 0
     for c in range(cols):
         while True:
@@ -191,13 +194,15 @@ def _row_echelon(m: Matrix) -> tuple[list, list, int]:
             i0 = min(nz, key=lambda i: abs(a[i][c]))
             if i0 != r:
                 a[r], a[i0] = a[i0], a[r]
-                w[r], w[i0] = w[i0], w[r]
+                if track:
+                    w[r], w[i0] = w[i0], w[r]
             done = True
             for i in range(r + 1, rows):
                 if a[i][c] != 0:
                     q = a[i][c] // a[r][c]
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    w[i] = [x - q * y for x, y in zip(w[i], w[r])]
+                    if track:
+                        w[i] = [x - q * y for x, y in zip(w[i], w[r])]
                     if a[i][c] != 0:
                         done = False
             if done:
@@ -205,23 +210,26 @@ def _row_echelon(m: Matrix) -> tuple[list, list, int]:
         if r < rows and a[r][c] != 0:
             if a[r][c] < 0:
                 a[r] = [-x for x in a[r]]
-                w[r] = [-x for x in w[r]]
+                if track:
+                    w[r] = [-x for x in w[r]]
             for i in range(r):
                 q = a[i][c] // a[r][c]
                 if q != 0:
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    w[i] = [x - q * y for x, y in zip(w[i], w[r])]
+                    if track:
+                        w[i] = [x - q * y for x, y in zip(w[i], w[r])]
             r += 1
     return a, w, r
 
 
 def hermite_row_basis(m: Matrix) -> Matrix:
-    """Canonical basis (row Hermite form) of the lattice spanned by the rows."""
-    a, _, r = _row_echelon(m)
+    """Canonical basis (row Hermite form) of the lattice spanned by the rows,
+    reduced without carrying a transform."""
+    a, _, r = _row_echelon(m, False)
     return freeze(a[:r])
 
 
 def row_kernel_basis(m: Matrix) -> Matrix:
     """Basis of the integer kernel {x : x*m = 0}."""
-    _, w, r = _row_echelon(m)
+    _, w, r = _row_echelon(m, True)
     return freeze(w[r:])

@@ -1,12 +1,14 @@
 """`k3fm.arith` against naive references for every n <= 5000, and
 `prime_factors` for every n <= 10^5 and on products of two primes near 10^6.
-euler_phi is checked in test_genus_key and test_fm_count."""
+euler_phi is checked in test_genus_key and test_fm_count.  `divisors`, which
+only the tests use, lives in `reference_arith` and is checked here too."""
 
 from math import isqrt
 
 import pytest
+from reference_arith import divisors
 
-from k3fm.arith import divisors, is_prime, prime_factors, primes_one_mod_four, tau
+from k3fm.arith import is_prime, prime_factors, primes_one_mod_four, tau
 
 N = 5000
 

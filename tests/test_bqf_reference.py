@@ -11,9 +11,9 @@ from math import isqrt
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_arith import divisors
 
 from k3fm import intmat
-from k3fm.arith import divisors
 from k3fm.bqf import (
     BinaryQuadraticForm,
     automorph_matrix,

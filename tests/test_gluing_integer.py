@@ -231,6 +231,15 @@ HAND_BUILT = {
         Overlattice(((1, 0), (0, 2)), 2, ((-2, 0), (0, 2)), 2),
         OverlatticeReport(True, False, True, False),
     ),
+    # L = S + T' for T' = <(1, 1), (1, -1)> of index 2 in T = <2>^2: the
+    # vectors of L in T x Q are integral rows with determinant -2, so they
+    # span T' and not all of T, though each of the two rows is primitive
+    "t_block_of_index_2": (
+        diagonal_lattice(-2),
+        diagonal_lattice(2, 2),
+        Overlattice(((1, 0, 0), (0, 1, 1), (0, 1, -1)), 1, ((-2, 0, 0), (0, 4, 0), (0, 0, 4)), 1),
+        OverlatticeReport(True, False, False, True),
+    ),
     # L = S + T + (1/2, 0) + (0, 1/2) is not integral: the vectors of L in
     # T x Q are (0, 1/2) Z, and the complement of T is (1/2, 0) Z, of norm -1/2
     "not_integral": (
@@ -293,6 +302,25 @@ def test_read_back_of_a_basis_over_a_larger_denominator():
     assert recovered_gluing_map(wide, s, t) == sigma
     assert verify_overlattice(wide, s, t).all_ok
     assert reference_recovered_gluing_map(wide, s, t) == sigma
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        direct_sum(hyperbolic_plane(), hyperbolic_plane()),  # A = 0: no coordinates
+        make_lattice([[-4, -2], [-2, -4]]),  # A = Z/2 + Z/6
+    ],
+    ids=["UxU", "[[-4,-2],[-2,-4]]"],
+)
+def test_read_back_with_no_coordinates_or_two_generators(s):
+    t = rescale(s, -1)
+    sigmas = isometries_signed(discriminant_form(t), discriminant_form(s), -1)
+    assert discriminant_form(s).orders in ((), (2, 6))
+    assert sigmas
+    for sigma in sigmas:
+        over = glue(s, t, sigma)
+        recovered = recovered_gluing_map(over, s, t)
+        assert recovered == reference_recovered_gluing_map(over, s, t) == sigma
 
 
 def test_glue_keeps_its_integer_basis():

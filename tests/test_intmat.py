@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from k3fm import intmat
 
@@ -82,6 +83,27 @@ def test_hermite_row_basis_canonical():
     assert h == ((1, 1), (0, 2))
     # generated lattice is basis-independent
     assert intmat.hermite_row_basis(h) == h
+
+
+def test_hermite_row_basis_is_the_tracked_reduction():
+    # the transform-free reduction against the one that carries w, w * m = h
+    rng = random.Random(17)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 5)
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
+            m[i] = [0] * cols
+        m = intmat.freeze(m)
+        h, w, r = intmat._row_echelon(m, True)
+        assert intmat.matmul(intmat.freeze(w), m) == intmat.freeze(h)
+        assert intmat.hermite_row_basis(m) == intmat.freeze(h[:r])
+    assert intmat.hermite_row_basis(((0, 0), (0, 0), (0, 0))) == ()
+
+
+def test_products_take_fractions():
+    half = Fraction(1, 2)
+    assert intmat.matmul(((half, 1),), ((2,), (half,))) == ((Fraction(3, 2),),)
+    assert intmat.mat_vec(((half, 3),), (4, half)) == (Fraction(7, 2),)
 
 
 def test_row_kernel_basis():
