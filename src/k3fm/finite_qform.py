@@ -20,8 +20,11 @@ A_p are searched.  When every A_p is cyclic (A is cyclic), O(A) is an
 abelian group of unit tuples and `cyclic_coset_count` returns
 |O(A)| / |<H u K>| without walking orbits; otherwise
 `double_coset_count_by_parts` walks the orbits on the product of the
-O(A_p).  The walk is also the reference for the closed count, and the
-whole-group functions are the reference for the walk.
+O(A_p).  In the walk a cyclic part's O(A_p) is taken from the closed form
+of its units when there is one, and each move is one permutation of the
+elements of O(A), numbered in mixed radix.  The walk is also the
+reference for the closed count, and the whole-group functions are the
+reference for the walk.
 
 The size cap on what is enumerated lives here alone: K3FM_CAP (else
 DEFAULT_CAP) is read by every isometry search, for the CLI and library
@@ -32,7 +35,8 @@ it raises CapExceededError; the closed forms are not capped.
 
 A map between two forms is checked on both tables scaled to the lcm of
 their exponents.  Generation is tested by a Hermite basis of the images
-stacked on diag(d_1, ..., d_k) rather than by building the span.
+stacked on diag(d_1, ..., d_k) rather than by building the span; on a
+p-part (a search given its prime) by the determinant of the images mod p.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
+from operator import mul
 
 from . import intmat
 from .arith import prime_factors
@@ -202,7 +207,7 @@ def canonical_form(orders_raw, q_raw, b_raw, n: int) -> FiniteQuadraticForm:
     rel = tuple(
         tuple(orders_raw[i] if i == j else 0 for j in range(k)) for i in range(k)
     )
-    u, d, _ = intmat.smith_normal_form(rel)
+    u, d, _ = intmat.smith_normal_form(rel, track_v=False)
     w = intmat.unimodular_inverse(u)
     keep = [i for i in range(k) if d[i][i] > 1]
     gens = []
@@ -258,12 +263,17 @@ def evaluate_b(a: FiniteQuadraticForm, x, y) -> Fraction:
     return Fraction(_scaled_b(a.b_table, x, y) % n, n)
 
 
-def _generates(orders, images) -> bool:
+def _generates(orders, images, prime: int | None = None) -> bool:
     """Whether the coefficient vectors generate Z/d_1 + ... + Z/d_k: exactly
-    when the rows of the images and of diag(orders) span Z^k."""
+    when the rows of the images and of diag(orders) span Z^k.  When every
+    d_i is a power of `prime` and there are k >= 2 images, exactly when
+    their k x k determinant is nonzero mod p: pB is the Frattini subgroup of
+    the p-group B, so k elements generate B iff they span B/pB = (Z/p)^k."""
     k = len(orders)
     if k == 1:
         return gcd(orders[0], *(x[0] for x in images)) == 1
+    if prime is not None:
+        return intmat.det(images) % prime != 0
     diag = intmat.identity(k)
     rows = tuple(images) + tuple(tuple(d * e for e in row) for d, row in zip(orders, diag))
     return intmat.hermite_row_basis(rows) == diag
@@ -273,15 +283,14 @@ def _generates(orders, images) -> bool:
 # maps
 
 
-def _apply(images, x, orders) -> tuple:
-    """The image of the vector x under the homomorphism that sends generator
-    i to images[i], reduced mod the target orders."""
-    out = [0] * len(orders)
-    for xi, img in zip(x, images):
-        if xi:
-            for j, cj in enumerate(img):
-                out[j] += xi * cj
-    return tuple(c % d for c, d in zip(out, orders))
+def _after(f_images, g_images, orders) -> tuple:
+    """The images of f o g, from the images of f and of g: f, the
+    homomorphism that sends generator i to f_images[i], applied to each
+    image of g and reduced mod the target orders."""
+    cols = tuple(zip(*f_images))
+    return tuple(
+        tuple(sum(map(mul, y, c)) % d for c, d in zip(cols, orders)) for y in g_images
+    )
 
 
 @dataclass(frozen=True)
@@ -294,14 +303,13 @@ class FiniteFormMap:
     sign: int
 
     def apply(self, x) -> tuple:
-        return _apply(self.images, x, self.target.orders)
+        return _after(self.images, (x,), self.target.orders)[0]
 
     def compose(self, other: "FiniteFormMap") -> "FiniteFormMap":
         """self after other."""
         if other.target != self.source:
             raise ValueError("maps are not composable")
-        orders = self.target.orders
-        images = tuple(_apply(self.images, img, orders) for img in other.images)
+        images = _after(self.images, other.images, self.target.orders)
         return FiniteFormMap(other.source, self.target, images, self.sign * other.sign)
 
     def inverse(self) -> "FiniteFormMap":
@@ -466,7 +474,8 @@ def isometries_signed(
     candidates from `_cyclic_unit_roots` (at most two, in closed form); every
     other cyclic form filters range(N).  Both give the same maps in the same
     order.  `prime` is p when A and B are known to be p-groups (a
-    `PrimaryPart`), so that N is not factored again.
+    `PrimaryPart`), so that N is not factored again and generation is a
+    determinant mod p (`_generates`).
 
     K3FM_CAP is read on every call with equal invariant factors, but the cap
     is compared with |A| only before an enumeration: the range(N) filter or
@@ -517,17 +526,15 @@ def isometries_signed(
 
     def backtrack(i: int) -> bool:
         if i == k:
-            if _generates(orders, images):
+            if _generates(orders, images, prime):
                 results.append(FiniteFormMap(a, b, tuple(images), sign))
                 return _first_only
             return False
         want = target_b[i]
         for x in candidates[i]:
-            if all(
-                sum(xs * rs for xs, rs in zip(x, rows[j])) % n == want[j] for j in range(i)
-            ):
+            if all(sum(map(mul, x, rows[j])) % n == want[j] for j in range(i)):
                 images.append(x)
-                rows.append([sum(bst * xt for bst, xt in zip(bs, x)) for bs in bb])
+                rows.append([sum(map(mul, bs, x)) for bs in bb])
                 if backtrack(i + 1):
                     return True
                 images.pop()
@@ -698,73 +705,99 @@ def _position(where: dict, images: tuple, p: int) -> int:
     return n
 
 
-def _searched(part: PrimaryPart) -> bool:
-    """Whether `isometries_signed` enumerates A_p to find O(A_p): always,
-    unless A_p is cyclic and its units come in closed form."""
+def _closed_units(part: PrimaryPart) -> list | None:
+    """O(A_p) as units mod p^e when A_p is cyclic and they come in closed
+    form (`_cyclic_unit_roots`, the candidates `isometries_signed` would
+    take, every one a unit); None when `isometries_signed` must enumerate
+    A_p to find O(A_p)."""
     if part.form.ngens > 1:
-        return True
+        return None
     n, q1 = part.form.orders[0], part.form.q_table[0]
-    return _cyclic_unit_roots(n, q1, q1, part.p) is None
+    return _cyclic_unit_roots(n, q1, q1, part.p)
+
+
+def _walk_tables(part: PrimaryPart, units: list | None, h_gens, k_gens) -> tuple:
+    """|O(A_p)| and, per generator (H first, then K), its table of element
+    indices on O(A_p): left composition x -> h o x for H, right composition
+    x -> x o k for K.  O(A_p) is the maps x -> u x for the `units` when they
+    come in closed form, else it is searched."""
+    p = part.p
+    if units is None:
+        elements = [f.images for f in isometries_signed(part.form, part.form, 1, prime=p)]
+    else:
+        elements = [((u,),) for u in units]
+    orders = part.form.orders
+    where = {x: i for i, x in enumerate(elements)}
+    tables = []
+    for n, g in enumerate((*h_gens, *k_gens)):
+        g = elements[_position(where, part.restrict(g), p)]
+        if n < len(h_gens):  # x -> h o x
+            products = [_after(g, x, orders) for x in elements]
+        else:  # x -> x o k
+            products = [_after(x, g, orders) for x in elements]
+        tables.append(tuple(_position(where, y, p) for y in products))
+    return len(elements), tables
 
 
 def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
     """Number of double cosets H \\ O(A) / K, found one p-part at a time.
 
-    O(A) is the product of the O(A_p), each found by `isometries_signed` on
-    A_p alone, so the search costs the sum of the |A_p| and the cap bounds
-    each A_p that is searched: a cyclic A_p with units in closed form is
-    not.  Each generator is restricted to every part and must land in
-    O(A_p); it then acts on O(A_p) by a table of element indices (left
-    composition for H, right for K), and the orbits of x -> h o x o k on the
-    product of the parts are walked on index tuples.
+    O(A) is the product of the O(A_p).  A cyclic A_p whose units come in
+    closed form is not searched; every other O(A_p) is found by
+    `isometries_signed` on A_p alone, so the search costs the sum of those
+    |A_p| and the cap bounds each A_p that is searched, before any is.  Each
+    generator is restricted to every part and must land in O(A_p); it then
+    acts on O(A_p) by a table of element indices (`_walk_tables`), and the
+    orbits of x -> h o x o k are walked on the elements of O(A), numbered by
+    their index tuples in mixed radix, each generator one permutation of
+    those numbers.  A generator whose tables repeat another's, or fix every
+    index, moves nothing new and is not walked.
     Agrees with `double_coset_count(orthogonal_group(a), h_gens, k_gens)`.
     """
     cap = _enumeration_cap()
     parts = primary_parts(a)
-    for part in parts:
-        if _searched(part) and part.form.order > cap:
+    closed = [_closed_units(part) for part in parts]
+    for part, units in zip(parts, closed):
+        if units is None and part.form.order > cap:
             raise CapExceededError(
                 f"finite group too large: |A| = {a.order}; its p-part for p = {part.p} "
                 f"has |A_{part.p}| = {part.form.order}, which exceeds the cap {cap}"
                 " (raise it with K3FM_CAP)"
             )
-    gens = (*h_gens, *k_gens)
-    for g in gens:
+    for g in (*h_gens, *k_gens):
         if g.source != a or g.target != a or g.sign != 1:
             raise RuntimeError("generator is not a self-isometry of the form")
     sizes = []
-    moves = [[] for _ in gens]  # per generator, one table per part
-    for part in parts:
-        orders = part.form.orders
-        found = isometries_signed(part.form, part.form, 1, prime=part.p)
-        elements = [f.images for f in found]
-        where = {x: n for n, x in enumerate(elements)}
-        sizes.append(len(elements))
-        restricted = [elements[_position(where, part.restrict(g), part.p)] for g in gens]
-        for n, (tables, g) in enumerate(zip(moves, restricted)):
-            if n < len(h_gens):  # x -> h o x
-                products = [tuple(_apply(g, y, orders) for y in x) for x in elements]
-            else:  # x -> x o k
-                products = [tuple(_apply(x, y, orders) for y in g) for x in elements]
-            tables.append(tuple(_position(where, y, part.p) for y in products))
-    visited: set = set()
+    per_part = []
+    for part, units in zip(parts, closed):
+        size, tables = _walk_tables(part, units, h_gens, k_gens)
+        sizes.append(size)
+        per_part.append(tables)
+    identity = tuple(tuple(range(size)) for size in sizes)
+    perms = []
+    for tables in dict.fromkeys(zip(*per_part)):
+        if tables != identity:
+            perm = [0]
+            for table, size in zip(tables, sizes):
+                perm = [x * size + y for x in perm for y in table]
+            perms.append(perm)
+    orbit_of = [0] * prod(sizes)
     count = 0
-    for x in product(*(range(s) for s in sizes)):
-        if x in visited:
+    for x in range(len(orbit_of)):
+        if orbit_of[x]:
             continue
-        orbit = {x}
+        count += 1
+        orbit_of[x] = count
         frontier = [x]
         while frontier:
             y = frontier.pop()
-            for tables in moves:
-                z = tuple(t[c] for t, c in zip(tables, y))
-                if z not in orbit:
-                    orbit.add(z)
+            for perm in perms:
+                z = perm[y]
+                if orbit_of[z] != count:
+                    if orbit_of[z]:
+                        raise RuntimeError("double cosets do not partition the group")
+                    orbit_of[z] = count
                     frontier.append(z)
-        if not visited.isdisjoint(orbit):
-            raise RuntimeError("double cosets do not partition the group")
-        visited |= orbit
-        count += 1
     return count
 
 

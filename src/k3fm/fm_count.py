@@ -13,8 +13,9 @@ A_S is walked one p-part at a time, and the enumeration cap bounds its
 largest |A_p| (`finite_qform` owns the cap and reads K3FM_CAP; nothing
 here takes one).  O(S) comes from `bqf` for every lattice, and
 `isometry_image_generators` gives its image in O(A_S) to this engine and
-the gluing oracle alike.  The genus, the sum's index set, is listed by
-`genus_lattices` alone, for `fm` and `verify-t14` alike.
+the gluing oracle alike, less -id, which G always holds.  The genus, the
+sum's index set, is listed by `genus_lattices` alone, for `fm` and
+`verify-t14` alike.
 
 Dispatch: Picard number 1 closes to the 2^(tau(n)-1) formula; every rank >= 2
 first tries the surjectivity shortcut (rank >= l + 2, which in rank 2 means
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from . import bqf
+from . import bqf, intmat
 from .arith import euler_phi, is_prime, primes_one_mod_four, tau
 from .errors import UnsupportedError
 from .finite_qform import (
@@ -128,22 +129,28 @@ def carried_hodge_generators(a_s, hodge: HodgeGroupSpec) -> list:
 
 
 def isometry_image_generators(s: IntegerLattice, a_s) -> list:
-    """Generators of the image of O(S) in O(A_S), for a_s the discriminant
-    form of S: none when A_S is trivial, whatever the rank of S, else
-    `bqf.lattice_isometry_generators` acting through `induced_form_map`."""
+    """Maps that, together with -id, generate the image of O(S) in O(A_S),
+    for a_s the discriminant form of S: none when A_S is trivial, whatever
+    the rank of S, else `bqf.lattice_isometry_generators` other than -I,
+    acting through `induced_form_map`.  -I induces -id, which every Hodge
+    group G here contains (`hodge_generators`, `carried_hodge_generators`)
+    and which is central and commutes with every anti-isometry; so it joins
+    no two double cosets and no two gluing orbits, and comes from G."""
     if a_s.order == 1:
         return []
-    return [induced_form_map(s, m) for m in bqf.lattice_isometry_generators(s)]
+    minus = intmat.scale(intmat.identity(s.rank), -1)
+    return [induced_form_map(s, m) for m in bqf.lattice_isometry_generators(s) if m != minus]
 
 
 def coset_summand(s: IntegerLattice, hodge: HodgeGroupSpec = GENERIC_HODGE, h_maps=None) -> int:
     """The Counting Formula's term for one genus member S: the double cosets
     O(S) \\ O(A_S) / G, with O(S) from `isometry_image_generators` and G
-    from `carried_hodge_generators`.  A cyclic A_S is counted as
-    |O(A_S)| / |<O(S) u G>| by `cyclic_coset_count`, which builds O(S) only
-    when G alone does not fill O(A_S); any other A_S by the walk one p-part
-    at a time.  A caller that holds the image of O(S) already hands it in as
-    h_maps, and it is used instead."""
+    from `carried_hodge_generators`; -id, left out of the former, comes
+    from G.  A cyclic A_S is counted as |O(A_S)| / |<O(S) u G>| by
+    `cyclic_coset_count`, which builds O(S) only when G alone does not fill
+    O(A_S); any other A_S by the walk one p-part at a time.  A caller that
+    holds the image of O(S) already hands it in as h_maps, and it is used
+    instead."""
     a_s = discriminant_form(s)
     k_gens = carried_hodge_generators(a_s, hodge)
     if a_s.ngens <= 1:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import fm_count, intmat
-from .finite_qform import FiniteFormMap, isometries_signed, validate_map
+from .finite_qform import FiniteFormMap, isometries_signed, negation_map, validate_map
 from .fm_count import GENERIC_HODGE, HodgeGroupSpec, coset_summand, hodge_generators
 from .lattice import (
     DiscriminantData,
@@ -227,7 +227,7 @@ def recovered_gluing_map(over: Overlattice, s: IntegerLattice, t: IntegerLattice
     data_t = discriminant_data(t)
     n = s.rank + t.rank
     basis, denom = over.basis, over.denom
-    u, d, _ = intmat.smith_normal_form(basis)
+    u, d, _ = intmat.smith_normal_form(basis, track_v=False)
     diag = [d[i][i] for i in range(min(len(d), n))]
     if len(diag) != n or any(x == 0 or denom % x for x in diag):
         raise ValueError("S + T is not a sublattice of the overlattice")
@@ -270,7 +270,8 @@ def _coset_parts(cols: list, size: int) -> list:
 class GluingClasses:
     count: int
     representatives: tuple
-    # generators of the image of O(S) in O(A_S) that the orbit walk used
+    # generators of the image of O(S) in O(A_S), -id left out, as
+    # `isometry_image_generators` gives them to the coset count
     o_s_images: tuple = field(default=(), compare=False, repr=False)
 
 
@@ -281,14 +282,18 @@ def gluing_classes(
 ) -> GluingClasses:
     """Partition the full set of anti-isometries A_T -> A_S into orbits under
     sigma -> h o sigma o g, with h running over the image of O(S) and g over
-    the image of the Hodge group in O(A_T).  The generators h are kept on
-    the result; none are built when there is no anti-isometry."""
+    the image of the Hodge group in O(A_T).  The walk takes -id, the image
+    of -I, among the h, though `isometry_image_generators` leaves it out of
+    the coset count, so `verify_gluing_counts` checks that it moves nothing
+    there.  The generators without -id are kept on the result; none are
+    built when there is no anti-isometry."""
     a_s = discriminant_form(s)
     a_t = discriminant_form(t)
     sigmas = isometries_signed(a_t, a_s, -1)
     if not sigmas:
         return GluingClasses(0, ())
     h_maps = tuple(fm_count.isometry_image_generators(s, a_s))
+    walk_maps = (*h_maps, negation_map(a_s))
     g_maps = hodge_generators(a_t, hodge)
     remaining = dict.fromkeys(sigmas)
     reps = []
@@ -301,7 +306,7 @@ def gluing_classes(
         seen = {start}
         while frontier:
             sigma = frontier.pop()
-            moves = [h.compose(sigma) for h in h_maps]
+            moves = [h.compose(sigma) for h in walk_maps]
             moves += [sigma.compose(g) for g in g_maps]
             for nxt in moves:
                 if nxt not in seen:

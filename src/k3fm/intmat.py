@@ -3,8 +3,9 @@
 Matrices are tuples of row tuples with int or Fraction entries.  Arbitrary
 precision comes for free from Python integers; rational elimination uses
 fractions.Fraction.  `matmul` and `mat_vec` take either kind of entry.
-The row Hermite reduction carries its transform only for
-`row_kernel_basis`; `hermite_row_basis` runs it without one.
+Transforms are carried on request: the Smith form carries v only for the
+callers that read it, and the row Hermite reduction carries its transform
+only for `row_kernel_basis`; `hermite_row_basis` runs it without one.
 """
 
 from __future__ import annotations
@@ -97,9 +98,10 @@ def unimodular_inverse(m: Matrix) -> Matrix:
     return tuple(out)
 
 
-def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+def smith_normal_form(m: Matrix, track_v: bool = True) -> tuple[Matrix, Matrix, Matrix | None]:
     """Decompose an integer matrix as u*m*v = d with u, v unimodular and d
-    diagonal, nonnegative, each entry dividing the next.
+    diagonal, nonnegative, each entry dividing the next.  Without track_v,
+    v is not carried and is returned as None; u and d do not depend on it.
 
     Pivots are chosen by smallest absolute value for determinism.
     """
@@ -107,67 +109,54 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     cols = len(m[0])
     a = [list(row) for row in m]
     u = [list(row) for row in identity(rows)]
-    v = [list(row) for row in identity(cols)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
+    v = [list(row) for row in identity(cols)] if track_v else None
     for s in range(min(rows, cols)):
         while True:
             pivot = None
             best = None
             for i in range(s, rows):
-                for j in range(s, cols):
-                    x = abs(a[i][j])
-                    if x != 0 and (best is None or x < best):
-                        best = x
+                for j, x in enumerate(a[i][s:], s):
+                    if x and (best is None or abs(x) < best):
+                        best = abs(x)
                         pivot = (i, j)
             if pivot is None:
                 break
-            if pivot[0] != s:
-                swap_rows(s, pivot[0])
-            if pivot[1] != s:
-                swap_cols(s, pivot[1])
+            i, j = pivot
+            if i != s:
+                a[s], a[i] = a[i], a[s]
+                u[s], u[i] = u[i], u[s]
+            if j != s:
+                for row in a:
+                    row[s], row[j] = row[j], row[s]
+                if track_v:
+                    for row in v:
+                        row[s], row[j] = row[j], row[s]
             p = a[s][s]
             dirty = False
+            top = a[s]
             for i in range(s + 1, rows):
-                if a[i][s] != 0:
-                    row_op(i, s, a[i][s] // p)
+                if a[i][s] != 0:  # row_i -= q * row_s
+                    q = a[i][s] // p
+                    a[i] = [x - q * y for x, y in zip(a[i], top)]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[s])]
                     if a[i][s] != 0:
                         dirty = True
             for j in range(s + 1, cols):
-                if a[s][j] != 0:
-                    col_op(j, s, a[s][j] // p)
-                    if a[s][j] != 0:
+                if top[j] != 0:  # col_j -= q * col_s
+                    q = top[j] // p
+                    for row in a:
+                        row[j] -= q * row[s]
+                    if track_v:
+                        for row in v:
+                            row[j] -= q * row[s]
+                    if top[j] != 0:
                         dirty = True
             if dirty:
                 continue
             # pivot must divide the whole trailing block for the chain property
-            violation = None
-            for i in range(s + 1, rows):
-                for j in range(s + 1, cols):
-                    if a[i][j] % p != 0:
-                        violation = i
-                        break
-                if violation is not None:
-                    break
+            violation = next(
+                (i for i in range(s + 1, rows) if any(x % p for x in a[i][s + 1 :])), None
+            )
             if violation is None:
                 break
             a[s] = [x + y for x, y in zip(a[s], a[violation])]
@@ -175,7 +164,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         if a[s][s] < 0:
             a[s] = [-x for x in a[s]]
             u[s] = [-x for x in u[s]]
-    return freeze(u), freeze(a), freeze(v)
+    return freeze(u), freeze(a), (freeze(v) if track_v else None)
 
 
 def _row_echelon(m: Matrix, track: bool) -> tuple[list, list | None, int]:

@@ -8,7 +8,7 @@ d_i, and the form's tables over the exponent N are
 N*b_ij = (v_i . G v_j / d_j)(N / d_i), with no `Fraction` on the way.
 `DiscriminantData.classify` reads a dual vector given as integer numerators
 over a denominator; `DiscriminantData.generators` shows the dual generators
-as `Fraction` vectors.  `signature` eliminates over Q.
+as `Fraction` vectors.  `signature` eliminates on integers, fraction-free.
 """
 
 from __future__ import annotations
@@ -135,52 +135,53 @@ class Signature:
 
 
 def signature(lat: IntegerLattice) -> Signature:
-    """Counts of positive and negative squares by exact symmetric Gaussian
-    elimination over Q (Sylvester's law); no floating point.
+    """Counts of positive and negative squares by fraction-free symmetric
+    elimination on integers (Sylvester's law); no floating point.
+
+    A pivot p on the trailing block [[p, b^T], [b, B]] leaves p B - b b^T,
+    divided exactly by the pivot before it (Bareiss), so every entry stays a
+    minor of the Gram.  The block is then p times the rational Schur
+    complement, scaled down by the previous pivot: a negative pivot flips
+    the signs of the pivots after it, and the square a pivot stands for has
+    the sign of p times the previous pivot.
 
     A zero diagonal with a nonzero pairing a = (e_i, e_j) is handled by the
     substitution e_i += e_j, which creates the diagonal entry 2a; the
     hyperbolic pair then contributes one square of each sign.
     """
     n = lat.rank
-    m = [[Fraction(x) for x in row] for row in lat.gram]
+    m = [list(row) for row in lat.gram]
     plus = minus = 0
+    prev = 1
     for s in range(n):
-        pivot = next((i for i in range(s, n) if m[i][i] != 0), None)
+        pivot = next((i for i in range(s, n) if m[i][i]), None)
         if pivot is None:
             pair = next(
-                (
-                    (i, j)
-                    for i in range(s, n)
-                    for j in range(i + 1, n)
-                    if m[i][j] != 0
-                ),
-                None,
+                ((i, j) for i in range(s, n) for j in range(i + 1, n) if m[i][j]), None
             )
             if pair is None:
                 raise ValueError("degenerate lattice")
             i, j = pair
-            for c in range(n):
+            for c in range(s, n):
                 m[i][c] += m[j][c]
-            for r in range(n):
+            for r in range(s, n):
                 m[r][i] += m[r][j]
             pivot = i
         if pivot != s:
             m[s], m[pivot] = m[pivot], m[s]
             for row in m:
                 row[s], row[pivot] = row[pivot], row[s]
-        p = m[s][s]
-        if p > 0:
+        top = m[s]
+        p = top[s]
+        if (p > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
-        for i in range(s + 1, n):
-            if m[i][s] != 0:
-                f = m[i][s] / p
-                for c in range(s, n):
-                    m[i][c] -= f * m[s][c]
-        for c in range(s + 1, n):
-            m[s][c] = Fraction(0)
+        for row in m[s + 1 :]:
+            b = row[s]
+            for c in range(s + 1, n):
+                row[c] = (p * row[c] - b * top[c]) // prev
+        prev = p
     return Signature(plus, minus)
 
 
@@ -213,8 +214,8 @@ def smith_normal_form(gram) -> SmithDecomposition:
 
 def invariant_factors(lat: IntegerLattice) -> tuple:
     """Nontrivial invariant factors of A_L = L*/L, in divisibility order."""
-    diag = smith_normal_form(lat.gram).diagonal()
-    return tuple(d for d in diag if d > 1)
+    _, d, _ = intmat.smith_normal_form(lat.gram, track_v=False)
+    return tuple(d[i][i] for i in range(lat.rank) if d[i][i] > 1)
 
 
 def min_generators(lat: IntegerLattice) -> int:

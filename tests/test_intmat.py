@@ -117,3 +117,101 @@ def test_row_kernel_basis():
 def test_unimodular_inverse_integrality():
     m = ((1, 2), (0, 1))
     assert intmat.unimodular_inverse(m) == ((1, -2), (0, 1))
+
+
+def reference_smith_normal_form(m):
+    """The Smith decomposition as it was written before v became optional:
+    both u and v always carried, one closure per elementary operation.
+    Kept as the reference for the (u, d, v) bytes."""
+    rows = len(m)
+    cols = len(m[0])
+    a = [list(row) for row in m]
+    u = [list(row) for row in intmat.identity(rows)]
+    v = [list(row) for row in intmat.identity(cols)]
+
+    def row_op(i, j, q):
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):
+        for r in range(rows):
+            a[r][i] -= q * a[r][j]
+        for r in range(cols):
+            v[r][i] -= q * v[r][j]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in range(rows):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(cols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    for s in range(min(rows, cols)):
+        while True:
+            pivot = None
+            best = None
+            for i in range(s, rows):
+                for j in range(s, cols):
+                    x = abs(a[i][j])
+                    if x != 0 and (best is None or x < best):
+                        best = x
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            if pivot[0] != s:
+                swap_rows(s, pivot[0])
+            if pivot[1] != s:
+                swap_cols(s, pivot[1])
+            p = a[s][s]
+            dirty = False
+            for i in range(s + 1, rows):
+                if a[i][s] != 0:
+                    row_op(i, s, a[i][s] // p)
+                    if a[i][s] != 0:
+                        dirty = True
+            for j in range(s + 1, cols):
+                if a[s][j] != 0:
+                    col_op(j, s, a[s][j] // p)
+                    if a[s][j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            violation = None
+            for i in range(s + 1, rows):
+                for j in range(s + 1, cols):
+                    if a[i][j] % p != 0:
+                        violation = i
+                        break
+                if violation is not None:
+                    break
+            if violation is None:
+                break
+            a[s] = [x + y for x, y in zip(a[s], a[violation])]
+            u[s] = [x + y for x, y in zip(u[s], u[violation])]
+        if a[s][s] < 0:
+            a[s] = [-x for x in a[s]]
+            u[s] = [-x for x in u[s]]
+    return intmat.freeze(u), intmat.freeze(a), intmat.freeze(v)
+
+
+def test_smith_transforms_on_request_equal_the_reference():
+    rng = random.Random(2024)
+    shapes = 0
+    for _ in range(1500):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        bound = rng.choice((1, 3, 12, 200))
+        m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(0, rows - 1)):
+            m[i] = [0] * cols  # zero rows
+        for j in rng.sample(range(cols), rng.randint(0, cols - 1)):
+            for row in m:
+                row[j] = 0  # zero columns
+        m = intmat.freeze(m)
+        u, d, v = reference_smith_normal_form(m)
+        assert intmat.smith_normal_form(m) == (u, d, v), m
+        assert intmat.smith_normal_form(m, track_v=False) == (u, d, None), m
+        shapes += rows != cols
+    assert shapes > 500

@@ -284,3 +284,79 @@ def test_discriminant_data_is_computed_once_per_lattice():
     # the memo belongs to the object: an equal lattice computes its own
     assert discriminant_data(b) is not discriminant_data(a)
     assert discriminant_data(b).form == discriminant_data(a).form
+
+
+def reference_signature(gram) -> tuple:
+    """(n_plus, n_minus) by symmetric Gaussian elimination over Q, as
+    `signature` computed it before it moved to integers; the same pivots,
+    the same zero-diagonal substitution e_i += e_j, the same error."""
+    n = len(gram)
+    m = [[Fraction(x) for x in row] for row in gram]
+    plus = minus = 0
+    for s in range(n):
+        pivot = next((i for i in range(s, n) if m[i][i] != 0), None)
+        if pivot is None:
+            pair = next(
+                ((i, j) for i in range(s, n) for j in range(i + 1, n) if m[i][j] != 0), None
+            )
+            if pair is None:
+                raise ValueError("degenerate lattice")
+            i, j = pair
+            for c in range(n):
+                m[i][c] += m[j][c]
+            for r in range(n):
+                m[r][i] += m[r][j]
+            pivot = i
+        if pivot != s:
+            m[s], m[pivot] = m[pivot], m[s]
+            for row in m:
+                row[s], row[pivot] = row[pivot], row[s]
+        p = m[s][s]
+        if p > 0:
+            plus += 1
+        else:
+            minus += 1
+        for i in range(s + 1, n):
+            if m[i][s] != 0:
+                f = m[i][s] / p
+                for c in range(s, n):
+                    m[i][c] -= f * m[s][c]
+        for c in range(s + 1, n):
+            m[s][c] = Fraction(0)
+    return plus, minus
+
+
+class _Gram:
+    """A stand-in that `signature` reads like a lattice, for Grams that
+    `IntegerLattice` refuses as degenerate."""
+
+    def __init__(self, gram):
+        self.gram = intmat.freeze(gram)
+        self.rank = len(gram)
+
+
+def test_integer_signature_equals_the_rational_reference():
+    rng = random.Random(660)
+    degenerate = zero_diagonal = 0
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        bound = rng.choice((1, 2, 5, 40))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
+        for i in rng.sample(range(n), rng.randint(0, n)):
+            rows[i][i] = 0
+        zero_diagonal += not any(rows[i][i] for i in range(n))
+        try:
+            expected = reference_signature(rows)
+        except ValueError as exc:
+            assert str(exc) == "degenerate lattice"
+            with pytest.raises(ValueError, match="^degenerate lattice$"):
+                signature(_Gram(rows))
+            degenerate += 1
+            continue
+        assert signature(_Gram(rows)).as_pair() == expected, rows
+        if intmat.det(rows):
+            assert signature(make_lattice(rows)).as_pair() == expected
+    assert degenerate > 100 and zero_diagonal > 300
