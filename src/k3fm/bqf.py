@@ -1,4 +1,4 @@
-"""Indefinite binary quadratic forms of positive non-square discriminant.
+"""Binary quadratic forms: indefinite classes, and one genus key for both signs.
 
 Reduction convention: (a, b, c) is reduced iff 0 < b < sqrt(D) and
 sqrt(D) - b < 2|a| < sqrt(D) + b.  For non-square D every comparison against
@@ -12,10 +12,10 @@ transform in four integers; a `BinaryQuadraticForm` is built only for a form
 a public function returns.  So `proper_classes` keys its class index by
 triples and builds the h class representatives alone, and
 `ClassGroupData.cycles` builds the other forms of each cycle on first read.
-Genera are keyed by the content of a form and Gauss's assigned characters of
-its primitive part, so nothing here touches a finite group or the
-enumeration cap.  `lattice_isometry_generators` gives O(S) for every lattice
-the program counts, of rank 1, definite rank 2 and hyperbolic rank 2.
+Genera of either sign of D are keyed by the content and Gauss's assigned
+characters of the primitive part (`triple_genus_key`), so nothing here
+touches a finite group or the cap.  `lattice_isometry_generators` gives
+generators of O(S) for every lattice the program counts, of rank 1 or 2.
 
 `proper_classes` keeps its last result (a one-entry memo; a
 `ClassGroupData` is never changed once built, as its index is only read and
@@ -161,13 +161,6 @@ def _step(b: int, c: int, d: int, root: int) -> tuple:
     return bp, cp, s
 
 
-def _rho(f: BinaryQuadraticForm) -> tuple:
-    """One neighbor step of f: the new form and the unimodular step matrix."""
-    d = f.disc
-    bp, cp, s = _step(f.b, f.c, d, isqrt(d))
-    return BinaryQuadraticForm(f.c, bp, cp), ((0, -1), (1, s))
-
-
 def reduce_form(f: BinaryQuadraticForm) -> TransformedForm:
     """Reduce f, accumulating the unimodular transform M with
     M^T G_f M = G_reduced.  M = M * [[0, -1], [1, s]] per step, on four
@@ -269,33 +262,33 @@ def is_odd_fundamental(d: int) -> bool:
     return d % 4 == 1 and prod(prime_factors(d)) == d
 
 
-def _value_prime_to(f: BinaryQuadraticForm, values: tuple, p: int) -> int:
+def _value_prime_to(values: tuple, p: int) -> int:
     for m in values:
         if m % p:
             return m
-    raise RuntimeError(f"primitive form {f} represents no value prime to {p}")
+    raise RuntimeError(f"primitive form represents no value prime to {p}")
 
 
-def genus_key(f: BinaryQuadraticForm) -> tuple:
-    """The content g of f followed by Gauss's assigned characters of f/g, of
-    discriminant D' = D/g^2 (Cox, *Primes of the form x^2 + ny^2*, Thm 3.15):
-    the Legendre symbol (m/p) for each odd prime p | D', then for 4 | D' the
-    2-adic characters delta = (-1)^((m-1)/2) and/or eps = (-1)^((m^2-1)/8)
-    that n = -D'/4 mod 8 selects.  m is the first of a, c, a+b+c (values of
-    f/g) prime to p, or odd.  Forms of one discriminant share the key iff
-    their lattices share a genus, i.e. have isometric discriminant forms
-    (Nikulin 1979, Cor. 1.9.4)."""
-    g = f.content
-    a, b, c = f.a // g, f.b // g, f.c // g
-    d = f.disc // (g * g)
+def triple_genus_key(a: int, b: int, c: int) -> tuple:
+    """The content g of (a, b, c) and Gauss's assigned characters of (a, b, c)/g,
+    of discriminant D' = (b^2 - 4ac)/g^2 < 0 or > 0 (Cox, *Primes of the form
+    x^2 + ny^2*, Thm 3.15): the Legendre symbol (m/p) for each odd p | D',
+    then for 4 | D' the 2-adic characters delta = (-1)^((m-1)/2) and/or
+    eps = (-1)^((m^2-1)/8) that n = -D'/4 mod 8 selects.  m is the first of
+    a, c, a+b+c prime to p, or odd.  Forms of one discriminant, definite or
+    not, share the key iff their lattices share a genus, i.e. have isometric
+    discriminant forms (Nikulin 1979, Cor. 1.9.4)."""
+    g = gcd(gcd(a, b), c)
+    a, b, c = a // g, b // g, c // g
+    d = b * b - 4 * a * c
     values = (a, c, a + b + c)
     key = [g]
-    for p in prime_factors(d):
+    for p in prime_factors(abs(d)):
         if p != 2:
-            m = _value_prime_to(f, values, p)
+            m = _value_prime_to(values, p)
             key.append(1 if pow(m, (p - 1) // 2, p) == 1 else -1)
     if d % 4 == 0:
-        m = _value_prime_to(f, values, 2)
+        m = _value_prime_to(values, 2)
         delta = 1 if m % 4 == 1 else -1
         eps = 1 if m % 8 in (1, 7) else -1
         n = (-d // 4) % 8
@@ -308,6 +301,11 @@ def genus_key(f: BinaryQuadraticForm) -> tuple:
         elif n == 0:
             key += [delta, eps]
     return tuple(key)
+
+
+def genus_key(f: BinaryQuadraticForm) -> tuple:
+    """`triple_genus_key` of f: the one genus key for rank 2 of both signs."""
+    return triple_genus_key(f.a, f.b, f.c)
 
 
 @lru_cache(maxsize=1)
@@ -349,10 +347,6 @@ def proper_classes(d: int) -> ClassGroupData:
         if len(cgd.ambiguous_indices) != expected or len(parts) != expected or len(sizes) != 1:
             raise RuntimeError(f"genus structure violated for discriminant {d}")
     return cgd
-
-
-def genus_partition(d: int) -> tuple:
-    return proper_classes(d).genus_partition
 
 
 def class_index_of(cgd: ClassGroupData, f: BinaryQuadraticForm) -> int:
@@ -505,10 +499,12 @@ def improper_automorph(f: BinaryQuadraticForm) -> Automorph | None:
     return Automorph(m, -1)
 
 
-def _definite_isometries(gram: tuple) -> tuple:
-    """All integer matrices M with M^T G M = G for a positive definite rank-2
-    Gram G = [[p, q], [q, r]]: the columns of M have norms p and r, and a
-    vector (x, y) of norm m has x^2 <= m r / det and y^2 <= m p / det."""
+def _definite_generators(gram: tuple) -> tuple:
+    """-I, a generator of SO(G) unless it is -I, and a determinant -1 element
+    if any, of O(G) for a positive definite G = [[p, q], [q, r]].  The columns
+    of M in O(G) have norms p and r, and (x, y) of norm m has x^2 <= m r / det
+    and y^2 <= m p / det.  SO(G) is cyclic of order 2, 4 or 6, so its
+    generator is the element other than I of largest trace: -2, 0 or 1."""
     p, q, r = gram[0][0], gram[0][1], gram[1][1]
     det = p * r - q * q
 
@@ -522,27 +518,30 @@ def _definite_isometries(gram: tuple) -> tuple:
                     out.append((x, y))
         return out
 
-    out = []
+    proper, improper = [], []
     for v in vectors_of_norm(p):
         for w in vectors_of_norm(r):
             cross = p * v[0] * w[0] + q * (v[0] * w[1] + v[1] * w[0]) + r * v[1] * w[1]
             if cross == q:
-                out.append(((v[0], w[0]), (v[1], w[1])))
-    return tuple(out)
+                m = ((v[0], w[0]), (v[1], w[1]))
+                (proper if v[0] * w[1] == v[1] * w[0] + 1 else improper).append(m)
+    minus = ((-1, 0), (0, -1))
+    rotation = max(proper, key=lambda m: (m != ((1, 0), (0, 1)), m[0][0] + m[1][1]))
+    return (minus, *(() if rotation == minus else (rotation,)), *improper[:1])
 
 
 def lattice_isometry_generators(lat: IntegerLattice) -> tuple:
-    """Generators of O(lat): -I in rank 1; the whole finite group in definite
-    rank 2; in hyperbolic rank 2, -I, the proper automorph generator and an
-    improper automorph if the class is ambiguous.  A rank-2 Gram is definite
-    exactly when g00 g11 - g01^2 > 0, so no signature is computed to tell."""
+    """Generators of O(lat): -I in rank 1; in rank 2, -I, a proper generator
+    (of order 4 or 6, or the automorph of infinite order) unless it is -I,
+    and an improper element if any.  A rank-2 Gram is definite exactly when
+    g00 g11 - g01^2 > 0, so no signature is computed to tell."""
     if lat.rank == 1:
         return (((-1,),),)
     if lat.rank != 2:
         raise UnsupportedError("isometry generators available only for rank <= 2")
     g = lat.gram
     if g[0][0] * g[1][1] - g[0][1] * g[0][1] > 0:
-        return _definite_isometries(g if g[0][0] > 0 else intmat.scale(g, -1))
+        return _definite_generators(g if g[0][0] > 0 else intmat.scale(g, -1))
     f = lattice_to_form(lat)
     gens = [((-1, 0), (0, -1)), proper_automorph_generator(f).matrix]
     imp = improper_automorph(f)

@@ -11,17 +11,17 @@ every prime row of `table` and `scan`) has an abelian O(A_S), counted as
 that count; O(S) is built only when G alone does not fill O(A_S).  Any other
 A_S is walked one p-part at a time, and the enumeration cap bounds its
 largest |A_p| (`finite_qform` owns the cap and reads K3FM_CAP; nothing
-here takes one).  O(S) comes from `bqf` for every lattice, and
-`isometry_image_generators` gives its image in O(A_S) to this engine and
-the gluing oracle alike, less -id, which G always holds.  The genus, the
+here takes one).  O(S) comes from `bqf` as generators for every lattice,
+and `isometry_image_generators` gives their image in O(A_S) to this engine
+and the gluing oracle alike, less -id, which G always holds.  The genus, the
 sum's index set, is listed by `genus_lattices` alone, for `fm` and
-`verify-t14` alike.
+`verify-t14` alike, by one key for rank 2 of both signs (`bqf.genus_key`).
 
 Dispatch: Picard number 1 closes to the 2^(tau(n)-1) formula; every rank >= 2
 first tries the surjectivity shortcut (rank >= l + 2, which in rank 2 means
 NS = U); otherwise Picard number 2 sums over `genus_lattices`, whose
-hyperbolic branch is the binary-form class engine (non-square discriminant
-only), and rank >= 3 is refused.  A Hodge group of
+hyperbolic genus comes from the binary-form class engine (non-square
+discriminant only), and rank >= 3 is refused.  A Hodge group of
 order 2I > 2 needs phi(2I) | rank T = 22 - rank NS.  tau, phi and the
 primality test come from `arith`.
 """
@@ -168,10 +168,11 @@ def genus_lattices(s: IntegerLattice) -> tuple:
 
     Rank 1 and unimodular S are alone in their genus, except a definite
     unimodular S of rank >= 16 (E8 + E8 and D16+ share one), which is
-    refused.  A definite rank-2 S (det > 0) gives the reduced
-    Grams of its determinant and sign whose discriminant form is isometric
-    to S's; a hyperbolic one gives `bqf.genus_representative_forms`, and a
-    square discriminant (isotropic, not U) is refused."""
+    refused.  One key, Gauss's characters and the content, decides the genus
+    of rank 2 of both signs.  A definite S (det > 0) gives the reduced Grams
+    of its determinant and sign with S's `bqf.triple_genus_key`; a hyperbolic
+    one gives `bqf.genus_representative_forms`, keyed by `bqf.genus_key`, and
+    a square discriminant (isotropic, not U) is refused."""
     if not s.is_even:
         raise ValueError("even lattice required")
     det = s.det
@@ -186,7 +187,8 @@ def genus_lattices(s: IntegerLattice) -> tuple:
         raise UnsupportedError("genus enumeration available only for rank <= 2")
     if det > 0:
         sign = 1 if s.gram[0][0] > 0 else -1
-        target = discriminant_form(s)
+        (p, q), (_, r) = s.gram
+        key = bqf.triple_genus_key(sign * p // 2, sign * q, sign * r // 2)
         out = []
         a = 1
         while 3 * a * a <= det:
@@ -195,12 +197,8 @@ def genus_lattices(s: IntegerLattice) -> tuple:
                 if num % (4 * a):
                     continue
                 c = num // (4 * a)
-                if c < a:
-                    continue
-                gram = ((2 * a * sign, b * sign), (b * sign, 2 * c * sign))
-                candidate = IntegerLattice(gram)
-                if isometries_signed(discriminant_form(candidate), target, 1, _first_only=True):
-                    out.append(candidate)
+                if c >= a and bqf.triple_genus_key(a, b, c) == key:
+                    out.append(IntegerLattice(intmat.scale(((2 * a, b), (b, 2 * c)), sign)))
             a += 1
         return tuple(out)
     if isqrt(-det) ** 2 == -det:

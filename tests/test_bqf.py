@@ -157,10 +157,8 @@ def test_proper_equivalence():
 
 
 def test_neighbor_equivalence():
-    from k3fm.bqf import _rho
-
     f = form(1, 1, -1)
-    g, _ = _rho(f)
+    g = cycle(f)[1]
     assert is_properly_equivalent(f, g)
 
 
@@ -271,9 +269,7 @@ def test_proper_classes_invalid_discriminant():
 
 
 def test_genus_partition_function():
-    from k3fm import genus_partition
-
-    assert genus_partition(229) == (tuple(range(3)),)
+    assert proper_classes(229).genus_partition == (tuple(range(3)),)
 
 
 def window_automorphs(gram, bound):
@@ -315,9 +311,24 @@ def test_isometry_generators_cover_window():
             assert induced_form_map(lat, m) in closure
 
 
+def generated_group(gens) -> set:
+    """The closure of a set of 2x2 integer matrices under multiplication."""
+    group = {intmat.identity(2)}
+    frontier = list(group)
+    while frontier:
+        m = frontier.pop()
+        for g in gens:
+            p = intmat.matmul(m, g)
+            if p not in group:
+                group.add(p)
+                frontier.append(p)
+    return group
+
+
 def test_definite_isometries_are_the_whole_group():
     # by x^2 <= max(p, r) r / det no isometry entry here exceeds 3, so the
-    # window of 6 holds every isometry of |G|
+    # window of 6 holds every isometry of |G|; the generators must generate
+    # exactly that group, -I first and with at most one improper element
     checked = 0
     for a in range(1, 13):
         for c in range(a, 13):
@@ -328,7 +339,10 @@ def test_definite_isometries_are_the_whole_group():
                 expected = set(window_automorphs(gram, 6))
                 for sign in (1, -1):
                     lat = make_lattice([[sign * x for x in row] for row in gram])
-                    assert set(bqf_module.lattice_isometry_generators(lat)) == expected, gram
+                    gens = bqf_module.lattice_isometry_generators(lat)
+                    assert gens[0] == ((-1, 0), (0, -1)) and len(gens) <= 3, gram
+                    assert sum(intmat.det(m) == -1 for m in gens) <= 1, gram
+                    assert generated_group(gens) == expected, gram
                 checked += 1
     assert checked == 1510
 

@@ -1,19 +1,22 @@
 """The rank-2 genus partition is keyed by content and assigned characters.
 
 The key partition must equal the partition by discriminant-form isometry of
-the associated lattices (kept here as the brute-force reference), must not
-depend on the basis of a form, and must never reach a finite group.
+the associated lattices (kept here as the brute-force reference), for
+hyperbolic and definite lattices alike, must not depend on the basis of a
+form, and must never reach a finite group.
 """
 
+import random
 from math import isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3fm import arith, bqf, finite_qform, intmat
+from k3fm import arith, bqf, finite_qform, fm_count, intmat
 from k3fm.cli import main
-from k3fm.finite_qform import are_isometric
-from k3fm.lattice import discriminant_form
+from k3fm.finite_qform import are_isometric, isometries_signed
+from k3fm.fm_count import genus_lattices
+from k3fm.lattice import discriminant_form, make_lattice
 
 VALID_D = [d for d in range(5, 2001) if d % 4 in (0, 1) and isqrt(d) ** 2 != d]
 
@@ -102,3 +105,71 @@ def test_merged_genera_fail_the_structure_check(monkeypatch, capsys):
     assert main(["genus", "205"]) == 5
     assert "genus structure violated" in capsys.readouterr().err
 
+
+def reduced_definite_grams(det: int, sign: int) -> list:
+    """The reduced Grams sign * [[2a, b], [b, 2c]], 0 <= b <= a <= c, of
+    determinant det, in the order `genus_lattices` lists them."""
+    out = []
+    a = 1
+    while 3 * a * a <= det:
+        for b in range(0, a + 1):
+            num = det + b * b
+            if num % (4 * a) == 0 and num // (4 * a) >= a:
+                c = num // (4 * a)
+                out.append(((2 * a * sign, b * sign), (b * sign, 2 * c * sign)))
+        a += 1
+    return out
+
+
+def reference_definite_genus(s) -> tuple:
+    """The genus of a definite rank-2 S by a whole-group search: the reduced
+    Grams of its determinant and sign whose discriminant form is isometric
+    to S's."""
+    sign = 1 if s.gram[0][0] > 0 else -1
+    target = discriminant_form(s)
+    return tuple(
+        gram
+        for gram in reduced_definite_grams(s.det, sign)
+        if isometries_signed(discriminant_form(make_lattice(gram)), target, 1, _first_only=True)
+    )
+
+
+def listed(gram) -> tuple:
+    return tuple(member.gram for member in genus_lattices(make_lattice(gram)))
+
+
+def test_definite_genus_equals_reference_for_every_reduced_gram_up_to_det_300():
+    checked = 0
+    for det in range(3, 301):
+        for sign in (1, -1):
+            for gram in reduced_definite_grams(det, sign):
+                assert listed(gram) == reference_definite_genus(make_lattice(gram)), gram
+                checked += 1
+    assert checked > 1000
+
+
+def test_definite_genus_equals_reference_once_per_genus_on_a_sample_up_to_3000():
+    dets = [d for d in range(301, 3001) if d % 4 in (0, 3)]
+    for det in sorted(random.Random(21).sample(dets, 60)):
+        for sign in (1, -1):
+            covered = set()
+            for gram in reduced_definite_grams(det, sign):
+                if gram not in covered:
+                    reference = reference_definite_genus(make_lattice(gram))
+                    assert listed(gram) == reference, gram
+                    covered.update(reference)
+            assert covered == set(reduced_definite_grams(det, sign)), det
+
+
+def test_definite_genus_at_large_det_searches_no_finite_group(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite group searched")
+
+    monkeypatch.delenv("K3FM_CAP", raising=False)
+    for module in (finite_qform, fm_count):
+        monkeypatch.setattr(module, "isometries_signed", refuse)
+    monkeypatch.setattr(fm_count, "discriminant_form", refuse)
+    for c, members in ((5004, 32), (25002, 85)):
+        for sign in (-1, 1):
+            gram = ((2 * sign, sign), (sign, 2 * c * sign))
+            assert len(listed(gram)) == members, gram
