@@ -3,7 +3,11 @@
 Verbs: discform, fm, classnum, genus, table, scan, glue, verify-t14.
 Exit codes: 0 success, 1 verify-t14 mismatch, 2 invalid input, 3 unsupported
 case, 4 enumeration cap exceeded, 5 internal check failed.  Every error path
-prints a single diagnostic line to stderr.
+prints a single diagnostic line to stderr.  A reader that closes stdout early
+(`k3fm scan --max 9999 | true`) ends the run with exit 141, the shell's
+code for a broken pipe, and nothing on stderr: stdout is flushed before
+`main` returns, and on a broken pipe fd 1 is pointed at os.devnull so that
+the interpreter's own flush at exit finds nothing to write.
 The K3FM_CAP environment variable overrides the finite-group enumeration cap;
 `finite_qform` reads it when a search runs, so a malformed value exits 2 only
 from a run that searches.
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -249,7 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader is gone: say nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (LatticeParseError, ValueError) as exc:
         print(f"k3fm: {exc}", file=sys.stderr)
         return 2

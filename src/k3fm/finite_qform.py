@@ -14,16 +14,13 @@ p^e for odd p (Tonelli-Shanks, then Hensel) and mod 2^(e+1) for p = 2 (one
 bit at a time), not from a filter over the whole group; that is
 O(A_p) = {+-1} of each `table` and `scan` row.
 
-Double cosets H \\ O(A) / K are counted on the p-parts A_p of A: every
-isometry keeps each A_p, so O(A) is the product of the O(A_p), and only the
-A_p are searched.  When every A_p is cyclic (A is cyclic), O(A) is an
-abelian group of unit tuples and `cyclic_coset_count` returns
-|O(A)| / |<H u K>| without walking orbits; otherwise
-`double_coset_count_by_parts` walks the orbits on the product of the
-O(A_p).  In the walk a cyclic part's O(A_p) is taken from the closed form
-of its units when there is one, and each move is one permutation of the
-elements of O(A), numbered in mixed radix.  The walk is also the
-reference for the closed count, and the whole-group functions are the
+Double cosets H \\ O(A) / K have one count, `double_coset_count_by_parts`,
+for every A, cyclic or not: every isometry keeps each p-part A_p, so O(A)
+is the product of the O(A_p), and only the A_p are searched, a cyclic one
+not at all when its units come in closed form.  The orbits are walked on
+the product, each move one permutation of the elements of O(A), numbered
+in mixed radix; K is walked first, and when it fills O(A) the count is 1
+and a callable H is never called.  The whole-group functions are the
 reference for the walk.
 
 The size cap on what is enumerated lives here alone: K3FM_CAP (else
@@ -697,161 +694,120 @@ def primary_parts(a: FiniteQuadraticForm) -> tuple:
     return tuple(parts)
 
 
-def _position(where: dict, images: tuple, p: int) -> int:
-    """Index of a map of A_p, given by its images, among the elements of O(A_p)."""
-    n = where.get(images)
-    if n is None:
-        raise RuntimeError(f"a generator does not restrict into O(A_{p})")
-    return n
-
-
-def _closed_units(part: PrimaryPart) -> list | None:
-    """O(A_p) as units mod p^e when A_p is cyclic and they come in closed
-    form (`_cyclic_unit_roots`, the candidates `isometries_signed` would
-    take, every one a unit); None when `isometries_signed` must enumerate
-    A_p to find O(A_p)."""
+def _searched(part: PrimaryPart) -> bool:
+    """Whether `isometries_signed` enumerates A_p to find O(A_p): always,
+    unless A_p is cyclic and its units come in closed form
+    (`_cyclic_unit_roots`)."""
     if part.form.ngens > 1:
-        return None
+        return True
     n, q1 = part.form.orders[0], part.form.q_table[0]
-    return _cyclic_unit_roots(n, q1, q1, part.p)
+    return _cyclic_unit_roots(n, q1, q1, part.p) is None
 
 
-def _walk_tables(part: PrimaryPart, units: list | None, h_gens, k_gens) -> tuple:
-    """|O(A_p)| and, per generator (H first, then K), its table of element
-    indices on O(A_p): left composition x -> h o x for H, right composition
-    x -> x o k for K.  O(A_p) is the maps x -> u x for the `units` when they
-    come in closed form, else it is searched."""
-    p = part.p
-    if units is None:
-        elements = [f.images for f in isometries_signed(part.form, part.form, 1, prime=p)]
-    else:
-        elements = [((u,),) for u in units]
-    orders = part.form.orders
-    where = {x: i for i, x in enumerate(elements)}
-    tables = []
-    for n, g in enumerate((*h_gens, *k_gens)):
-        g = elements[_position(where, part.restrict(g), p)]
-        if n < len(h_gens):  # x -> h o x
-            products = [_after(g, x, orders) for x in elements]
-        else:  # x -> x o k
-            products = [_after(x, g, orders) for x in elements]
-        tables.append(tuple(_position(where, y, p) for y in products))
-    return len(elements), tables
+def _tables(a: FiniteQuadraticForm, parts, groups, gens, left: bool) -> list:
+    """Per generator, its tables of element indices on each O(A_p): left
+    composition x -> g o x when `left`, else right composition x -> x o g.
+    `groups` holds, per part, the elements of O(A_p) and their index."""
+    for g in gens:
+        if g.source != a or g.target != a or g.sign != 1:
+            raise RuntimeError("generator is not a self-isometry of the form")
+    out = []
+    for g in gens:
+        tables = []
+        for part, (elements, where) in zip(parts, groups):
+            orders = part.form.orders
+            try:
+                g_p = elements[where[part.restrict(g)]]
+                if left:
+                    tables.append(tuple([where[_after(g_p, x, orders)] for x in elements]))
+                else:
+                    tables.append(tuple([where[_after(x, g_p, orders)] for x in elements]))
+            except KeyError:
+                raise RuntimeError(f"a generator does not restrict into O(A_{part.p})") from None
+        out.append(tuple(tables))
+    return out
+
+
+def _permutations(tables: list, sizes: list) -> list:
+    """One permutation of the elements of O(A), numbered by their index
+    tuples in mixed radix, per generator whose tables move something new:
+    one that repeats another's tables, or fixes every index, is left out."""
+    identity = tuple(tuple(range(size)) for size in sizes)
+    perms = []
+    for per_part in dict.fromkeys(tables):
+        if per_part != identity:
+            perm = [0]
+            for table, size in zip(per_part, sizes):
+                perm = [x * size + y for x in perm for y in table]
+            perms.append(perm)
+    return perms
+
+
+def _walk_orbit(x: int, perms: list, orbit_of: list, label: int) -> int:
+    """Label the orbit of x under the permutations and return its size;
+    reaching an element labelled before breaks the partition."""
+    orbit_of[x] = label
+    frontier = [x]
+    size = 1
+    while frontier:
+        y = frontier.pop()
+        for perm in perms:
+            z = perm[y]
+            if orbit_of[z] != label:
+                if orbit_of[z]:
+                    raise RuntimeError("double cosets do not partition the group")
+                orbit_of[z] = label
+                frontier.append(z)
+                size += 1
+    return size
 
 
 def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
     """Number of double cosets H \\ O(A) / K, found one p-part at a time.
 
-    O(A) is the product of the O(A_p).  A cyclic A_p whose units come in
-    closed form is not searched; every other O(A_p) is found by
-    `isometries_signed` on A_p alone, so the search costs the sum of those
-    |A_p| and the cap bounds each A_p that is searched, before any is.  Each
-    generator is restricted to every part and must land in O(A_p); it then
-    acts on O(A_p) by a table of element indices (`_walk_tables`), and the
-    orbits of x -> h o x o k are walked on the elements of O(A), numbered by
-    their index tuples in mixed radix, each generator one permutation of
-    those numbers.  A generator whose tables repeat another's, or fix every
-    index, moves nothing new and is not walked.
+    This is the one double-coset count of the package; `double_coset_count`
+    on the whole group is its reference.  O(A) is the product of the
+    O(A_p), each from `isometries_signed` on A_p alone: a cyclic A_p whose
+    units come in closed form is not searched, and the cap bounds each A_p
+    that is searched, before any is, so the search costs the sum of those
+    |A_p|.  Each generator is restricted to every part and must land in
+    O(A_p); it then acts on O(A_p) by a table of element indices
+    (`_tables`), and on the elements of O(A), numbered by their index
+    tuples in mixed radix, by one permutation (`_permutations`).  K is
+    walked first: when the orbit of one element under K alone is all of
+    O(A), the count is 1 and H is not needed, so `h_gens` may be a callable
+    that returns the generators, called only when the orbits of
+    x -> h o x o k must be walked; a list of generators is checked all the
+    same.
     Agrees with `double_coset_count(orthogonal_group(a), h_gens, k_gens)`.
     """
     cap = _enumeration_cap()
     parts = primary_parts(a)
-    closed = [_closed_units(part) for part in parts]
-    for part, units in zip(parts, closed):
-        if units is None and part.form.order > cap:
+    for part in parts:
+        if part.form.order > cap and _searched(part):
             raise CapExceededError(
                 f"finite group too large: |A| = {a.order}; its p-part for p = {part.p} "
                 f"has |A_{part.p}| = {part.form.order}, which exceeds the cap {cap}"
                 " (raise it with K3FM_CAP)"
             )
-    for g in (*h_gens, *k_gens):
-        if g.source != a or g.target != a or g.sign != 1:
-            raise RuntimeError("generator is not a self-isometry of the form")
-    sizes = []
-    per_part = []
-    for part, units in zip(parts, closed):
-        size, tables = _walk_tables(part, units, h_gens, k_gens)
-        sizes.append(size)
-        per_part.append(tables)
-    identity = tuple(tuple(range(size)) for size in sizes)
-    perms = []
-    for tables in dict.fromkeys(zip(*per_part)):
-        if tables != identity:
-            perm = [0]
-            for table, size in zip(tables, sizes):
-                perm = [x * size + y for x in perm for y in table]
-            perms.append(perm)
+    groups = []
+    for part in parts:
+        elements = [f.images for f in isometries_signed(part.form, part.form, 1, prime=part.p)]
+        groups.append((elements, {x: i for i, x in enumerate(elements)}))
+    sizes = [len(elements) for elements, _ in groups]
+    h_tables = None if callable(h_gens) else _tables(a, parts, groups, h_gens, left=True)
+    k_tables = _tables(a, parts, groups, k_gens, left=False)
+    k_perms = _permutations(k_tables, sizes)
     orbit_of = [0] * prod(sizes)
+    if _walk_orbit(0, k_perms, orbit_of, 1) == len(orbit_of):
+        return 1
+    if h_tables is None:
+        h_tables = _tables(a, parts, groups, h_gens(), left=True)
+    perms = k_perms + _permutations([t for t in h_tables if t not in k_tables], sizes)
+    orbit_of = [0] * len(orbit_of)
     count = 0
     for x in range(len(orbit_of)):
-        if orbit_of[x]:
-            continue
-        count += 1
-        orbit_of[x] = count
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for perm in perms:
-                z = perm[y]
-                if orbit_of[z] != count:
-                    if orbit_of[z]:
-                        raise RuntimeError("double cosets do not partition the group")
-                    orbit_of[z] = count
-                    frontier.append(z)
+        if not orbit_of[x]:
+            count += 1
+            _walk_orbit(x, perms, orbit_of, count)
     return count
-
-
-def cyclic_coset_count(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
-    """Number of double cosets H \\ O(A) / K for a cyclic A (at most one
-    generator), without walking orbits.
-
-    Every p-part A_p is cyclic, so an isometry acts on it as multiplication
-    by a unit u_p, and O(A) is the abelian group of the tuples (u_p) with
-    each u_p in O(A_p); each O(A_p) comes from `isometries_signed` on A_p.
-    Double cosets of an abelian group are the cosets of <H u K>, so the
-    count is |O(A)| / |<H u K>|, closed on unit tuples: at most |O(A)| of
-    them, and nothing of size |A_p| is built.  K is closed first; when it
-    fills O(A) the count is 1 and H is never read, so `h_gens` may be a
-    callable that returns the generators, evaluated only when needed.
-    Agrees with `double_coset_count_by_parts(a, h_gens, k_gens)`.
-    """
-    if a.ngens > 1:
-        raise ValueError("cyclic form required")
-    parts = primary_parts(a)
-    allowed = [
-        {f.images[0][0] for f in isometries_signed(part.form, part.form, 1, prime=part.p)}
-        for part in parts
-    ]
-    size = prod(len(units) for units in allowed)
-    moduli = [part.form.exponent for part in parts]
-
-    def units_of(g: FiniteFormMap) -> tuple:
-        if g.source != a or g.target != a or g.sign != 1:
-            raise RuntimeError("generator is not a self-isometry of the form")
-        out = []
-        for part, units in zip(parts, allowed):
-            ((u,),) = part.restrict(g)
-            if u not in units:
-                raise RuntimeError(f"a generator does not restrict into O(A_{part.p})")
-            out.append(u)
-        return tuple(out)
-
-    def close(group: set, gens: list) -> set:
-        frontier = list(group)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = tuple(xi * gi % m for xi, gi, m in zip(x, g, moduli))
-                if y not in group:
-                    group.add(y)
-                    frontier.append(y)
-        return group
-
-    gens = [units_of(g) for g in k_gens]
-    group = close({(1,) * len(parts)}, gens)
-    if len(group) < size:
-        gens += [units_of(g) for g in (h_gens() if callable(h_gens) else h_gens)]
-        group = close(group, gens)
-    if size % len(group):
-        raise RuntimeError("double cosets do not partition the group")
-    return size // len(group)

@@ -3,17 +3,18 @@
 The partner count of X is assembled from the Neron-Severi lattice alone once
 the Hodge isometry group of the transcendental lattice is fixed: it is the
 sum, over the isomorphism classes S_j in the genus of NS(X), of the number of
-double cosets O(S_j) \\ O(A_{S_j}) / G (`coset_summand`).  Each summand is
-counted on the p-parts A_p of A_S: every isometry keeps each A_p (Nikulin),
-so O(A_S) is the product of the O(A_p).  A cyclic A_S (every rank-1 NS,
-every prime row of `table` and `scan`) has an abelian O(A_S), counted as
-|O(A_S)| / |<O(S) u G>| with each O(A_p) in closed form, so no cap bounds
-that count; O(S) is built only when G alone does not fill O(A_S).  Any other
-A_S is walked one p-part at a time, and the enumeration cap bounds its
-largest |A_p| (`finite_qform` owns the cap and reads K3FM_CAP; nothing
-here takes one).  O(S) comes from `bqf` as generators for every lattice,
-and `isometry_image_generators` gives their image in O(A_S) to this engine
-and the gluing oracle alike, less -id, which G always holds.  The genus, the
+double cosets O(S_j) \\ O(A_{S_j}) / G (`coset_summand`).  Each summand,
+for every A_S, cyclic or not, is counted by the one walk
+`double_coset_count_by_parts` on the p-parts A_p of A_S: every isometry
+keeps each A_p (Nikulin), so O(A_S) is the product of the O(A_p).  A cyclic
+A_p whose units come in closed form (every p-part of a prime row of `table`
+and `scan`) is not searched, so no cap bounds it; the enumeration cap bounds
+every A_p that is searched (`finite_qform` owns the cap and reads K3FM_CAP;
+nothing here takes one).  O(S) is built only when G alone does not fill
+O(A_S).  Rank 1 needs no walk: |O(A)| / 2 is read off the parts.  O(S)
+comes from `bqf` as generators for every lattice, and
+`isometry_image_generators` gives their image in O(A_S) to this engine and
+the gluing oracle alike, less -id, which G always holds.  The genus, the
 sum's index set, is listed by `genus_lattices` alone, for `fm` and
 `verify-t14` alike, by one key for rank 2 of both signs (`bqf.genus_key`).
 
@@ -29,7 +30,7 @@ primality test come from `arith`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 
 from . import bqf, intmat
 from .arith import euler_phi, is_prime, primes_one_mod_four, tau
@@ -37,10 +38,10 @@ from .errors import UnsupportedError
 from .finite_qform import (
     FiniteFormMap,
     FiniteQuadraticForm,
-    cyclic_coset_count,
     double_coset_count_by_parts,
     isometries_signed,
     negation_map,
+    primary_parts,
     validate_map,
 )
 from .lattice import (
@@ -146,20 +147,13 @@ def coset_summand(s: IntegerLattice, hodge: HodgeGroupSpec = GENERIC_HODGE, h_ma
     """The Counting Formula's term for one genus member S: the double cosets
     O(S) \\ O(A_S) / G, with O(S) from `isometry_image_generators` and G
     from `carried_hodge_generators`; -id, left out of the former, comes
-    from G.  A cyclic A_S is counted as |O(A_S)| / |<O(S) u G>| by
-    `cyclic_coset_count`, which builds O(S) only when G alone does not fill
-    O(A_S); any other A_S by the walk one p-part at a time.  A caller that
+    from G.  One walk, `double_coset_count_by_parts`, counts every A_S, and
+    it builds O(S) only when G alone does not fill O(A_S).  A caller that
     holds the image of O(S) already hands it in as h_maps, and it is used
     instead."""
     a_s = discriminant_form(s)
-    k_gens = carried_hodge_generators(a_s, hodge)
-    if a_s.ngens <= 1:
-        if h_maps is None:
-            return cyclic_coset_count(a_s, lambda: isometry_image_generators(s, a_s), k_gens)
-        return cyclic_coset_count(a_s, h_maps, k_gens)
-    if h_maps is None:
-        h_maps = isometry_image_generators(s, a_s)
-    return double_coset_count_by_parts(a_s, h_maps, k_gens)
+    h_gens = (lambda: isometry_image_generators(s, a_s)) if h_maps is None else h_maps
+    return double_coset_count_by_parts(a_s, h_gens, carried_hodge_generators(a_s, hodge))
 
 
 def genus_lattices(s: IntegerLattice) -> tuple:
@@ -232,17 +226,20 @@ def hodge_order_candidates(t: int) -> tuple:
 
 def fm_number_rank1(n: int, hodge: HodgeGroupSpec = GENERIC_HODGE) -> FMCountResult:
     """Partner count for NS = <2n>: 2^(tau(n)-1), cross-checked against the
-    double cosets {+-1} \\ O(A) / {+-1} of the cyclic A = (Z/2n, 1/2n),
-    counted by `cyclic_coset_count` as |O(A)| / 2.  Each O(A_p) is in closed
-    form, so no cap applies; 2n is factored once for its parts and n once
-    for tau.  The Hodge group must be {+-id}: phi(2I) divides rank T = 21."""
+    double cosets {+-1} \\ O(A) / {+-1} of the cyclic A = (Z/2n, 1/2n).
+    -id is central, so they are the cosets O(A) / {+-1}: |O(A)| / 2, or 1
+    for n = 1, where -id = id.  |O(A)| is the product of the |O(A_p)|, each
+    in closed form, so no cap applies and no orbit is walked; 2n is factored
+    once for its parts and n once for tau.  The Hodge group must be {+-id}:
+    phi(2I) divides rank T = 21."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if hodge.order != 2:
         raise ValueError("Picard number 1 forces a Hodge group of order 2 (phi(2I) | 21)")
     a = FiniteQuadraticForm((2 * n,), (1,), ((1,),))  # q(g) = 1/(2n)
-    neg = negation_map(a)
-    counted = cyclic_coset_count(a, [neg], [neg])
+    size = prod(len(isometries_signed(part.form, part.form, 1, prime=part.p))
+                for part in primary_parts(a))
+    counted = size // 2 if n > 1 else size
     expected = 2 ** (tau(n) - 1)
     if counted != expected:
         raise RuntimeError(

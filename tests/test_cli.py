@@ -381,3 +381,21 @@ def test_main_reads_sys_argv_at_each_call(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["k3fm", "classnum", "229"])
     assert main() == 0
     assert capsys.readouterr().out == "h=3\n"
+
+
+@pytest.mark.parametrize("argv", [["table"], ["scan", "--max", "1500"]])
+def test_a_closed_stdout_exits_141_in_silence(argv, monkeypatch):
+    monkeypatch.delenv("K3FM_CAP", raising=False)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the run starts
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3fm", *argv],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")

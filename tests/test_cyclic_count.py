@@ -1,6 +1,7 @@
-"""The closed-form count of a cyclic A: `cyclic_coset_count` must equal the
-walk `double_coset_count_by_parts`, build O(S) only when it can change the
-count, and factor each integer of a rank-1 count once."""
+"""The count of a cyclic A: the walk `double_coset_count_by_parts` must equal
+the whole-group `double_coset_count`, build O(S) only when it can change the
+count, enumerate no cyclic A, and factor each integer of a rank-1 count
+once."""
 
 import random
 from fractions import Fraction
@@ -12,15 +13,17 @@ from k3fm import arith, bqf, finite_qform, fm_count
 from k3fm.cli import main
 from k3fm.finite_qform import (
     FiniteFormMap,
+    FiniteOrthogonalGroup,
     FiniteQuadraticForm,
-    cyclic_coset_count,
     cyclic_form,
+    double_coset_count,
     double_coset_count_by_parts,
-    finite_form,
     isometries_signed,
     negation_map,
+    orthogonal_group,
 )
 from k3fm.fm_count import fm_table
+from k3fm.lattice import discriminant_form, make_lattice
 
 PAPER_ROWS = ((229, 3, 2), (401, 5, 3), (1009, 7, 4))
 
@@ -39,7 +42,8 @@ def test_equals_the_walk_on_every_cyclic_form_up_to_600():
             group = isometries_signed(a, a, 1)
             h = [f for f in group if rng.random() < 0.3]
             k = [f for f in group if rng.random() < 0.3]
-            assert cyclic_coset_count(a, h, k) == double_coset_count_by_parts(a, h, k), (n, q)
+            whole = double_coset_count(FiniteOrthogonalGroup(a, tuple(group)), h, k)
+            assert double_coset_count_by_parts(a, h, k) == whole, (n, q)
             empty_h += not h
             empty_k += not k
             forms += 1
@@ -48,7 +52,7 @@ def test_equals_the_walk_on_every_cyclic_form_up_to_600():
 
 def test_a_trivial_form_counts_one():
     a = FiniteQuadraticForm((), (), ())
-    assert cyclic_coset_count(a, [], []) == 1 == double_coset_count_by_parts(a, [], [])
+    assert double_coset_count_by_parts(a, [], []) == 1
 
 
 def test_h_is_read_only_when_k_does_not_fill_the_group():
@@ -56,7 +60,7 @@ def test_h_is_read_only_when_k_does_not_fill_the_group():
         raise AssertionError("O(S) built")
 
     prime = cyclic_form(229, Fraction(2, 229))  # O(A) = {+-1}
-    assert cyclic_coset_count(prime, refuse, [negation_map(prime)]) == 1
+    assert double_coset_count_by_parts(prime, refuse, [negation_map(prime)]) == 1
     a = cyclic_form(15, Fraction(2, 15))  # O(A) = {1, 4, 11, 14}
     neg = negation_map(a)
     calls = []
@@ -65,22 +69,38 @@ def test_h_is_read_only_when_k_does_not_fill_the_group():
         calls.append(1)
         return [FiniteFormMap(a, a, ((4,),), 1)]
 
-    assert cyclic_coset_count(a, h_gens, [neg]) == 1
+    assert double_coset_count_by_parts(a, h_gens, [neg]) == 1
     assert calls == [1]
-    assert cyclic_coset_count(a, [], [neg]) == 2
+    assert double_coset_count_by_parts(a, [], [neg]) == 2
+
+
+def test_h_is_never_read_when_k_fills_a_non_cyclic_group():
+    def refuse():
+        raise AssertionError("H read")
+
+    a = discriminant_form(make_lattice([[6, 0], [0, -12]]))  # Z/6 + Z/12
+    assert a.orders == (6, 12)
+    k = list(orthogonal_group(a))
+    assert len(k) == 16
+    assert double_coset_count_by_parts(a, refuse, k) == 1
 
 
 def test_a_map_outside_the_orthogonal_group_is_an_internal_error():
     a = cyclic_form(15, Fraction(2, 15))
     doubling = FiniteFormMap(a, a, ((2,),), 1)  # x -> 2x: -1 on A_3, but 4 != 1 mod 5
     with pytest.raises(RuntimeError, match=r"O\(A_5\)"):
-        cyclic_coset_count(a, [doubling], [])
+        double_coset_count_by_parts(a, [doubling], [])
     other = negation_map(cyclic_form(15, Fraction(4, 15)))
     with pytest.raises(RuntimeError, match="self-isometry"):
-        cyclic_coset_count(a, [], [other])
-    two = finite_form((3, 3), (Fraction(2, 3), Fraction(2, 3)))
-    with pytest.raises(ValueError, match="cyclic"):
-        cyclic_coset_count(two, [], [])
+        double_coset_count_by_parts(a, [], [other])
+    # a list H is checked even when K fills O(A) and the count needs no H
+    whole = list(orthogonal_group(a))
+    with pytest.raises(RuntimeError, match="self-isometry"):
+        double_coset_count_by_parts(a, [other], whole)
+    b = discriminant_form(make_lattice([[6, 0], [0, -12]]))  # Z/6 + Z/12
+    doubling_b = FiniteFormMap(b, b, ((2, 0), (0, 1)), 1)  # kills the 2-part of Z/6
+    with pytest.raises(RuntimeError, match=r"O\(A_2\)"):
+        double_coset_count_by_parts(b, [doubling_b], list(orthogonal_group(b)))
 
 
 def test_prime_rows_never_build_o_s(monkeypatch):
@@ -126,9 +146,7 @@ def test_rank_one_factors_2n_and_n_once_each(monkeypatch, capsys):
 
 
 def test_fm_count_counts_a_cyclic_summand_in_closed_form(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("orbits walked")
-
-    monkeypatch.setattr(fm_count, "double_coset_count_by_parts", refuse)
+    # a cap of 2 refuses any enumeration of a group with more than 2 elements
+    monkeypatch.setenv("K3FM_CAP", "2")
     assert fm_count.fm_number_rank1(9699690).total == 128
     assert fm_table((229,)) == PAPER_ROWS[:1]
