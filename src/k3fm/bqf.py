@@ -71,12 +71,6 @@ class TransformedForm:
 
 
 @dataclass(frozen=True)
-class Automorph:
-    matrix: tuple
-    det: int
-
-
-@dataclass(frozen=True)
 class ClassGroupData:
     d: int
     cycle_triples: tuple  # each class's cycle as (a, b, c) triples
@@ -372,13 +366,6 @@ def fold_classes(cgd: ClassGroupData, indices) -> tuple:
     return tuple(orbits)
 
 
-def improper_class_count(d: int) -> int:
-    """Number of GL2(Z) classes: proper classes folded under the opposite
-    involution, (h + #ambiguous) / 2."""
-    cgd = proper_classes(d)
-    return (cgd.h + len(cgd.ambiguous_indices)) // 2
-
-
 def is_properly_equivalent(f, g, witness: bool = False):
     """True iff f and g reduce into the same cycle.  With witness=True also
     return a determinant +1 matrix W with W^T G_f W = G_g (or None).  A walk
@@ -462,30 +449,22 @@ def automorph_matrix(f: BinaryQuadraticForm, t: int, u: int) -> tuple:
     )
 
 
-def fundamental_automorph(f: BinaryQuadraticForm) -> Automorph:
-    t, u = pell_fundamental(f.disc)
-    m = automorph_matrix(f, t, u)
-    g = gram_of(f)
-    if intmat.matmul(intmat.transpose(m), intmat.matmul(g, m)) != g:
-        raise RuntimeError("automorph verification failed")
-    return Automorph(m, 1)
-
-
-def proper_automorph_generator(f: BinaryQuadraticForm) -> Automorph:
-    """Generator of the proper automorphs of f modulo -I: the automorph of
-    its primitive part, which for an imprimitive form can be a proper root
-    of the minimal solution for disc(f)."""
+def fundamental_automorph(f: BinaryQuadraticForm) -> tuple:
+    """The matrix of the automorph of f's primitive part from its minimal
+    Pell solution, which generates the proper automorphs of f modulo -I; for
+    an imprimitive f it can be a proper root of the one for disc(f)."""
     g = f.content
-    auto = fundamental_automorph(BinaryQuadraticForm(f.a // g, f.b // g, f.c // g))
+    prim = BinaryQuadraticForm(f.a // g, f.b // g, f.c // g)
+    m = automorph_matrix(prim, *pell_fundamental(prim.disc))
     gram = gram_of(f)
-    if intmat.matmul(intmat.transpose(auto.matrix), intmat.matmul(gram, auto.matrix)) != gram:
+    if intmat.matmul(intmat.transpose(m), intmat.matmul(gram, m)) != gram:
         raise RuntimeError("automorph verification failed")
-    return auto
+    return m
 
 
-def improper_automorph(f: BinaryQuadraticForm) -> Automorph | None:
-    """A determinant -1 matrix fixing f, when f is properly equivalent to its
-    opposite; None otherwise."""
+def improper_automorph(f: BinaryQuadraticForm) -> tuple | None:
+    """The matrix of a determinant -1 automorph of f, when f is properly
+    equivalent to its opposite; None otherwise."""
     eq, w = is_properly_equivalent(f, opposite(f), witness=True)
     if not eq:
         return None
@@ -496,7 +475,7 @@ def improper_automorph(f: BinaryQuadraticForm) -> Automorph | None:
         raise RuntimeError("improper automorph verification failed")
     if intmat.det(m) != -1:
         raise RuntimeError("improper automorph has wrong determinant")
-    return Automorph(m, -1)
+    return m
 
 
 def _definite_generators(gram: tuple) -> tuple:
@@ -543,10 +522,10 @@ def lattice_isometry_generators(lat: IntegerLattice) -> tuple:
     if g[0][0] * g[1][1] - g[0][1] * g[0][1] > 0:
         return _definite_generators(g if g[0][0] > 0 else intmat.scale(g, -1))
     f = lattice_to_form(lat)
-    gens = [((-1, 0), (0, -1)), proper_automorph_generator(f).matrix]
+    gens = [((-1, 0), (0, -1)), fundamental_automorph(f)]
     imp = improper_automorph(f)
     if imp is not None:
-        gens.append(imp.matrix)
+        gens.append(imp)
     return tuple(gens)
 
 

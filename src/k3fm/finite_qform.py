@@ -4,9 +4,9 @@ A form is stored in invariant-factor coordinates as integers over its
 exponent N = d_k: generator orders d_1 | d_2 | ... | d_k (all > 1), the
 table Q_i = N*q(g_i) mod 2N of the values in Q/2Z and the table
 B_ij = N*b(g_i, g_j) mod N of the pairwise bilinear values in Q/Z.  Every
-search and check runs on these integers; `q_gens`, `b_matrix`, `evaluate_q`
-and `evaluate_b` show the values as `Fraction`s, and `finite_form` reads
-them from `Fraction`s.  Signed isometry enumeration, orthogonal groups,
+search and check runs on these integers; `q_gens`, `b_matrix` and
+`evaluate_q` show the values as `Fraction`s, and `finite_form` reads them
+from `Fraction`s.  Signed isometry enumeration, orthogonal groups,
 subgroup closure and `double_coset_count` are brute force over these
 coordinates, with one closed form: a nondegenerate cyclic group of
 prime-power order p^e gets its candidate images from a square root, mod
@@ -193,45 +193,6 @@ def _scaled_b(b_table, x, y) -> int:
     return total
 
 
-def canonical_form(orders_raw, q_raw, b_raw, n: int) -> FiniteQuadraticForm:
-    """Rewrite a generator presentation (orders not necessarily a chain),
-    given by integer tables over its exponent n = lcm(orders_raw), in
-    invariant-factor coordinates via the Smith form of the relation matrix.
-    The exponent of the group, hence of the result, is n again."""
-    k = len(orders_raw)
-    if k == 0:
-        return trivial_form()
-    rel = tuple(
-        tuple(orders_raw[i] if i == j else 0 for j in range(k)) for i in range(k)
-    )
-    u, d, _ = intmat.smith_normal_form(rel, track_v=False)
-    w = intmat.unimodular_inverse(u)
-    keep = [i for i in range(k) if d[i][i] > 1]
-    gens = []
-    for i in keep:
-        vec = tuple(w[r][i] % orders_raw[r] for r in range(k))
-        gens.append(vec)
-    orders = tuple(d[i][i] for i in keep)
-    q = tuple(_scaled_q(q_raw, b_raw, g) % (2 * n) for g in gens)
-    b = tuple(tuple(_scaled_b(b_raw, gi, gj) % n for gj in gens) for gi in gens)
-    return FiniteQuadraticForm(orders, q, b)
-
-
-def orthogonal_sum(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> FiniteQuadraticForm:
-    n = lcm(a.exponent, b.exponent)
-    ra, rb = n // a.exponent, n // b.exponent
-    ka, kb = a.ngens, b.ngens
-    q = tuple(x * ra for x in a.q_table) + tuple(x * rb for x in b.q_table)
-    bm = [[0] * (ka + kb) for _ in range(ka + kb)]
-    for i in range(ka):
-        for j in range(ka):
-            bm[i][j] = a.b_table[i][j] * ra
-    for i in range(kb):
-        for j in range(kb):
-            bm[ka + i][ka + j] = b.b_table[i][j] * rb
-    return canonical_form(a.orders + b.orders, q, bm, n)
-
-
 # ---------------------------------------------------------------------------
 # elements
 
@@ -251,13 +212,6 @@ def evaluate_q(a: FiniteQuadraticForm, x) -> Fraction:
         raise ValueError("coefficient vector length mismatch")
     n = a.exponent
     return Fraction(_scaled_q(a.q_table, a.b_table, x) % (2 * n), n)
-
-
-def evaluate_b(a: FiniteQuadraticForm, x, y) -> Fraction:
-    if len(x) != a.ngens or len(y) != a.ngens:
-        raise ValueError("coefficient vector length mismatch")
-    n = a.exponent
-    return Fraction(_scaled_b(a.b_table, x, y) % n, n)
 
 
 def _generates(orders, images, prime: int | None = None) -> bool:

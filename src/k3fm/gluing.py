@@ -39,7 +39,6 @@ from .fm_count import GENERIC_HODGE, HodgeGroupSpec, coset_summand, hodge_genera
 from .lattice import (
     DiscriminantData,
     IntegerLattice,
-    direct_sum,
     discriminant_data,
     discriminant_form,
 )
@@ -150,11 +149,6 @@ def glue(s: IntegerLattice, t: IntegerLattice, phi: FiniteFormMap) -> Overlattic
     if index * index * abs(det_l) != abs(s.det * t.det):
         raise RuntimeError("glue index identity violated")
     return Overlattice(basis_scaled, denom, gram, index)
-
-
-def trivial_overlattice(s: IntegerLattice, t: IntegerLattice) -> Overlattice:
-    """S + T itself, with no glue vectors (index 1)."""
-    return Overlattice(intmat.identity(s.rank + t.rank), 1, direct_sum(s, t).gram, 1)
 
 
 @dataclass(frozen=True)
@@ -269,7 +263,6 @@ def _coset_parts(cols: list, size: int) -> list:
 @dataclass(frozen=True)
 class GluingClasses:
     count: int
-    representatives: tuple
     # generators of the image of O(S) in O(A_S), -id left out, as
     # `isometry_image_generators` gives them to the coset count
     o_s_images: tuple = field(default=(), compare=False, repr=False)
@@ -291,16 +284,14 @@ def gluing_classes(
     a_t = discriminant_form(t)
     sigmas = isometries_signed(a_t, a_s, -1)
     if not sigmas:
-        return GluingClasses(0, ())
+        return GluingClasses(0)
     h_maps = tuple(fm_count.isometry_image_generators(s, a_s))
     walk_maps = (*h_maps, negation_map(a_s))
     g_maps = hodge_generators(a_t, hodge)
     remaining = dict.fromkeys(sigmas)
-    reps = []
     count = 0
     while remaining:
         start = next(iter(remaining))
-        reps.append(start)
         count += 1
         frontier = [start]
         seen = {start}
@@ -314,7 +305,7 @@ def gluing_classes(
                     frontier.append(nxt)
         for sigma in seen:
             remaining.pop(sigma, None)
-    return GluingClasses(count, tuple(reps), h_maps)
+    return GluingClasses(count, h_maps)
 
 
 @dataclass(frozen=True)

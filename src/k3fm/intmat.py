@@ -84,20 +84,6 @@ def inverse(m: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in a)
 
 
-def unimodular_inverse(m: Matrix) -> Matrix:
-    """Integer inverse of a matrix with determinant +-1."""
-    inv = inverse(m)
-    out = []
-    for row in inv:
-        r = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            r.append(int(x))
-        out.append(tuple(r))
-    return tuple(out)
-
-
 def smith_normal_form(m: Matrix, track_v: bool = True) -> tuple[Matrix, Matrix, Matrix | None]:
     """Decompose an integer matrix as u*m*v = d with u, v unimodular and d
     diagonal, nonnegative, each entry dividing the next.  Without track_v,

@@ -112,15 +112,6 @@ def e8_lattice() -> IntegerLattice:
     return make_lattice(gram, "E8")
 
 
-def k3_lattice() -> IntegerLattice:
-    """Rank-22 even unimodular lattice of signature (3,19): two copies of the
-    negated E8 lattice plus three hyperbolic planes."""
-    e8m = rescale(e8_lattice(), -1)
-    u = hyperbolic_plane()
-    out = direct_sum(e8m, e8m, u, u, u)
-    return IntegerLattice(out.gram, "K3")
-
-
 # ---------------------------------------------------------------------------
 # signature
 
@@ -189,29 +180,6 @@ def signature(lat: IntegerLattice) -> Signature:
 # Smith decomposition and discriminant form
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """u * gram * v = d with u, v unimodular, d diagonal with nonnegative
-    entries forming a divisibility chain."""
-
-    u: tuple
-    d: tuple
-    v: tuple
-
-    def diagonal(self) -> tuple:
-        return tuple(self.d[i][i] for i in range(len(self.d)))
-
-
-def smith_normal_form(gram) -> SmithDecomposition:
-    gram = intmat.freeze(gram)
-    n = len(gram)
-    for row in gram:
-        if len(row) != n:
-            raise ValueError("gram must be square")
-    u, d, v = intmat.smith_normal_form(gram)
-    return SmithDecomposition(u, d, v)
-
-
 def invariant_factors(lat: IntegerLattice) -> tuple:
     """Nontrivial invariant factors of A_L = L*/L, in divisibility order."""
     _, d, _ = intmat.smith_normal_form(lat.gram, track_v=False)
@@ -270,13 +238,12 @@ def discriminant_data(lat: IntegerLattice) -> DiscriminantData:
 def _compute_discriminant_data(lat: IntegerLattice) -> DiscriminantData:
     if not lat.is_even:
         raise ValueError("even lattice required")
-    snf = smith_normal_form(lat.gram)
-    diag = snf.diagonal()
-    keep = tuple(i for i, d in enumerate(diag) if d > 1)
-    orders = tuple(diag[i] for i in keep)
+    u, d, v = intmat.smith_normal_form(lat.gram)
+    keep = tuple(i for i in range(lat.rank) if d[i][i] > 1)
+    orders = tuple(d[i][i] for i in keep)
     # u*G*v = d gives G^-1 u^-1 = v d^-1: dual generator i is column i of v
     # divided by d_i
-    cols = [tuple(row[i] for row in snf.v) for i in keep]
+    cols = [tuple(row[i] for row in v) for i in keep]
     g_cols = [intmat.mat_vec(lat.gram, col) for col in cols]
     n = orders[-1] if orders else 1
 
@@ -291,7 +258,7 @@ def _compute_discriminant_data(lat: IntegerLattice) -> DiscriminantData:
     form = FiniteQuadraticForm(orders, q, b)
     if form.order != abs(lat.det):
         raise RuntimeError("discriminant group order does not match |det|")
-    return DiscriminantData(lat, form, snf.u, keep, tuple(cols))
+    return DiscriminantData(lat, form, u, keep, tuple(cols))
 
 
 def discriminant_form(lat: IntegerLattice) -> FiniteQuadraticForm:
@@ -318,13 +285,15 @@ def induced_form_map(lat: IntegerLattice, mat) -> FiniteFormMap:
 
 def json_integer(x, what: str) -> int:
     """An integer read from JSON: a JSON integer or a decimal string (for
-    values beyond double precision), never a boolean or a float."""
+    values beyond double precision), never a boolean or a float.  A string
+    is an optional sign and Unicode decimal digits, the ones `int()` reads;
+    `str.isdigit` would also pass superscripts such as "2²"."""
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, str):
         stripped = x.strip()
         body = stripped[1:] if stripped[:1] in "+-" else stripped
-        if body.isdigit():
+        if body.isdecimal():
             return int(stripped)
     raise LatticeParseError(f"{what} must be integers")
 

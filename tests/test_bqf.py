@@ -10,7 +10,6 @@ from k3fm import (
     fundamental_automorph,
     hyperbolic_plane,
     improper_automorph,
-    improper_class_count,
     is_properly_equivalent,
     is_reduced,
     lattice_to_form,
@@ -28,11 +27,11 @@ from k3fm.bqf import (
     BinaryQuadraticForm,
     class_index_of,
     enumerate_reduced,
+    fold_classes,
     form,
     genus_representative_forms,
     gram_of,
     principal_form,
-    proper_automorph_generator,
 )
 
 PAPER_H = {
@@ -165,8 +164,8 @@ def test_neighbor_equivalence():
 def test_pell_examples():
     assert pell_fundamental(5) == (3, 1)
     auto = fundamental_automorph(form(1, 1, -1))
-    assert auto.matrix == ((1, 1), (1, 2))
-    assert auto.det == 1
+    assert auto == ((1, 1), (1, 2))
+    assert intmat.det(auto) == 1
 
 
 def test_pell_minimality_small():
@@ -181,21 +180,21 @@ def test_automorph_identities():
         f = principal_form(d)
         auto = fundamental_automorph(f)
         g = gram_of(f)
-        assert intmat.matmul(intmat.transpose(auto.matrix), intmat.matmul(g, auto.matrix)) == g
-        assert intmat.det(auto.matrix) == 1
-        assert auto.matrix not in (intmat.identity(2), intmat.scale(intmat.identity(2), -1))
+        assert intmat.matmul(intmat.transpose(auto), intmat.matmul(g, auto)) == g
+        assert intmat.det(auto) == 1
+        assert auto not in (intmat.identity(2), intmat.scale(intmat.identity(2), -1))
 
 
 def test_imprimitive_automorph_generator():
     f = form(2, 2, -2)  # content 2, disc 20
-    gen = proper_automorph_generator(f)
+    gen = fundamental_automorph(f)
     g = gram_of(f)
-    assert intmat.matmul(intmat.transpose(gen.matrix), intmat.matmul(g, gen.matrix)) == g
+    assert intmat.matmul(intmat.transpose(gen), intmat.matmul(g, gen)) == g
     # the generator comes from the primitive part (disc 5), a cube root of
     # the minimal disc-20 automorph
-    assert gen.matrix == ((1, 1), (1, 2))
+    assert gen == ((1, 1), (1, 2))
     t20, u20 = pell_fundamental(20)
-    cube = intmat.matmul(gen.matrix, intmat.matmul(gen.matrix, gen.matrix))
+    cube = intmat.matmul(gen, intmat.matmul(gen, gen))
     assert cube[0][0] + cube[1][1] == t20 and cube[1][0] == 2 * u20
 
 
@@ -203,8 +202,8 @@ def test_improper_automorph():
     present = improper_automorph(form(1, 1, -1))
     assert present is not None
     g = gram_of(form(1, 1, -1))
-    assert intmat.matmul(intmat.transpose(present.matrix), intmat.matmul(g, present.matrix)) == g
-    assert intmat.det(present.matrix) == -1
+    assert intmat.matmul(intmat.transpose(present), intmat.matmul(g, present)) == g
+    assert intmat.det(present) == -1
 
     for d in (5, 8, 13, 17, 229):
         f = principal_form(d)
@@ -217,16 +216,14 @@ def test_improper_automorph():
     assert improper_automorph(rep) is None
 
 
-def test_improper_class_count_examples():
-    assert improper_class_count(229) == 2
-    assert improper_class_count(1297) == 6
-    assert improper_class_count(5) == 1
-
-
 def test_fold_consistency():
-    for d in (5, 8, 13, 17, 21, 229, 401, 205):
+    # the GL2 classes are the proper ones folded under the opposite involution
+    gl2 = {}
+    for d in (5, 8, 13, 17, 21, 229, 401, 205, 1297):
         cgd = proper_classes(d)
-        assert cgd.h == 2 * improper_class_count(d) - len(cgd.ambiguous_indices)
+        gl2[d] = len(fold_classes(cgd, range(cgd.h)))
+        assert cgd.h == 2 * gl2[d] - len(cgd.ambiguous_indices)
+    assert (gl2[229], gl2[1297], gl2[5]) == (2, 6, 1)
 
 
 def test_genus_partition_prime():

@@ -99,7 +99,9 @@ def test_json_integer_rule():
     assert json_integer(" -12 ", "x") == -12
     assert json_integer("+3", "x") == 3
     assert json_integer(10**30, "x") == 10**30
-    for bad in (True, False, 1.0, 2.5, None, "", "1.0", "1e3", "0x10", [1]):
+    assert json_integer("\u0662", "x") == 2  # a Unicode decimal digit, which int() reads
+    # superscripts are digits to str.isdigit() but not decimals that int() reads
+    for bad in (True, False, 1.0, 2.5, None, "", "1.0", "1e3", "0x10", [1], "2²", "²"):
         with pytest.raises(LatticeParseError, match="^x must be integers$"):
             json_integer(bad, "x")
 

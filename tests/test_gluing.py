@@ -6,7 +6,9 @@ from k3fm import (
     GluingDatum,
     HodgeGroupSpec,
     IntegerLattice,
+    Overlattice,
     diagonal_lattice,
+    direct_sum,
     discriminant_form,
     e8_lattice,
     form_to_lattice,
@@ -21,7 +23,6 @@ from k3fm import (
     recovered_gluing_map,
     rescale,
     signature,
-    trivial_overlattice,
     verify_gluing_counts,
     verify_overlattice,
 )
@@ -48,7 +49,7 @@ def test_glue_trivial_discriminants():
     phi = FiniteFormMap(trivial_form(), trivial_form(), (), -1)
     over = glue(s, t, phi)
     assert over.index == 1
-    assert over.gram == trivial_overlattice(s, t).gram
+    assert over.gram == direct_sum(s, t).gram
     assert verify_overlattice(over, s, t).all_ok
 
 
@@ -81,7 +82,8 @@ def test_glue_rejects_bad_map():
 
 def test_verify_overlattice_negative_case():
     s, t = diagonal_lattice(-4), diagonal_lattice(4)
-    report = verify_overlattice(trivial_overlattice(s, t), s, t)
+    over = Overlattice(intmat.identity(2), 1, direct_sum(s, t).gram, 1)  # S + T, unglued
+    report = verify_overlattice(over, s, t)
     assert report.even
     assert not report.unimodular
 

@@ -29,7 +29,6 @@ from k3fm import (
     make_lattice,
     recovered_gluing_map,
     rescale,
-    trivial_overlattice,
     verify_overlattice,
 )
 from k3fm import bqf, intmat
@@ -187,13 +186,13 @@ HAND_BUILT = {
     "odd": (
         diagonal_lattice(-1),
         diagonal_lattice(1),
-        trivial_overlattice(diagonal_lattice(-1), diagonal_lattice(1)),
+        Overlattice(((1, 0), (0, 1)), 1, ((-1, 0), (0, 1)), 1),
         OverlatticeReport(False, True, True, True),
     ),
     "not_unimodular": (
         diagonal_lattice(-2),
         diagonal_lattice(2),
-        trivial_overlattice(diagonal_lattice(-2), diagonal_lattice(2)),
+        Overlattice(((1, 0), (0, 1)), 1, ((-2, 0), (0, 2)), 1),
         OverlatticeReport(True, False, True, True),
     ),
     # L = S + T + (0, 1/2): T = <8> sits in L with index 2

@@ -114,11 +114,6 @@ def test_row_kernel_basis():
         assert intmat.mat_vec(intmat.transpose(m), row) == (0, 0)
 
 
-def test_unimodular_inverse_integrality():
-    m = ((1, 2), (0, 1))
-    assert intmat.unimodular_inverse(m) == ((1, -2), (0, 1))
-
-
 def reference_smith_normal_form(m):
     """The Smith decomposition as it was written before v became optional:
     both u and v always carried, one closure per elementary operation.

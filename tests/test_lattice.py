@@ -16,15 +16,12 @@ from k3fm import (
     hyperbolic_plane,
     induced_form_map,
     invariant_factors,
-    k3_lattice,
     lattice_from_obj,
     make_lattice,
     min_generators,
-    orthogonal_sum,
     parse_lattice_file,
     rescale,
     signature,
-    smith_normal_form,
 )
 from k3fm import intmat
 from k3fm.finite_qform import validate_map
@@ -81,9 +78,9 @@ def _random_nondegenerate(rng, n):
 
 def test_smith_decomposition_contract():
     gram = ((2, 1), (1, -2))
-    snf = smith_normal_form(gram)
-    assert intmat.matmul(snf.u, intmat.matmul(gram, snf.v)) == snf.d
-    assert snf.diagonal() == (1, 5)
+    u, d, v = intmat.smith_normal_form(gram)
+    assert intmat.matmul(u, intmat.matmul(gram, v)) == d
+    assert (d[0][0], d[1][1]) == (1, 5)
 
 
 def test_discriminant_form_examples():
@@ -146,8 +143,11 @@ def test_direct_sum_discriminant_is_orthogonal_sum():
     l1 = diagonal_lattice(2)
     l2 = make_lattice([[2, 1], [1, -2]])
     combined = discriminant_form(direct_sum(l1, l2))
-    summed = orthogonal_sum(discriminant_form(l1), discriminant_form(l2))
-    assert are_isometric(combined, summed)
+    # Z/2 with q = 1/2 plus Z/5 with q = 8/5: the sum of the generators has
+    # order 10 and q = 1/2 + 8/5 = 1/10 mod 2
+    assert discriminant_form(l1).q_gens == (Fraction(1, 2),)
+    assert discriminant_form(l2).q_gens == (Fraction(8, 5),)
+    assert are_isometric(combined, cyclic_form(10, Fraction(1, 10)))
 
 
 def test_q_values_stable_under_basis_change():
@@ -158,7 +158,8 @@ def test_q_values_stable_under_basis_change():
 
 
 def test_k3_lattice():
-    k3 = k3_lattice()
+    e8m, u = rescale(e8_lattice(), -1), hyperbolic_plane()
+    k3 = direct_sum(e8m, e8m, u, u, u)
     assert k3.rank == 22
     assert signature(k3).as_pair() == (3, 19)
     assert k3.det == -1
@@ -213,10 +214,11 @@ def descartes_signature(gram):
 
 
 def test_signature_against_charpoly_oracle():
+    e8m, u = rescale(e8_lattice(), -1), hyperbolic_plane()
     named = (
         hyperbolic_plane(),
         e8_lattice(),
-        k3_lattice(),
+        direct_sum(e8m, e8m, u, u, u),
         make_lattice([[2, 1], [1, -2]]),
         direct_sum(hyperbolic_plane(), rescale(e8_lattice(), -1)),
     )

@@ -2,6 +2,7 @@
 name one `k3fm` module takes from another is public."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import k3fm
@@ -168,3 +169,57 @@ def test_the_check_sees_a_genus_dispatch(tmp_path):
     called, named = calls_and_names(bad)
     assert {"genus_representative_forms", "definite_genus_lattices", "signature"} <= called
     assert {"signature", "definite_genus_lattices"} <= named
+
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def traced_names(path: Path) -> dict:
+    """The SPANNED and COUNTED tables of (layer, function) pairs in a tracer
+    source, read without importing it."""
+    tables = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in ("SPANNED", "COUNTED"):
+                    tables[target.id] = ast.literal_eval(node.value)
+    return tables
+
+
+def unresolved(pairs) -> list:
+    """The pairs that do not name a function on `k3fm.<layer>`; a
+    `Class.method` must be defined on the class itself, as the tracer
+    replaces it in the class dict."""
+    out = []
+    for layer, func in pairs:
+        owner = importlib.import_module(f"k3fm.{layer}")
+        if "." in func:
+            cls_name, attr = func.split(".")
+            found = vars(getattr(owner, cls_name, object)).get(attr)
+        else:
+            found = getattr(owner, func, None)
+        if not callable(found):
+            out.append(f"{layer}.{func}")
+    return out
+
+
+def test_every_name_the_benchmark_tracer_binds_resolves():
+    tables = traced_names(TRACER)
+    assert sorted(tables) == ["COUNTED", "SPANNED"]
+    assert all(tables.values())
+    assert unresolved(tables["SPANNED"] + tables["COUNTED"]) == []
+
+
+def test_the_check_sees_an_unbound_name():
+    pairs = [
+        ("intmat", "det"),
+        ("lattice", "DiscriminantData.classify"),
+        ("bqf", "no_such_function"),
+        ("lattice", "DiscriminantData.no_such_method"),
+        ("lattice", "NoSuchClass.classify"),
+    ]
+    assert unresolved(pairs) == [
+        "bqf.no_such_function",
+        "lattice.DiscriminantData.no_such_method",
+        "lattice.NoSuchClass.classify",
+    ]

@@ -13,6 +13,7 @@ from k3fm import (
     HodgeGroupSpec,
     NeronSeveriSpec,
     cyclic_form,
+    direct_sum,
     discriminant_form,
     double_coset_count,
     fm_number,
@@ -24,7 +25,6 @@ from k3fm import (
     make_lattice,
     negation_map,
     orthogonal_group,
-    orthogonal_sum,
     proper_classes,
     rescale,
 )
@@ -125,13 +125,12 @@ def test_equals_brute_force_with_explicit_hodge_actions(gram):
 
 
 def test_equals_brute_force_on_a_non_abelian_orthogonal_group():
-    # x^2 + y^2 on (Z/3)^2 is anisotropic, so its O is dihedral of order 8;
-    # summed with Z/5 the product has two parts.  With H and K running over
-    # all one-generator subgroups, some pairs do not commute, so H must act
-    # on the left and K on the right.
-    a = orthogonal_sum(
-        finite_form((3, 3), (Fraction(2, 3), Fraction(2, 3))), cyclic_form(5, Fraction(2, 5))
-    )
+    # x^2 + y^2 on (Z/3)^2, the form of A2 + A2, is anisotropic, so its O is
+    # dihedral of order 8; summed with Z/5 the product has two parts.  With H
+    # and K running over all one-generator subgroups, some pairs do not
+    # commute, so H must act on the left and K on the right.
+    a2 = make_lattice([[2, -1], [-1, 2]])
+    a = discriminant_form(direct_sum(a2, a2, make_lattice([[-2, 1], [1, 2]])))
     assert a.orders == (3, 15)
     whole = orthogonal_group(a)
     assert len(whole) == 16
@@ -160,8 +159,7 @@ def test_a_map_outside_the_orthogonal_group_is_an_internal_error():
 def test_cap_bounds_the_largest_part(monkeypatch):
     # A_5 = Z/5 + Z/25 is searched; the cyclic A_2 = Z/128 and A_3 = Z/3 have
     # their units in closed form, so A_2 passes a cap below its order
-    nc125 = discriminant_form(make_lattice([[10, 5], [5, -10]]))
-    a = orthogonal_sum(nc125, cyclic_form(384, Fraction(1, 384)))
+    a = discriminant_form(direct_sum(make_lattice([[10, 5], [5, -10]]), make_lattice([[384]])))
     assert [(part.p, part.form.orders) for part in primary_parts(a)] == [
         (2, (128,)), (3, (3,)), (5, (5, 25))
     ]
