@@ -8,11 +8,12 @@ search and check runs on these integers; `q_gens`, `b_matrix` and
 `evaluate_q` show the values as `Fraction`s, and `finite_form` reads them
 from `Fraction`s.  Signed isometry enumeration, orthogonal groups,
 subgroup closure and `double_coset_count` are brute force over these
-coordinates, with one closed form: a nondegenerate cyclic group of
-prime-power order p^e gets its candidate images from a square root, mod
-p^e for odd p (Tonelli-Shanks, then Hensel) and mod 2^(e+1) for p = 2 (one
-bit at a time), not from a filter over the whole group; that is
-O(A_p) = {+-1} of each `table` and `scan` row.
+coordinates, with one closed form: a cyclic form that is nondegenerate at
+every prime of its order N, as every discriminant form is, has its maps
+x -> u x straight from the unit square roots u, mod p^e for odd p
+(Tonelli-Shanks, then Hensel; none for u = 1) and mod 2^(e+1) for p = 2
+(one bit at a time), joined by CRT over the primes of N; no element is
+searched.  O(A_p) = {+-1} of each `table` and `scan` row is the case u = 1.
 
 Double cosets H \\ O(A) / K have one count, `double_coset_count_by_parts`,
 for every A, cyclic or not: every isometry keeps each p-part A_p, so O(A)
@@ -26,9 +27,10 @@ reference for the walk.
 The size cap on what is enumerated lives here alone: K3FM_CAP (else
 DEFAULT_CAP) is read by every isometry search, for the CLI and library
 callers alike, and bounds each group that is enumerated: the range(N)
-filter of a cyclic form without a closed form, a non-cyclic search, each
-part the walk searches and `FiniteFormMap.inverse`.  A group that exceeds
-it raises CapExceededError; the closed forms are not capped.
+filter of a degenerate cyclic form, a non-cyclic search, each part the
+walk searches and the inverse of a map between non-cyclic forms.  A group
+that exceeds it raises CapExceededError; the closed forms, and the inverse
+u -> u^-1 mod N of a map between cyclic forms, are not capped.
 
 A map between two forms is checked on both tables scaled to the lcm of
 their exponents.  Generation is tested by a Hermite basis of the images
@@ -264,6 +266,13 @@ class FiniteFormMap:
         return FiniteFormMap(other.source, self.target, images, self.sign * other.sign)
 
     def inverse(self) -> "FiniteFormMap":
+        """The inverse map; between cyclic forms of one order N it sends the
+        generator to u^-1 mod N, else it is read off every element of A."""
+        if self.source.ngens == 1 and self.source.orders == self.target.orders:
+            n, u = self.source.orders[0], self.images[0][0]
+            if gcd(u, n) != 1:
+                raise ValueError("map is not bijective")
+            return FiniteFormMap(self.target, self.source, ((pow(u, -1, n),),), self.sign)
         _within_cap(self.source.order)
         back = {self.apply(x): x for x in all_elements(self.source)}
         if len(back) != self.source.order:
@@ -340,9 +349,9 @@ def _sqrt_mod_prime(u: int, p: int) -> int:
     while m % 2 == 0:
         m //= 2
         s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
+    z = next((z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1), None)
+    if z is None:
+        raise ValueError(f"no quadratic non-residue below {p}: it is not an odd prime")
     c, t, r = pow(z, m, p), pow(u, m, p), pow(u, (m + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
@@ -356,24 +365,30 @@ def _sqrt_mod_prime(u: int, p: int) -> int:
 
 def _cyclic_unit_roots(n: int, q1: int, t: int, p: int | None = None):
     """The units x of Z/n with x^2 Q_1 = t mod 2n, ascending, in closed form
-    when n = p^e and the form is nondegenerate: p odd not dividing Q_1/2, or
-    p = 2 with Q_1 odd; None in every other case, which the caller filters
-    over range(n).  p is the prime of n when the caller knows it; otherwise
-    n is factored here.
+    when the form is nondegenerate at every prime of n: p odd not dividing
+    Q_1, and Q_1 odd when n is even; None otherwise, and the caller filters
+    over range(n).  p is the prime of n when the caller knows n = p^e;
+    otherwise n is factored here.  Q_1 and t are reduced mod 2n, and even
+    for odd n, as on every form of order n.
 
-    For odd n the values Q_1 and t are even, so the congruence reads
-    x^2 = u = (t/2)(Q_1/2)^-1 mod n.  A unit u that is a residue mod p has
-    exactly the two roots +-r, r found mod p and Hensel-lifted to p^e; a
-    non-unit or non-residue u has no unit root.
+    For n = p^e with p odd the congruence reads x^2 = u = (t/2)(Q_1/2)^-1
+    mod n.  For u = 1 (t = Q_1) the roots are +-1.  Any other unit u that
+    is a residue mod p has exactly the two roots +-r, r found mod p and
+    Hensel-lifted to p^e; a non-unit or non-residue u has no unit root.
 
     For n = 2^e it reads x^2 = u = t Q_1^-1 mod 2n, and x^2 mod 2n depends
     only on x mod n.  An odd square is 1 mod min(8, 2n); such a u has the
     roots +-r and +-r + n mod 2n, r lifted one bit at a time, and these are
-    +-r mod n."""
+    +-r mod n.
+
+    For composite n the congruence holds mod 2n iff it holds mod 2^(a+1)
+    for the 2^a exactly dividing n and mod p^e for each odd p^e: each is
+    solved by the prime-power case, and the roots are joined by CRT
+    (Cohen, *A Course in Computational Algebraic Number Theory*, section 1.3)."""
     if p is None:
         primes = (2,) if n & (n - 1) == 0 else prime_factors(n)
-        if len(primes) != 1:
-            return None
+        if len(primes) > 1:
+            return _crt_unit_roots(n, q1, t, primes)
         p = primes[0]
     if p == 2:
         if q1 % 2 == 0:
@@ -390,6 +405,8 @@ def _cyclic_unit_roots(n: int, q1: int, t: int, p: int | None = None):
         return sorted({r % n, -r % n})
     if (q1 // 2) % p == 0:
         return None
+    if t == q1:
+        return [1, n - 1]
     u = t // 2 * pow(q1 // 2, -1, n) % n
     if u % p == 0 or pow(u, (p - 1) // 2, p) != 1:
         return []
@@ -398,6 +415,27 @@ def _cyclic_unit_roots(n: int, q1: int, t: int, p: int | None = None):
         m = min(m * m, n)
         r = (r - (r * r - u) * pow(2 * r, -1, m)) % m
     return sorted((r, n - r))
+
+
+def _crt_unit_roots(n: int, q1: int, t: int, primes) -> list | None:
+    """`_cyclic_unit_roots` for n with the given primes, two or more: the
+    roots mod each prime power p^e of n, joined by CRT.  Mod p^e, for odd p,
+    x^2 Q_1 = t is the prime-power case on 2Q_1 and 2t mod 2p^e."""
+    roots, m = [0], 1
+    for p in primes:
+        pe = p
+        while n % (pe * p) == 0:
+            pe *= p
+        if p == 2:
+            part = _cyclic_unit_roots(pe, q1 % (2 * pe), t % (2 * pe), 2)
+        else:
+            part = _cyclic_unit_roots(pe, 2 * q1 % (2 * pe), 2 * t % (2 * pe), p)
+        if not part:  # None: degenerate at p; []: no root mod p^e
+            return part
+        step = m * pow(m, -1, pe)  # 1 mod p^e and 0 mod m
+        m *= pe
+        roots = [(r + (s - r) * step) % m for r in roots for s in part]
+    return sorted(roots)
 
 
 def _within_cap(order: int) -> None:
@@ -419,14 +457,16 @@ def isometries_signed(
 ) -> list:
     """All bijective maps f: A -> B with q_B(f(x)) = sign * q_A(x).
 
-    Enumeration tries generator images in lexicographic order of coefficient
-    vectors, so the first entry of the result is the canonical choice.  A
-    nondegenerate cyclic form of prime-power order N = p^e takes its
-    candidates from `_cyclic_unit_roots` (at most two, in closed form); every
-    other cyclic form filters range(N).  Both give the same maps in the same
-    order.  `prime` is p when A and B are known to be p-groups (a
-    `PrimaryPart`), so that N is not factored again and generation is a
-    determinant mod p (`_generates`).
+    A cyclic form's maps are g -> x g for the units x with x^2 Q_1 = t, in
+    ascending order: `_cyclic_unit_roots` gives them in closed form when the
+    form is nondegenerate at every prime of N (every discriminant form of a
+    lattice is), and they are returned at once; a degenerate cyclic form
+    filters range(N).  A non-cyclic form is searched: generator images are
+    tried in lexicographic order of coefficient vectors, so the first entry
+    of the result is the canonical choice.  `prime` is p when A and B are
+    p-groups (a `PrimaryPart`), so that N is not factored again and
+    generation is a determinant mod p (`_generates`); an order that is not
+    a power of `prime` raises ValueError.
 
     K3FM_CAP is read on every call with equal invariant factors, but the cap
     is compared with |A| only before an enumeration: the range(N) filter or
@@ -442,33 +482,41 @@ def isometries_signed(
     if k == 0:
         return [FiniteFormMap(a, b, (), sign)]
     n = orders[-1]
+    if prime is not None:
+        m = n
+        while prime > 1 and m % prime == 0:
+            m //= prime
+        if m != 1:
+            raise ValueError(f"the group order {a.order} is not a power of prime = {prime}")
     two_n = 2 * n
-    qb, bb = b.q_table, b.b_table
-    target_q = [sign * x % two_n for x in a.q_table]
-    target_b = [[sign * x % n for x in row] for row in a.b_table]
 
     if k == 1:
-        # cyclic: q(x) = x^2 Q_1 mod 2N, and every x has order dividing N
-        q1, t = qb[0], target_q[0]
+        # cyclic: q(x g) = x^2 Q_1 mod 2N, and x g generates iff x is a unit
+        q1, t = b.q_table[0], sign * a.q_table[0] % two_n
         roots = _cyclic_unit_roots(n, q1, t, prime)
         if roots is None:
             _within_cap(a.order)
-            roots = [x for x in range(n) if x * x * q1 % two_n == t]
-        candidates = [[(x,) for x in roots]]
-    else:
-        _within_cap(a.order)
-        # elements of B by q-value, each bucket in lexicographic order
-        by_q: dict[int, list] = {}
-        for x in all_elements(b):
-            by_q.setdefault(_scaled_q(qb, bb, x) % two_n, []).append(x)
-        candidates = [
-            [
-                x
-                for x in by_q.get(target_q[i], ())
-                if all(d_i * xj % dj == 0 for xj, dj in zip(x, orders))
-            ]
-            for i, d_i in enumerate(orders)
+            roots = [x for x in range(n) if x * x * q1 % two_n == t and gcd(x, n) == 1]
+        if _first_only:
+            roots = roots[:1]
+        return [FiniteFormMap(a, b, ((x,),), sign) for x in roots]
+
+    _within_cap(a.order)
+    qb, bb = b.q_table, b.b_table
+    target_q = [sign * x % two_n for x in a.q_table]
+    target_b = [[sign * x % n for x in row] for row in a.b_table]
+    # elements of B by q-value, each bucket in lexicographic order
+    by_q: dict[int, list] = {}
+    for x in all_elements(b):
+        by_q.setdefault(_scaled_q(qb, bb, x) % two_n, []).append(x)
+    candidates = [
+        [
+            x
+            for x in by_q.get(target_q[i], ())
+            if all(d_i * xj % dj == 0 for xj, dj in zip(x, orders))
         ]
+        for i, d_i in enumerate(orders)
+    ]
 
     results: list[FiniteFormMap] = []
     images: list[tuple] = []

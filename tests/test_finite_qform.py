@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -174,8 +175,9 @@ def test_are_isometric_examples():
 
 
 def test_cap_exceeded(monkeypatch):
+    # Z/27 with Q_1 = 6 is degenerate at 3, so its range(N) filter is capped
     monkeypatch.setenv("K3FM_CAP", "10")
-    a = cyclic_form(24, Fraction(1, 24))
+    a = cyclic_form(27, Fraction(6, 27))
     with pytest.raises(CapExceededError, match="finite group too large"):
         orthogonal_group(a)
 
@@ -293,10 +295,87 @@ def test_two_power_isometries_equal_the_filter(monkeypatch):
                     assert isometries_signed(a, b, sign) == expected, (n, a, b, sign)
 
 
-@pytest.mark.parametrize("n, q1", [(4, 2), (8, 6), (15, 2), (45, 4), (9, 6), (25, 10)])
+@pytest.mark.parametrize(
+    "n, q1", [(4, 2), (8, 6), (15, 10), (45, 6), (9, 6), (25, 10), (27, 6), (12, 2)]
+)
 def test_cyclic_closed_form_leaves_the_other_cases_to_the_filter(n, q1):
-    # degenerate N = 2^e (Q_1 even), composite N, and p | Q_1/2
+    # degenerate forms only: Q_1 even for even N, or p | Q_1 for an odd p | N
     assert finite_qform._cyclic_unit_roots(n, q1, q1) is None
+
+
+def _cyclic(n, q):
+    return finite_qform.FiniteQuadraticForm((n,), (q,), ((q % n,),))
+
+
+def _closed_and_filtered(monkeypatch, pairs):
+    """isometries_signed(a, b, 1) on each pair: in closed form under the cap
+    1, and by the range(N) filter with the cap raised; only pairs whose b
+    is nondegenerate at every prime of N are taken."""
+    pairs = [
+        (a, b) for a, b in pairs
+        if finite_qform._cyclic_unit_roots(b.orders[0], b.q_table[0], b.q_table[0]) is not None
+    ]
+    with monkeypatch.context() as m:
+        m.setenv("K3FM_CAP", str(10**6))
+        m.setattr(finite_qform, "_cyclic_unit_roots", lambda n, q1, t, p=None: None)
+        filtered = [isometries_signed(a, b, 1) for a, b in pairs]
+    with monkeypatch.context() as m:
+        m.setenv("K3FM_CAP", "1")
+        closed = [isometries_signed(a, b, 1) for a, b in pairs]
+    return pairs, closed, filtered
+
+
+def test_composite_closed_form_equals_the_filter_up_to_40(monkeypatch):
+    # every cyclic form with N <= 40, every valid Q_1 and every valid t = Q_a
+    pairs = []
+    for n in range(2, 41):
+        forms = [_cyclic(n, q) for q in range(2 * n) if n * q % 2 == 0]
+        pairs += [(a, b) for b in forms for a in forms]
+    pairs, closed, filtered = _closed_and_filtered(monkeypatch, pairs)
+    assert len(pairs) > 10000
+    for pair, got, expected in zip(pairs, closed, filtered):
+        assert got == expected, pair
+    assert sum(map(bool, closed)) > 1000
+
+
+def test_composite_closed_form_equals_the_filter_on_seeded_forms(monkeypatch):
+    # 300 seeded N < 10^5 with a nondegenerate Q_1; t is x^2 Q_1 for a
+    # random unit x in every other case, so that half of them have roots
+    rng = random.Random(24)
+    pairs = []
+    while len(pairs) < 300:
+        n = rng.randrange(2, 10**5)
+        q1, x = rng.randrange(2 * n), rng.randrange(1, n)
+        if gcd(x, n) > 1 or (q1 + n) % 2 == 0:  # Q_1 is odd for even N, even for odd N
+            continue
+        t = x * x * q1 % (2 * n) if len(pairs) % 2 else rng.randrange(0, 2 * n, 1 + n % 2)
+        pairs.append((_cyclic(n, t), _cyclic(n, q1)))
+    pairs, closed, filtered = _closed_and_filtered(monkeypatch, pairs)
+    assert len(pairs) > 200
+    for pair, got, expected in zip(pairs, closed, filtered):
+        assert got == expected, pair
+    assert sum(map(bool, closed)) >= 150
+
+
+def test_a_wrong_prime_is_refused_at_once():
+    # 25 is a power of 25 but no prime: the non-residue search stops at 25
+    a = cyclic_form(25, Fraction(2, 25))
+    with pytest.raises(ValueError, match="not an odd prime"):
+        isometries_signed(a, a, -1, prime=25)
+    b = cyclic_form(1129, Fraction(2, 1129))
+    assert len(isometries_signed(b, b, 1)) == 2
+    with pytest.raises(ValueError, match="not a power of prime = 2257"):
+        isometries_signed(b, b, 1, prime=2257)
+
+
+def test_cyclic_inverse_is_the_inverse_unit():
+    a = cyclic_form(20018, Fraction(3, 20018))
+    for f in isometries_signed(a, a, 1):
+        back = f.inverse()
+        assert f.compose(back) == back.compose(f) == identity_map(a)
+        assert back.images == ((pow(f.images[0][0], -1, 20018),),)
+    with pytest.raises(ValueError, match="not bijective"):
+        FiniteFormMap(a, a, ((2,),), 1).inverse()
 
 
 def test_the_closed_form_is_not_capped_and_the_filter_is(monkeypatch):
@@ -305,7 +384,14 @@ def test_the_closed_form_is_not_capped_and_the_filter_is(monkeypatch):
     assert [f.images for f in isometries_signed(big, big, 1)] == [((1,),), ((2**20 - 1,),)]
     prime = cyclic_form(10009, Fraction(2, 10009))
     assert len(isometries_signed(prime, prime, 1, prime=10009)) == 2
-    with pytest.raises(CapExceededError, match=r"\|A\| = 24 exceeds the cap 10"):
-        isometries_signed(cyclic_form(24, Fraction(1, 24)), cyclic_form(24, Fraction(1, 24)), 1)
-    with pytest.raises(CapExceededError, match=r"\|A\| = 10009 exceeds the cap 10"):
-        isometries_signed(prime, prime, -1)[0].inverse()
+    composite = cyclic_form(20018, Fraction(1, 20018))
+    anti = isometries_signed(composite, negate_form(composite), -1)
+    assert [f.images for f in anti] == [((1,),), ((20017,),)]
+    phi = isometries_signed(prime, prime, -1)[0]
+    assert phi.compose(phi.inverse()) == identity_map(prime)
+    degenerate = cyclic_form(27, Fraction(6, 27))
+    with pytest.raises(CapExceededError, match=r"\|A\| = 27 exceeds the cap 10"):
+        isometries_signed(degenerate, degenerate, 1)
+    non_cyclic = finite_form((2, 6), (Fraction(1, 2), Fraction(1, 6)))
+    with pytest.raises(CapExceededError, match=r"\|A\| = 12 exceeds the cap 10"):
+        negation_map(non_cyclic).inverse()

@@ -221,6 +221,46 @@ def test_composite_rank_two_past_the_old_wall(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[0] == "fm=8"
 
 
+@pytest.mark.parametrize(
+    "n, last",
+    [
+        (20018, "total: orbits=1 cosets=1 equal=True"),  # 2 * 10009
+        (19399380, "total: orbits=128 cosets=128 equal=True"),  # 4 * 3 * 5 * ... * 19
+    ],
+)
+def test_composite_cyclic_gluing_past_the_old_wall(tmp_path, capsys, monkeypatch, n, last):
+    # the anti-isometries of a cyclic A of composite order come by CRT
+    monkeypatch.delenv("K3FM_CAP", raising=False)
+    s, t = tmp_path / "s.json", tmp_path / "t.json"
+    s.write_text('{"gram": [[%d]]}' % -n)
+    t.write_text('{"gram": [[%d]]}' % n)
+    assert main(["verify-t14", "--s", str(s), "--t", str(t)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == last
+    if n == 20018:
+        assert main(["glue", "--s", str(s), "--t", str(t)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "anti-isometries: 2"
+
+
+@pytest.mark.parametrize(
+    "c, u, order, fm",
+    [
+        (-5004, 10008, 2, 1),  # -id on (Z/10009, 2/10009)
+        (-16022, 1886, 4, 4),  # x -> 1886x on (Z/32045, 2/32045); the enumerated inverse gives 4
+    ],
+)
+def test_hodge_action_on_a_large_cyclic_form(tmp_path, capsys, monkeypatch, c, u, order, fm):
+    # the action is carried onto A_S across an anti-isometry and its inverse,
+    # both in closed form
+    monkeypatch.delenv("K3FM_CAP", raising=False)
+    n = 1 - 2 * c
+    lat, act = tmp_path / "ns.json", tmp_path / "act.json"
+    lat.write_text('{"gram": [[2, 1], [1, %d]]}' % c)
+    act.write_text('{"orders": [%d], "q": ["2/%d"], "images": [[%d]]}' % (n, n, u))
+    argv = ["fm", "--lattice", str(lat), "--hodge-order", str(order), "--hodge-action", str(act)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"fm={fm}"
+
+
 # base change: a word in S = [[0, -1], [1, 0]], T^k = [[1, k], [0, 1]] and
 # the reflection R = [[1, 0], [0, -1]] runs over all of GL2(Z)
 def base_change(word) -> tuple:
