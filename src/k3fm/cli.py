@@ -9,10 +9,10 @@ code for a broken pipe, and nothing on stderr: stdout is flushed before
 `main` returns, and on a broken pipe fd 1 is pointed at os.devnull so that
 the interpreter's own flush at exit finds nothing to write.
 The K3FM_CAP environment variable overrides the finite-group enumeration cap;
-`finite_qform` reads it on every isometry search, closed form or not, so a
-malformed value exits 2 from any run that looks for an isometry, even one
-that enumerates nothing (`K3FM_CAP=abc k3fm fm --rank1 6`), and a run that
-needs none ignores it.
+`finite_qform` reads it on every isometry search or count, closed form or
+not, so a malformed value exits 2 from any run that looks for an isometry,
+even one that enumerates nothing (`K3FM_CAP=abc k3fm fm --rank1 6`), and a
+run that needs none ignores it.
 `fm` and `verify-t14` take the genus of S from `fm_count.genus_lattices`;
 no verb picks genus members itself.
 `main(argv)` may be called repeatedly in one process: the argument parser is

@@ -14,6 +14,8 @@ x -> u x straight from the unit square roots u, mod p^e for odd p
 (Tonelli-Shanks, then Hensel; none for u = 1) and mod 2^(e+1) for p = 2
 (one bit at a time), joined by CRT over the primes of N; no element is
 searched.  O(A_p) = {+-1} of each `table` and `scan` row is the case u = 1.
+`cyclic_orthogonal_order` counts the maps of (Z/n, 1/n), the rank-1 A, by
+the same closed forms, one p-part at a time, and builds no map.
 
 Double cosets H \\ O(A) / K have one count, `double_coset_count_by_parts`,
 for every A, cyclic or not: every isometry keeps each p-part A_p, so O(A)
@@ -25,10 +27,10 @@ and a callable H is never called.  The whole-group functions are the
 reference for the walk.
 
 The size cap on what is enumerated lives here alone: K3FM_CAP (else
-DEFAULT_CAP) is read by every isometry search, for the CLI and library
-callers alike, and bounds each group that is enumerated: the range(N)
-filter of a degenerate cyclic form, a non-cyclic search, each part the
-walk searches and the inverse of a map between non-cyclic forms.  A group
+DEFAULT_CAP) is read by every isometry search or count, for the CLI and
+library callers alike, and bounds each group that is enumerated: the
+range(N) filter of a degenerate cyclic form, a non-cyclic search, each part
+the walk searches and the inverse of a map between non-cyclic forms.  A group
 that exceeds it raises CapExceededError; the closed forms, and the inverse
 u -> u^-1 mod N of a map between cyclic forms, are not capped.
 
@@ -436,6 +438,26 @@ def _crt_unit_roots(n: int, q1: int, t: int, primes) -> list | None:
         m *= pe
         roots = [(r + (s - r) * step) % m for r in roots for s in part]
     return sorted(roots)
+
+
+def cyclic_orthogonal_order(n: int, primes) -> int:
+    """|O(A)| for the cyclic form A = (Z/n, q(g) = 1/n), n even, given the
+    primes of n, in closed form: the product over p^e exactly dividing n of
+    the unit roots of the p-part, generated by m g for m = n/p^e, with
+    Q_p = m mod 2p^e (`_cyclic_unit_roots`).  No form, part or map is
+    built.  K3FM_CAP is read, as by every isometry search, though nothing
+    is enumerated."""
+    if n % 2:
+        raise ValueError("q(g) = 1/n makes a form only for even n")
+    _enumeration_cap()
+    size = 1
+    for p in primes:
+        pe = p
+        while n % (pe * p) == 0:
+            pe *= p
+        q = n // pe % (2 * pe)
+        size *= len(_cyclic_unit_roots(pe, q, q, p))
+    return size
 
 
 def _within_cap(order: int) -> None:

@@ -11,7 +11,8 @@ A_p whose units come in closed form (every p-part of a prime row of `table`
 and `scan`) is not searched, so no cap bounds it; the enumeration cap bounds
 every A_p that is searched (`finite_qform` owns the cap and reads K3FM_CAP;
 nothing here takes one).  O(S) is built only when G alone does not fill
-O(A_S).  Rank 1 needs no walk: |O(A)| / 2 is read off the parts.  O(S)
+O(A_S).  Rank 1 needs no walk and builds no form: tau(n) and |O(A)| are
+read off one factorization of 2n (`cyclic_orthogonal_order`).  O(S)
 comes from `bqf` as generators for every lattice, and
 `isometry_image_generators` gives their image in O(A_S) to this engine and
 the gluing oracle alike, less -id, which G always holds.  The genus, the
@@ -23,25 +24,26 @@ first tries the surjectivity shortcut (rank >= l + 2, which in rank 2 means
 NS = U); otherwise Picard number 2 sums over `genus_lattices`, whose
 hyperbolic genus comes from the binary-form class engine (non-square
 discriminant only), and rank >= 3 is refused.  A Hodge group of
-order 2I > 2 needs phi(2I) | rank T = 22 - rank NS.  tau, phi and the
-primality test come from `arith`.
+order 2I > 2 needs phi(2I) | rank T = 22 - rank NS.  The factorization,
+phi and the primality test come from `arith`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, prod
+from math import isqrt
 
 from . import bqf, intmat
-from .arith import euler_phi, is_prime, primes_one_mod_four, tau
+from .arith import euler_phi, is_prime, prime_factors, primes_one_mod_four
 from .errors import UnsupportedError
 from .finite_qform import (
     FiniteFormMap,
     FiniteQuadraticForm,
+    cyclic_orthogonal_order,
     double_coset_count_by_parts,
+    identity_map,
     isometries_signed,
     negation_map,
-    primary_parts,
     validate_map,
 )
 from .lattice import (
@@ -228,19 +230,26 @@ def fm_number_rank1(n: int, hodge: HodgeGroupSpec = GENERIC_HODGE) -> FMCountRes
     """Partner count for NS = <2n>: 2^(tau(n)-1), cross-checked against the
     double cosets {+-1} \\ O(A) / {+-1} of the cyclic A = (Z/2n, 1/2n).
     -id is central, so they are the cosets O(A) / {+-1}: |O(A)| / 2, or 1
-    for n = 1, where -id = id.  |O(A)| is the product of the |O(A_p)|, each
-    in closed form, so no cap applies and no orbit is walked; 2n is factored
-    once for its parts and n once for tau.  The Hodge group must be {+-id}:
-    phi(2I) divides rank T = 21."""
+    for n = 1, where -id = id.  Both sides are read off one factorization
+    of 2n: tau(n) is its number of primes, less one for odd n, and |O(A)|
+    is `cyclic_orthogonal_order`, the product of the |O(A_p)| in closed
+    form, so no cap applies.  The Hodge group must be {+-id}: phi(2I)
+    divides rank T = 21, and an explicit action, carried onto A
+    (`carried_hodge_generators`), must be +-id there; only then is A built
+    as a form."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if hodge.order != 2:
         raise ValueError("Picard number 1 forces a Hodge group of order 2 (phi(2I) | 21)")
-    a = FiniteQuadraticForm((2 * n,), (1,), ((1,),))  # q(g) = 1/(2n)
-    size = prod(len(isometries_signed(part.form, part.form, 1, prime=part.p))
-                for part in primary_parts(a))
+    if hodge.action is not None:
+        a = FiniteQuadraticForm((2 * n,), (1,), ((1,),))  # q(g) = 1/(2n)
+        plus_minus = (identity_map(a), negation_map(a))
+        if any(g not in plus_minus for g in carried_hodge_generators(a, hodge)):
+            raise ValueError("Picard number 1 forces the Hodge action to be +-id (phi(2I) | 21)")
+    primes = prime_factors(2 * n)
+    size = cyclic_orthogonal_order(2 * n, primes)
     counted = size // 2 if n > 1 else size
-    expected = 2 ** (tau(n) - 1)
+    expected = 2 ** (max(1, len(primes) - n % 2) - 1)
     if counted != expected:
         raise RuntimeError(
             f"rank-1 cross-check failed for n={n}: cosets {counted}, formula {expected}"

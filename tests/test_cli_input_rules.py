@@ -120,8 +120,16 @@ def test_discriminant_generators_are_derived_from_columns():
         assert tuple(x * d for x in gen) == col
 
 
-NEGATION_ON_Z5 = {"orders": [5], "q": ["2/5"], "images": [[4]]}
+ACTIONS = {
+    "MINUS_ID": {"orders": [12], "q": ["23/12"], "images": [[11]]},  # -id on A_T of <12>
+    "FIVE": {"orders": [12], "q": ["23/12"], "images": [[5]]},  # x -> 5x, of order 2
+    "NEGATION_ON_Z5": {"orders": [5], "q": ["2/5"], "images": [[4]]},  # not on A_T
+}
 PICARD_ONE_MESSAGE = "k3fm: Picard number 1 forces a Hodge group of order 2 (phi(2I) | 21)\n"
+PLUS_MINUS_MESSAGE = "k3fm: Picard number 1 forces the Hodge action to be +-id (phi(2I) | 21)\n"
+OFF_A_T_MESSAGE = (
+    "k3fm: Hodge action lives on a form that is not anti-isometric to the target\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -132,15 +140,17 @@ PICARD_ONE_MESSAGE = "k3fm: Picard number 1 forces a Hodge group of order 2 (phi
         (["--hodge-order", "4"], (2, "", PICARD_ONE_MESSAGE)),
         (["--hodge-order", "3"], (2, "", ORDER_MESSAGE)),
         (["--hodge-order", "0"], (2, "", ORDER_MESSAGE)),
-        (["--hodge-action", "ACTION"], (0, "fm=2\nmethod: rank1\n  gram [[12]]: 2\n", "")),
-        (["--hodge-order", "4", "--hodge-action", "ACTION"], (2, "", PICARD_ONE_MESSAGE)),
+        (["--hodge-action", "MINUS_ID"], (0, "fm=2\nmethod: rank1\n  gram [[12]]: 2\n", "")),
+        (["--hodge-order", "4", "--hodge-action", "MINUS_ID"], (2, "", PICARD_ONE_MESSAGE)),
         (["--hodge-action", "MISSING"], None),
+        (["--hodge-action", "NEGATION_ON_Z5"], (2, "", OFF_A_T_MESSAGE)),
+        (["--hodge-action", "FIVE"], (2, "", PLUS_MINUS_MESSAGE)),
     ],
 )
 def test_rank1_takes_the_hodge_flags_like_the_lattice_it_names(tmp_path, capsys, flags, expected):
-    action = write(tmp_path, "action.json", NEGATION_ON_Z5)
-    missing = str(tmp_path / "missing.json")
-    flags = [{"ACTION": action, "MISSING": missing}.get(f, f) for f in flags]
+    files = {name: write(tmp_path, f"{name}.json", obj) for name, obj in ACTIONS.items()}
+    files["MISSING"] = str(tmp_path / "missing.json")
+    flags = [files.get(f, f) for f in flags]
     lattice = write(tmp_path, "ns.json", {"gram": [[12]]})
     by_rank1 = run(capsys, ["fm", "--rank1", "6", *flags])
     assert by_rank1 == run(capsys, ["fm", "--lattice", lattice, *flags])

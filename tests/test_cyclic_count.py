@@ -1,13 +1,15 @@
 """The count of a cyclic A: the walk `double_coset_count_by_parts` must equal
 the whole-group `double_coset_count`, build O(S) only when it can change the
-count, enumerate no cyclic A, and factor each integer of a rank-1 count
-once."""
+count, and enumerate no cyclic A.  A rank-1 count factors 2n once, and its
+|O(A)|, `cyclic_orthogonal_order`, equals the product of the
+`isometries_signed` counts of the `primary_parts`."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from reference_arith import tau
 
 from k3fm import arith, bqf, finite_qform, fm_count
 from k3fm.cli import main
@@ -16,13 +18,16 @@ from k3fm.finite_qform import (
     FiniteOrthogonalGroup,
     FiniteQuadraticForm,
     cyclic_form,
+    cyclic_orthogonal_order,
     double_coset_count,
     double_coset_count_by_parts,
     isometries_signed,
     negation_map,
     orthogonal_group,
+    primary_parts,
 )
-from k3fm.fm_count import fm_table
+from k3fm.errors import LatticeParseError
+from k3fm.fm_count import fm_number_rank1, fm_table
 from k3fm.lattice import discriminant_form, make_lattice
 
 PAPER_ROWS = ((229, 3, 2), (401, 5, 3), (1009, 7, 4))
@@ -129,8 +134,8 @@ def test_o_s_is_built_where_it_can_change_the_count(tmp_path, capsys, monkeypatc
     assert calls
 
 
-def test_rank_one_factors_2n_and_n_once_each(monkeypatch, capsys):
-    n = 999999999989  # a prime: each factorization is a full trial division
+def test_rank_one_factors_2n_once(monkeypatch, capsys):
+    n = 999999999989  # a prime past the trial bound: the cofactor is tested, not divided
     calls = []
     real = arith.prime_factors
 
@@ -138,11 +143,11 @@ def test_rank_one_factors_2n_and_n_once_each(monkeypatch, capsys):
         calls.append(m)
         return real(m)
 
-    monkeypatch.setattr(arith, "prime_factors", counting)
-    monkeypatch.setattr(finite_qform, "prime_factors", counting)
+    for module in (arith, finite_qform, fm_count):
+        monkeypatch.setattr(module, "prime_factors", counting)
     assert main(["fm", "--rank1", str(n)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "fm=1"
-    assert sorted(calls) == [n, 2 * n]
+    assert calls == [2 * n]
 
 
 def test_fm_count_counts_a_cyclic_summand_in_closed_form(monkeypatch):
@@ -150,3 +155,57 @@ def test_fm_count_counts_a_cyclic_summand_in_closed_form(monkeypatch):
     monkeypatch.setenv("K3FM_CAP", "2")
     assert fm_count.fm_number_rank1(9699690).total == 128
     assert fm_table((229,)) == PAPER_ROWS[:1]
+
+
+def orthogonal_order_by_parts(n: int) -> int:
+    """|O(Z/n, 1/n)| as the rank-1 count once read it: the maps of every
+    p-part, listed by `isometries_signed` and counted."""
+    a = FiniteQuadraticForm((n,), (1,), ((1,),))
+    return prod(len(isometries_signed(p.form, p.form, 1, prime=p.p)) for p in primary_parts(a))
+
+
+def test_rank_one_order_equals_the_parts_up_to_3000_and_on_seeded_n():
+    rng = random.Random(1980)
+    for n in list(range(1, 3001)) + [rng.randrange(1, 10**12) for _ in range(200)]:
+        size = cyclic_orthogonal_order(2 * n, arith.prime_factors(2 * n))
+        assert size == orthogonal_order_by_parts(2 * n), n
+        assert fm_number_rank1(n).total == 2 ** (tau(n) - 1) == max(1, size // 2), n
+
+
+def test_orthogonal_order_needs_an_even_order_and_reads_the_cap(monkeypatch):
+    with pytest.raises(ValueError, match="even n"):
+        cyclic_orthogonal_order(15, (3, 5))
+    monkeypatch.setenv("K3FM_CAP", "abc")
+    with pytest.raises(LatticeParseError, match="K3FM_CAP"):
+        cyclic_orthogonal_order(12, (2, 3))
+    monkeypatch.setenv("K3FM_CAP", "1")
+    assert cyclic_orthogonal_order(2 * 9699690, arith.prime_factors(9699690)) == 256
+
+
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+
+
+@pytest.mark.parametrize(
+    "n, fm",
+    [
+        (999999943999999559, 2),  # 999999937 * 1000000007
+        (614889782588491410, 16384),  # 2 * 3 * ... * 47
+        (100000000000031, 1),
+        (3215031751, 4),  # 151 * 751 * 28351, a strong pseudoprime to 2, 3, 5, 7
+        (PSI_12, 2),
+    ],
+)
+def test_rank_one_past_trial_division(capsys, n, fm):
+    assert main(["fm", "--rank1", str(n)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"fm={fm}", "method: rank1", f"  gram [[{2 * n}]]: {fm}"
+    ]
+
+
+def test_rank_one_refuses_psi_13(capsys):
+    psi_13 = 3317044064679887385961981
+    assert main(["fm", "--rank1", str(psi_13)]) == 3
+    assert capsys.readouterr().err == (
+        f"k3fm: unsupported: {psi_13} is a strong probable prime to the bases 2, ..., 41, "
+        f"which prove primality only below psi_13 = {psi_13}\n"
+    )
