@@ -92,13 +92,6 @@ class ClassGroupData:
     def ambiguous_indices(self) -> tuple:
         return tuple(i for i, j in enumerate(self.opposite) if i == j)
 
-    def representatives(self) -> tuple:
-        return self.reps
-
-
-def form(a: int, b: int, c: int) -> BinaryQuadraticForm:
-    return BinaryQuadraticForm(a, b, c)
-
 
 def gram_of(f: BinaryQuadraticForm) -> tuple:
     return ((2 * f.a, f.b), (f.b, 2 * f.c))
@@ -537,5 +530,5 @@ def genus_representative_forms(lat: IntegerLattice) -> tuple:
     cgd = proper_classes(f.disc)
     own = class_index_of(cgd, f)
     genus = next(part for part in cgd.genus_partition if own in part)
-    reps = cgd.representatives()
+    reps = cgd.reps
     return tuple(reps[orbit[0]] for orbit in fold_classes(cgd, genus))

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import bqf, gluing
 from .errors import CapExceededError, K3FMError, LatticeParseError, UnsupportedError
-from .finite_qform import FiniteFormMap, finite_form, isometries_signed
+from .finite_qform import finite_form, isometries_signed, map_from_images
 from .fm_count import (
     HodgeGroupSpec,
     NeronSeveriSpec,
@@ -74,10 +74,10 @@ def _parse_fraction(x) -> Fraction:
     raise LatticeParseError("expected an integer or 'p/q' string")
 
 
-def _parse_action_file(path) -> FiniteFormMap:
-    """JSON format: {"orders": [...], "q": [...], "b": [[...], ...] (optional),
-    "images": [[...], ...]} describing the form acted on and the generator
-    images."""
+def _parse_action_file(path) -> tuple:
+    """The form and the generator images of an action file, JSON format:
+    {"orders": [...], "q": [...], "b": [[...], ...] (optional),
+    "images": [[...], ...]}, in invariant-factor coordinates."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
@@ -93,14 +93,19 @@ def _parse_action_file(path) -> FiniteFormMap:
             b = [[_parse_fraction(x) for x in row] for row in obj["b"]]
         form = finite_form(orders, q, b)
         images = tuple(tuple(json_integer(c, "images") for c in img) for img in obj["images"])
-        return FiniteFormMap(form, form, images, 1)
     except (TypeError, ValueError, LatticeParseError) as exc:
         raise LatticeParseError(f"bad action file: {exc}") from exc
+    return form, images
 
 
 def _hodge_from_args(args) -> HodgeGroupSpec:
-    action = _parse_action_file(args.hodge_action) if args.hodge_action else None
-    return HodgeGroupSpec(args.hodge_order, action)
+    """The Hodge group of the flags: a file that cannot be read is refused
+    first, then a bad order, then a malformed image."""
+    if not args.hodge_action:
+        return HodgeGroupSpec(args.hodge_order)
+    form, images = _parse_action_file(args.hodge_action)
+    HodgeGroupSpec(args.hodge_order)  # the order is checked before the images are split
+    return HodgeGroupSpec(args.hodge_order, map_from_images(form, form, images, 1))
 
 
 def _cmd_discform(args) -> int:

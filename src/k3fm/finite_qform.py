@@ -1,43 +1,44 @@
-"""Finite quadratic forms (A, q) on finite abelian groups.
+"""Finite quadratic forms (A, q) on finite abelian groups, one p-part at a time.
 
-A form is stored in invariant-factor coordinates as integers over its
-exponent N = d_k: generator orders d_1 | d_2 | ... | d_k (all > 1), the
-table Q_i = N*q(g_i) mod 2N of the values in Q/2Z and the table
-B_ij = N*b(g_i, g_j) mod N of the pairwise bilinear values in Q/Z.  Every
-search and check runs on these integers; `q_gens`, `b_matrix` and
-`evaluate_q` show the values as `Fraction`s, and `finite_form` reads them
-from `Fraction`s.  Signed isometry enumeration, orthogonal groups,
-subgroup closure and `double_coset_count` are brute force over these
-coordinates, with one closed form: a cyclic form that is nondegenerate at
-every prime of its order N, as every discriminant form is, has its maps
-x -> u x straight from the unit square roots u, mod p^e for odd p
-(Tonelli-Shanks, then Hensel; none for u = 1) and mod 2^(e+1) for p = 2
-(one bit at a time), joined by CRT over the primes of N; no element is
-searched.  O(A_p) = {+-1} of each `table` and `scan` row is the case u = 1.
-`cyclic_orthogonal_order` counts the maps of (Z/n, 1/n), the rank-1 A, by
-the same closed forms, one p-part at a time, and builds no map.
+A is the orthogonal sum of its p-parts A_p, and every isometry keeps each
+A_p, so O(A) is the product of the O(A_p) (Nikulin 1979, section 1.7).  A
+form is stored as its parts alone, one `Part` per prime p of its exponent,
+ascending: generators h_1, ..., h_k of orders p^e_1 | ... | p^e_k and the
+integer tables Q_i = n*q(h_i) mod 2n and B_ij = n*b(h_i, h_j) mod n over
+n = p^e_k.  A map holds one image matrix per part, and every search, check
+and composition runs on one part's integers.
 
-Double cosets H \\ O(A) / K have one count, `double_coset_count_by_parts`,
-for every A, cyclic or not: every isometry keeps each p-part A_p, so O(A)
-is the product of the O(A_p), and only the A_p are searched, a cyclic one
-not at all when its units come in closed form.  The orbits are walked on
-the product, each move one permutation of the elements of O(A), numbered
-in mixed radix; K is walked first, and when it fills O(A) the count is 1
-and a callable H is never called.  The whole-group functions are the
-reference for the walk.
+A form given on invariant-factor generators g_i of orders d_1 | ... | d_k
+(`form_from_tables`, `finite_form`, so every discriminant form) is split
+once: the generator of A_p at g_i is its CRT projection h = e g_i, with
+e = 1 mod p^e and 0 mod d_i / p^e.  So g_i is the sum of its h, q(g_i) the
+sum of their q, and the part coordinates of a vector are its
+invariant-factor coordinates mod p^e.  That view is kept at the boundary
+only: `orders`, `order` and `q_gens` (the `discform` output), the order of
+the whole maps (that of `glue --list`), and `map_from_images`, which splits
+a map given on the g_i (a `--hodge-action` file).
+
+A cyclic part that is nondegenerate at p, as every p-part of a discriminant
+form is, has its maps x -> u x straight from the unit square roots u, mod
+p^e for odd p (Tonelli-Shanks, then Hensel; none for u = 1) and mod 2^(e+1)
+for p = 2 (one bit at a time).  O(A_p) = {+-1} of each `table` and `scan`
+row is the case u = 1, and `cyclic_orthogonal_order` counts the maps of the
+rank-1 A by the same closed forms.  Any other part is searched over its
+elements.  Orthogonal groups, subgroup closure and `double_coset_count` are
+brute force over whole maps, the reference for the walk below.
+
+Double cosets H \\ O(A) / K have one count, `double_coset_count_by_parts`:
+each O(A_p) comes from `isometries_signed` on the one-part form of A_p, and
+the orbits are walked on their product, numbered in mixed radix; K is
+walked first, and when it fills O(A) the count is 1 and a callable H is
+never called.
 
 The size cap on what is enumerated lives here alone: K3FM_CAP (else
-DEFAULT_CAP) is read by every isometry search or count, for the CLI and
-library callers alike, and bounds each group that is enumerated: the
-range(N) filter of a degenerate cyclic form, a non-cyclic search, each part
-the walk searches and the inverse of a map between non-cyclic forms.  A group
-that exceeds it raises CapExceededError; the closed forms, and the inverse
-u -> u^-1 mod N of a map between cyclic forms, are not capped.
-
-A map between two forms is checked on both tables scaled to the lcm of
-their exponents.  Generation is tested by a Hermite basis of the images
-stacked on diag(d_1, ..., d_k) rather than by building the span; on a
-p-part (a search given its prime) by the determinant of the images mod p.
+DEFAULT_CAP) is read by every isometry search or count and bounds each part
+that is enumerated: the range(p^e) filter of a degenerate cyclic part, a
+part with two or more generators, and the inverse of a map on such a part.
+A part that exceeds it raises CapExceededError; the closed forms, and the
+inverse u -> u^-1 mod p^e on a cyclic part, are not capped.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from . import intmat
 from .arith import prime_factors
@@ -104,22 +106,37 @@ def _check(orders, q_table, b_table, n: int) -> None:
                 raise ValueError("b value incompatible with generator order")
 
 
-@dataclass(frozen=True)
-class FiniteQuadraticForm:
-    """A finite abelian group with a Q/2Z-valued quadratic form, held as
-    integer tables over the exponent N: q(g_i) = q_table[i] / N mod 2 and
-    b(g_i, g_j) = b_table[i][j] / N mod 1."""
+class Part(NamedTuple):
+    """The p-part A_p: generators h_i of orders p^e_1 | ... | p^e_k, with
+    q(h_i) = q_table[i] / n mod 2 and b(h_i, h_j) = b_table[i][j] / n mod 1
+    over n = p^e_k."""
 
+    p: int
     orders: tuple
     q_table: tuple
     b_table: tuple
 
-    def __post_init__(self):
-        _check(self.orders, self.q_table, self.b_table, self.exponent)
 
-    @property
-    def order(self) -> int:
-        return prod(self.orders)
+@dataclass(frozen=True)
+class FiniteQuadraticForm:
+    """A finite abelian group with a Q/2Z-valued quadratic form, held as its
+    p-parts, one per prime of its exponent, ascending.  The generator g_i of
+    the invariant-factor view is the sum of the h of the parts that reach
+    index i: a part of k_p generators reaches the last k_p indices."""
+
+    parts: tuple
+    # the invariant factors d_1 | ... | d_k and their product, set from parts
+    orders: tuple = field(init=False, repr=False, compare=False)
+    order: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        k = max((len(part.orders) for part in self.parts), default=0)
+        orders = [1] * k
+        for part in self.parts:
+            for i, pe in enumerate(part.orders, k - len(part.orders)):
+                orders[i] *= pe
+        object.__setattr__(self, "orders", tuple(orders))
+        object.__setattr__(self, "order", prod(orders))
 
     @property
     def ngens(self) -> int:
@@ -131,20 +148,56 @@ class FiniteQuadraticForm:
 
     @property
     def q_gens(self) -> tuple:
-        """q(g_i) in [0, 2), as `Fraction`s."""
-        return tuple(Fraction(x, self.exponent) for x in self.q_table)
+        """q(g_i) in [0, 2), as `Fraction`s: the sum of q(h) over its parts."""
+        q = [Fraction(0)] * self.ngens
+        for part in self.parts:
+            for i, x in enumerate(part.q_table, self.ngens - len(part.orders)):
+                q[i] += Fraction(x, part.orders[-1])
+        return tuple(x % 2 for x in q)
 
-    @property
-    def b_matrix(self) -> tuple:
-        """b(g_i, g_j) in [0, 1), as `Fraction`s."""
-        return tuple(tuple(Fraction(x, self.exponent) for x in row) for row in self.b_table)
+
+def _idempotent(d: int, pe: int) -> int:
+    """e = 1 mod pe and e = 0 mod d / pe, for the p^e exactly dividing d."""
+    m = d // pe
+    return m * pow(m, -1, pe)
+
+
+def form_from_tables(orders, q_table, b_table, primes=None) -> FiniteQuadraticForm:
+    """The form with invariant factors `orders` and the integer tables
+    Q_i = N*q(g_i) mod 2N, B_ij = N*b(g_i, g_j) mod N over N = d_k, split
+    into its p-parts; `primes` are those of N, factored here when not given.
+
+    The part of p holds h_i = e_i g_i for the d_i that p divides, of order
+    p^e_i, e_i = 1 mod p^e_i and 0 mod m_i = d_i / p^e_i.  Over its exponent
+    n_p, n_p q(h_i) = e_i^2 Q_i / r with r = N / n_p, exact because m_i^2 Q_i
+    / r is (m_i g_i has order dividing n_p), and b alike."""
+    orders = tuple(orders)
+    n = orders[-1] if orders else 1
+    _check(orders, q_table, b_table, n)
+    parts = []
+    for p in prime_factors(n) if primes is None else primes:
+        index, pes = [], []
+        for i, d in enumerate(orders):
+            if d % p == 0:
+                pe = p
+                while d % (pe * p) == 0:
+                    pe *= p
+                index.append((i, _idempotent(d, pe)))
+                pes.append(pe)
+        n_p = pes[-1]
+        r = n // n_p
+        q = tuple([e * e * q_table[i] // r % (2 * n_p) for i, e in index])
+        b = tuple([tuple([e * f * b_table[i][j] // r % n_p for j, f in index]) for i, e in index])
+        parts.append(Part(p, tuple(pes), q, b))
+    return FiniteQuadraticForm(tuple(parts))
 
 
 def finite_form(orders, q_gens, b_matrix=None) -> FiniteQuadraticForm:
-    """Build a form from rational values, defaulting the bilinear matrix to
-    diag(q mod Z).  The values are checked at a common denominator of all of
-    them, so a malformed input gets the message of its first failed check,
-    and only then scaled to the exponent."""
+    """Build a form from rational values on invariant-factor generators,
+    defaulting the bilinear matrix to diag(q mod Z).  The values are checked
+    at a common denominator of all of them, so a malformed input gets the
+    message of its first failed check, and only then scaled to the exponent
+    and split into parts."""
     orders = tuple(int(d) for d in orders)
     q = [Fraction(x) % 2 for x in q_gens]
     if b_matrix is None:
@@ -153,7 +206,7 @@ def finite_form(orders, q_gens, b_matrix=None) -> FiniteQuadraticForm:
     n = orders[-1] if orders else 1
     m = lcm(n, *(x.denominator for x in q), *(x.denominator for row in b for x in row))
     _check(orders, [int(x * m) for x in q], [[int(x * m) for x in row] for row in b], m)
-    return FiniteQuadraticForm(
+    return form_from_tables(
         orders,
         tuple(int(x * n) for x in q),
         tuple(tuple(int(x * n) for x in row) for row in b),
@@ -161,7 +214,7 @@ def finite_form(orders, q_gens, b_matrix=None) -> FiniteQuadraticForm:
 
 
 def trivial_form() -> FiniteQuadraticForm:
-    return FiniteQuadraticForm((), (), ())
+    return FiniteQuadraticForm(())
 
 
 def cyclic_form(n: int, q) -> FiniteQuadraticForm:
@@ -169,14 +222,17 @@ def cyclic_form(n: int, q) -> FiniteQuadraticForm:
 
 
 def negate_form(a: FiniteQuadraticForm) -> FiniteQuadraticForm:
-    n = a.exponent
-    q = tuple(-x % (2 * n) for x in a.q_table)
-    b = tuple(tuple(-x % n for x in row) for row in a.b_table)
-    return FiniteQuadraticForm(a.orders, q, b)
+    parts = []
+    for p, orders, q_table, b_table in a.parts:
+        n = orders[-1]
+        q = tuple(-x % (2 * n) for x in q_table)
+        b = tuple(tuple(-x % n for x in row) for row in b_table)
+        parts.append(Part(p, orders, q, b))
+    return FiniteQuadraticForm(tuple(parts))
 
 
 def _scaled_q(q_table, b_table, x) -> int:
-    """N*q(x), not yet reduced mod 2N: sum x_i^2 Q_i + 2 sum_{i<j} x_i x_j B_ij."""
+    """n*q(x), not yet reduced mod 2n: sum x_i^2 Q_i + 2 sum_{i<j} x_i x_j B_ij."""
     total = 0
     for i, xi in enumerate(x):
         if xi:
@@ -187,7 +243,7 @@ def _scaled_q(q_table, b_table, x) -> int:
 
 
 def _scaled_b(b_table, x, y) -> int:
-    """N*b(x, y), not yet reduced mod N: sum x_i y_j B_ij."""
+    """n*b(x, y), not yet reduced mod n: sum x_i y_j B_ij."""
     total = 0
     for i, xi in enumerate(x):
         if xi:
@@ -197,41 +253,31 @@ def _scaled_b(b_table, x, y) -> int:
     return total
 
 
-# ---------------------------------------------------------------------------
-# elements
-
-
-def all_elements(a: FiniteQuadraticForm):
-    """Lexicographic iteration over coefficient vectors mod orders."""
-    return product(*(range(d) for d in a.orders))
-
-
-def element_order(a: FiniteQuadraticForm, x) -> int:
-    return lcm(1, *(d // gcd(d, xi) for xi, d in zip(x, a.orders)))
-
-
 def evaluate_q(a: FiniteQuadraticForm, x) -> Fraction:
-    """q(sum c_i g_i) = sum c_i^2 q(g_i) + 2 sum_{i<j} c_i c_j b(g_i, g_j) mod 2Z."""
+    """q(sum c_i g_i) in Q/2Z, for c in invariant-factor coordinates: the sum
+    over the parts of q at the part coordinates c_i mod p^e_i."""
     if len(x) != a.ngens:
         raise ValueError("coefficient vector length mismatch")
-    n = a.exponent
-    return Fraction(_scaled_q(a.q_table, a.b_table, x) % (2 * n), n)
+    total = Fraction(0)
+    for _, orders, q_table, b_table in a.parts:
+        y = [c % d for c, d in zip(x[len(x) - len(orders):], orders)]
+        total += Fraction(_scaled_q(q_table, b_table, y), orders[-1])
+    return total % 2
 
 
-def _generates(orders, images, prime: int | None = None) -> bool:
-    """Whether the coefficient vectors generate Z/d_1 + ... + Z/d_k: exactly
-    when the rows of the images and of diag(orders) span Z^k.  When every
-    d_i is a power of `prime` and there are k >= 2 images, exactly when
-    their k x k determinant is nonzero mod p: pB is the Frattini subgroup of
-    the p-group B, so k elements generate B iff they span B/pB = (Z/p)^k."""
-    k = len(orders)
+def _generates(part: Part, images) -> bool:
+    """Whether the images generate the p-group of `part`.  pA is the
+    Frattini subgroup of a p-group A of k generators, so k elements generate
+    A iff they span A/pA = (Z/p)^k: for k = 1 iff the image is a unit (its
+    gcd with p^e is 1), for k >= 2 iff their k x k determinant is nonzero mod
+    p.  Another number of images comes from a part of another rank, and a
+    homomorphism onto A from a group of its order would be an isomorphism."""
+    k = len(part.orders)
+    if len(images) != k:
+        return False
     if k == 1:
-        return gcd(orders[0], *(x[0] for x in images)) == 1
-    if prime is not None:
-        return intmat.det(images) % prime != 0
-    diag = intmat.identity(k)
-    rows = tuple(images) + tuple(tuple(d * e for e in row) for d, row in zip(orders, diag))
-    return intmat.hermite_row_basis(rows) == diag
+        return gcd(part.orders[0], images[0][0]) == 1
+    return intmat.det(images) % part.p != 0
 
 
 # ---------------------------------------------------------------------------
@@ -242,49 +288,52 @@ def _after(f_images, g_images, orders) -> tuple:
     """The images of f o g, from the images of f and of g: f, the
     homomorphism that sends generator i to f_images[i], applied to each
     image of g and reduced mod the target orders."""
-    cols = tuple(zip(*f_images))
-    return tuple(
-        tuple(sum(map(mul, y, c)) % d for c, d in zip(cols, orders)) for y in g_images
-    )
+    cols = list(zip(*f_images))
+    return tuple([tuple([sum(map(mul, y, c)) % d for c, d in zip(cols, orders)]) for y in g_images])
 
 
 @dataclass(frozen=True)
 class FiniteFormMap:
-    """A group homomorphism with q_target(f(x)) = sign * q_source(x) mod 2Z."""
+    """A group homomorphism with q_target(f(x)) = sign * q_source(x) mod 2Z,
+    held as parts[s]: the images of the generators of the source's part s,
+    in coordinates of the target's part of the same prime."""
 
     source: FiniteQuadraticForm
     target: FiniteQuadraticForm
-    images: tuple
+    parts: tuple
     sign: int
 
-    def apply(self, x) -> tuple:
-        return _after(self.images, (x,), self.target.orders)[0]
-
     def compose(self, other: "FiniteFormMap") -> "FiniteFormMap":
-        """self after other."""
+        """self after other, part by part."""
         if other.target != self.source:
             raise ValueError("maps are not composable")
-        images = _after(self.images, other.images, self.target.orders)
-        return FiniteFormMap(other.source, self.target, images, self.sign * other.sign)
+        parts = tuple([
+            _after(f, g, part.orders)
+            for f, g, part in zip(self.parts, other.parts, self.target.parts)
+        ])
+        return FiniteFormMap(other.source, self.target, parts, self.sign * other.sign)
 
     def inverse(self) -> "FiniteFormMap":
-        """The inverse map; between cyclic forms of one order N it sends the
-        generator to u^-1 mod N, else it is read off every element of A."""
-        if self.source.ngens == 1 and self.source.orders == self.target.orders:
-            n, u = self.source.orders[0], self.images[0][0]
-            if gcd(u, n) != 1:
-                raise ValueError("map is not bijective")
-            return FiniteFormMap(self.target, self.source, ((pow(u, -1, n),),), self.sign)
-        _within_cap(self.source.order)
-        back = {self.apply(x): x for x in all_elements(self.source)}
-        if len(back) != self.source.order:
+        """The inverse map, part by part: on a cyclic part of order p^e the
+        generator goes to u^-1 mod p^e; any other part is read off its
+        elements."""
+        a, b = self.source, self.target
+        if a.orders != b.orders:
             raise ValueError("map is not bijective")
-        units = [
-            tuple(int(i == j) for j in range(self.target.ngens))
-            for i in range(self.target.ngens)
-        ]
-        images = tuple(back[u] for u in units)
-        return FiniteFormMap(self.target, self.source, images, self.sign)
+        parts = []
+        for part, rows in zip(a.parts, self.parts):
+            if len(rows) == 1:
+                if rows[0][0] % part.p == 0:
+                    raise ValueError("map is not bijective")
+                parts.append(((pow(rows[0][0], -1, part.orders[0]),),))
+                continue
+            _within_cap(a, part)
+            elements = list(product(*(range(d) for d in part.orders)))
+            back = {_after(rows, (x,), part.orders)[0]: x for x in elements}
+            if len(back) != len(elements):
+                raise ValueError("map is not bijective")
+            parts.append(tuple(back[u] for u in intmat.identity(len(part.orders))))
+        return FiniteFormMap(b, a, tuple(parts), self.sign)
 
     def map_order(self) -> int:
         ident = identity_map(self.source)
@@ -298,48 +347,96 @@ class FiniteFormMap:
         return n
 
 
+def _addends(a: FiniteQuadraticForm, b: FiniteQuadraticForm, s: int, rows) -> list:
+    """What the block `rows` of part s of a map A -> B adds to the images of
+    the g_i in the coordinates of B, flat in (i, j): e x_l for the image x
+    of the part's h at index i, where h_l of B's part is e g_j, and 0 where
+    the part reaches neither.  By CRT the images are the sums over parts."""
+    k, part = a.ngens, b.parts[s]
+    at = b.ngens - len(part.orders)
+    idem = [_idempotent(d, pe) for d, pe in zip(b.orders[at:], part.orders)]
+    out = [0] * (b.ngens * (k - len(rows)))
+    for x in rows:
+        out += [0] * at + [e * c for e, c in zip(idem, x)]
+    return out
+
+
 def identity_map(a: FiniteQuadraticForm) -> FiniteFormMap:
-    images = tuple(
-        tuple(int(i == j) for j in range(a.ngens)) for i in range(a.ngens)
-    )
-    return FiniteFormMap(a, a, images, 1)
+    return FiniteFormMap(a, a, tuple(intmat.identity(len(part.orders)) for part in a.parts), 1)
 
 
 def negation_map(a: FiniteQuadraticForm) -> FiniteFormMap:
-    images = tuple(
-        tuple((-int(i == j)) % a.orders[j] for j in range(a.ngens))
-        for i in range(a.ngens)
+    parts = tuple(
+        tuple(
+            tuple(d - 1 if i == j else 0 for j, d in enumerate(part.orders))
+            for i in range(len(part.orders))
+        )
+        for part in a.parts
     )
-    return FiniteFormMap(a, a, images, 1)
+    return FiniteFormMap(a, a, parts, 1)
+
+
+def map_from_images(a: FiniteQuadraticForm, b: FiniteQuadraticForm, images, sign: int):
+    """The homomorphism A -> B that sends g_i to images[i], given in the
+    invariant-factor coordinates of B, split into its parts: the part
+    generator h = e g_i goes to e images[i], read on B's part of the same
+    prime.  Raises ValueError unless the images define a homomorphism: one
+    per g_i, each of B's length, and each of an order dividing d_i."""
+    orders_a, orders_b = a.orders, b.orders
+    if len(images) != len(orders_a):
+        raise ValueError("one image per source generator required")
+    for d, img in zip(orders_a, images):
+        if len(img) != len(orders_b):
+            raise ValueError("image vector length mismatch")
+        if any(d * c % d_b for c, d_b in zip(img, orders_b)):
+            raise ValueError("image order does not divide generator order")
+    parts = []
+    for part, target in zip(a.parts, b.parts):  # by prime, where the orders agree
+        rows = []
+        for i, pe in enumerate(part.orders, len(orders_a) - len(part.orders)):
+            e = _idempotent(orders_a[i], pe)
+            tail = images[i][len(orders_b) - len(target.orders):]
+            rows.append(tuple(e * c % d for c, d in zip(tail, target.orders)))
+        parts.append(tuple(rows))
+    return FiniteFormMap(a, b, tuple(parts), sign)
 
 
 def validate_map(f: FiniteFormMap) -> None:
     """Raise ValueError unless f is a bijective sign-twisted isometry.
 
-    q and b are compared on integers, both tables scaled to N = the lcm of
-    the two exponents: N*q mod 2N and N*b mod N.
+    Equal orders pair the parts of source and target off by prime.  On each
+    pair q and b are compared on integers, both tables scaled to the lcm n
+    of the two part exponents: n*q mod 2n and n*b mod n.  The checks run in
+    the order of the g_i, q(g_i) and then b(g_i, g_j) for j < i, each on
+    every part that g_i reaches: g_i is the sum of its parts' h, and Q/2Z is
+    the direct sum of its p-primary parts, so q(g_i) is rescaled exactly
+    when every q(h) is, and b likewise.  Generation is tested part by part.
     """
     a, b = f.source, f.target
     if f.sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if a.order != b.order:
         raise ValueError("source and target orders differ")
-    if len(f.images) != a.ngens:
-        raise ValueError("one image per source generator required")
-    n = lcm(a.exponent, b.exponent)
-    ra, rb = n // a.exponent, n // b.exponent
-    for i, img in enumerate(f.images):
-        if len(img) != b.ngens:
-            raise ValueError("image vector length mismatch")
-        if a.orders[i] % element_order(b, img) != 0:
-            raise ValueError("image order does not divide generator order")
-        if (_scaled_q(b.q_table, b.b_table, img) * rb - f.sign * a.q_table[i] * ra) % (2 * n):
-            raise ValueError("map does not rescale q by its sign")
-        for j in range(i):
-            pairing = _scaled_b(b.b_table, img, f.images[j]) * rb
-            if (pairing - f.sign * a.b_table[i][j] * ra) % n:
-                raise ValueError("map does not rescale b by its sign")
-    if not _generates(b.orders, f.images):
+    k = a.ngens
+    pairs = []
+    for pa, pb, rows in zip(a.parts, b.parts, f.parts):
+        n = lcm(pa.orders[-1], pb.orders[-1])
+        pairs.append((k - len(rows), rows, pa, pb, n // pa.orders[-1], n // pb.orders[-1], n))
+    for i in range(k):
+        for j in (i, *range(i)):
+            for off, rows, pa, pb, ra, rb, n in pairs:
+                if j < off:
+                    continue
+                img = rows[i - off]
+                if i == j:
+                    pairing = _scaled_q(pb.q_table, pb.b_table, img) * rb
+                    if (pairing - f.sign * pa.q_table[i - off] * ra) % (2 * n):
+                        raise ValueError("map does not rescale q by its sign")
+                else:
+                    pairing = _scaled_b(pb.b_table, img, rows[j - off]) * rb
+                    if (pairing - f.sign * pa.b_table[i - off][j - off] * ra) % n:
+                        raise ValueError("map does not rescale b by its sign")
+    if not all(_generates(pb, rows) for _, rows, _, pb, *_ in pairs):
         raise ValueError("images do not generate the target group")
 
 
@@ -365,33 +462,22 @@ def _sqrt_mod_prime(u: int, p: int) -> int:
     return r
 
 
-def _cyclic_unit_roots(n: int, q1: int, t: int, p: int | None = None):
-    """The units x of Z/n with x^2 Q_1 = t mod 2n, ascending, in closed form
-    when the form is nondegenerate at every prime of n: p odd not dividing
-    Q_1, and Q_1 odd when n is even; None otherwise, and the caller filters
-    over range(n).  p is the prime of n when the caller knows n = p^e;
-    otherwise n is factored here.  Q_1 and t are reduced mod 2n, and even
-    for odd n, as on every form of order n.
+def _cyclic_unit_roots(n: int, q1: int, t: int, p: int):
+    """The units x of Z/n, n = p^e, with x^2 Q_1 = t mod 2n, ascending, in
+    closed form when the form is nondegenerate at p: p odd not dividing
+    Q_1 / 2, or p = 2 and Q_1 odd; None otherwise, and the caller filters
+    over range(n).  Q_1 and t are reduced mod 2n, and even for odd n, as on
+    every form of order n.
 
-    For n = p^e with p odd the congruence reads x^2 = u = (t/2)(Q_1/2)^-1
-    mod n.  For u = 1 (t = Q_1) the roots are +-1.  Any other unit u that
-    is a residue mod p has exactly the two roots +-r, r found mod p and
-    Hensel-lifted to p^e; a non-unit or non-residue u has no unit root.
+    For odd p the congruence reads x^2 = u = (t/2)(Q_1/2)^-1 mod n.  For
+    u = 1 (t = Q_1) the roots are +-1.  Any other unit u that is a residue
+    mod p has exactly the two roots +-r, r found mod p and Hensel-lifted to
+    p^e; a non-unit or non-residue u has no unit root.
 
-    For n = 2^e it reads x^2 = u = t Q_1^-1 mod 2n, and x^2 mod 2n depends
+    For p = 2 it reads x^2 = u = t Q_1^-1 mod 2n, and x^2 mod 2n depends
     only on x mod n.  An odd square is 1 mod min(8, 2n); such a u has the
     roots +-r and +-r + n mod 2n, r lifted one bit at a time, and these are
-    +-r mod n.
-
-    For composite n the congruence holds mod 2n iff it holds mod 2^(a+1)
-    for the 2^a exactly dividing n and mod p^e for each odd p^e: each is
-    solved by the prime-power case, and the roots are joined by CRT
-    (Cohen, *A Course in Computational Algebraic Number Theory*, section 1.3)."""
-    if p is None:
-        primes = (2,) if n & (n - 1) == 0 else prime_factors(n)
-        if len(primes) > 1:
-            return _crt_unit_roots(n, q1, t, primes)
-        p = primes[0]
+    +-r mod n."""
     if p == 2:
         if q1 % 2 == 0:
             return None
@@ -419,27 +505,6 @@ def _cyclic_unit_roots(n: int, q1: int, t: int, p: int | None = None):
     return sorted((r, n - r))
 
 
-def _crt_unit_roots(n: int, q1: int, t: int, primes) -> list | None:
-    """`_cyclic_unit_roots` for n with the given primes, two or more: the
-    roots mod each prime power p^e of n, joined by CRT.  Mod p^e, for odd p,
-    x^2 Q_1 = t is the prime-power case on 2Q_1 and 2t mod 2p^e."""
-    roots, m = [0], 1
-    for p in primes:
-        pe = p
-        while n % (pe * p) == 0:
-            pe *= p
-        if p == 2:
-            part = _cyclic_unit_roots(pe, q1 % (2 * pe), t % (2 * pe), 2)
-        else:
-            part = _cyclic_unit_roots(pe, 2 * q1 % (2 * pe), 2 * t % (2 * pe), p)
-        if not part:  # None: degenerate at p; []: no root mod p^e
-            return part
-        step = m * pow(m, -1, pe)  # 1 mod p^e and 0 mod m
-        m *= pe
-        roots = [(r + (s - r) * step) % m for r in roots for s in part]
-    return sorted(roots)
-
-
 def cyclic_orthogonal_order(n: int, primes) -> int:
     """|O(A)| for the cyclic form A = (Z/n, q(g) = 1/n), n even, given the
     primes of n, in closed form: the product over p^e exactly dividing n of
@@ -460,76 +525,45 @@ def cyclic_orthogonal_order(n: int, primes) -> int:
     return size
 
 
-def _within_cap(order: int) -> None:
-    """Raise CapExceededError before a group of this order is enumerated."""
+def _within_cap(a: FiniteQuadraticForm, part: Part) -> None:
+    """Raise CapExceededError before the part of A is enumerated, if it
+    exceeds the cap."""
     cap = _enumeration_cap()
-    if order > cap:
+    size = prod(part.orders)
+    if size > cap:
         raise CapExceededError(
-            f"finite group too large: |A| = {order} exceeds the cap {cap}"
+            f"finite group too large: |A| = {a.order}; its p-part for p = {part.p} "
+            f"has |A_{part.p}| = {size}, which exceeds the cap {cap}"
             " (raise it with K3FM_CAP)"
         )
 
 
-def isometries_signed(
-    a: FiniteQuadraticForm,
-    b: FiniteQuadraticForm,
-    sign: int,
-    _first_only: bool = False,
-    prime: int | None = None,
-) -> list:
-    """All bijective maps f: A -> B with q_B(f(x)) = sign * q_A(x).
-
-    A cyclic form's maps are g -> x g for the units x with x^2 Q_1 = t, in
-    ascending order: `_cyclic_unit_roots` gives them in closed form when the
-    form is nondegenerate at every prime of N (every discriminant form of a
-    lattice is), and they are returned at once; a degenerate cyclic form
-    filters range(N).  A non-cyclic form is searched: generator images are
-    tried in lexicographic order of coefficient vectors, so the first entry
-    of the result is the canonical choice.  `prime` is p when A and B are
-    p-groups (a `PrimaryPart`), so that N is not factored again and
-    generation is a determinant mod p (`_generates`); an order that is not
-    a power of `prime` raises ValueError.
-
-    K3FM_CAP is read on every call with equal invariant factors, but the cap
-    is compared with |A| only before an enumeration: the range(N) filter or
-    the search of a non-cyclic form.  The closed form is not capped.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if a.orders != b.orders:
-        return []
-    _enumeration_cap()  # a malformed K3FM_CAP fails every call, searching or not
-    orders = b.orders
-    k = len(orders)
-    if k == 0:
-        return [FiniteFormMap(a, b, (), sign)]
+def _part_maps(a: FiniteQuadraticForm, pa: Part, pb: Part, sign: int) -> list:
+    """The image matrices of the maps A_p -> B_p, on one chain of orders,
+    with q_B(f(x)) = sign * q_A(x), in lexicographic order of the images.
+    A cyclic part takes its units in closed form when it can
+    (`_cyclic_unit_roots`), else filters range(p^e); any other part is
+    searched, images tried in lexicographic order of coefficient vectors."""
+    orders, p = pb.orders, pb.p
     n = orders[-1]
-    if prime is not None:
-        m = n
-        while prime > 1 and m % prime == 0:
-            m //= prime
-        if m != 1:
-            raise ValueError(f"the group order {a.order} is not a power of prime = {prime}")
     two_n = 2 * n
-
+    k = len(orders)
     if k == 1:
-        # cyclic: q(x g) = x^2 Q_1 mod 2N, and x g generates iff x is a unit
-        q1, t = b.q_table[0], sign * a.q_table[0] % two_n
-        roots = _cyclic_unit_roots(n, q1, t, prime)
+        # cyclic: q(x h) = x^2 Q_1 mod 2n, and x h generates iff x is a unit
+        q1, t = pb.q_table[0], sign * pa.q_table[0] % two_n
+        roots = _cyclic_unit_roots(n, q1, t, p)
         if roots is None:
-            _within_cap(a.order)
-            roots = [x for x in range(n) if x * x * q1 % two_n == t and gcd(x, n) == 1]
-        if _first_only:
-            roots = roots[:1]
-        return [FiniteFormMap(a, b, ((x,),), sign) for x in roots]
+            _within_cap(a, pa)
+            roots = [x for x in range(n) if x * x * q1 % two_n == t and x % p]
+        return [((x,),) for x in roots]
 
-    _within_cap(a.order)
-    qb, bb = b.q_table, b.b_table
-    target_q = [sign * x % two_n for x in a.q_table]
-    target_b = [[sign * x % n for x in row] for row in a.b_table]
-    # elements of B by q-value, each bucket in lexicographic order
+    _within_cap(a, pa)
+    qb, bb = pb.q_table, pb.b_table
+    target_q = [sign * x % two_n for x in pa.q_table]
+    target_b = [[sign * x % n for x in row] for row in pa.b_table]
+    # elements of B_p by q-value, each bucket in lexicographic order
     by_q: dict[int, list] = {}
-    for x in all_elements(b):
+    for x in product(*(range(d) for d in orders)):
         by_q.setdefault(_scaled_q(qb, bb, x) % two_n, []).append(x)
     candidates = [
         [
@@ -540,34 +574,56 @@ def isometries_signed(
         for i, d_i in enumerate(orders)
     ]
 
-    results: list[FiniteFormMap] = []
+    results: list[tuple] = []
     images: list[tuple] = []
-    # pairing rows of the chosen images: b(x, y) * N = sum_s x_s row_y[s] mod N
+    # pairing rows of the chosen images: b(x, y) * n = sum_s x_s row_y[s] mod n
     rows: list[list] = []
 
-    def backtrack(i: int) -> bool:
+    def backtrack(i: int) -> None:
         if i == k:
-            if _generates(orders, images, prime):
-                results.append(FiniteFormMap(a, b, tuple(images), sign))
-                return _first_only
-            return False
+            if _generates(pb, images):
+                results.append(tuple(images))
+            return
         want = target_b[i]
         for x in candidates[i]:
             if all(sum(map(mul, x, rows[j])) % n == want[j] for j in range(i)):
                 images.append(x)
                 rows.append([sum(map(mul, bs, x)) for bs in bb])
-                if backtrack(i + 1):
-                    return True
+                backtrack(i + 1)
                 images.pop()
                 rows.pop()
-        return False
 
     backtrack(0)
     return results
 
 
+def isometries_signed(a: FiniteQuadraticForm, b: FiniteQuadraticForm, sign: int) -> list:
+    """All bijective maps f: A -> B with q_B(f(x)) = sign * q_A(x), the
+    product of each part's maps (`_part_maps`), in lexicographic order of
+    the images of the g_i, so the first entry is the canonical choice: on a
+    form of one part that is the order of the part's list, and on several
+    the product is sorted by these images, summed from the parts' addends.
+
+    K3FM_CAP is read on every call with equal invariant factors, but the cap
+    is compared with |A_p| only before a part is enumerated.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if a.orders != b.orders:
+        return []
+    _enumeration_cap()  # a malformed K3FM_CAP fails every call, searching or not
+    per_part = [_part_maps(a, pa, pb, sign) for pa, pb in zip(a.parts, b.parts)]
+    combos = product(*per_part)
+    if len(per_part) > 1:
+        mods = b.orders * a.ngens
+        adds = [[_addends(a, b, s, rows) for rows in maps] for s, maps in enumerate(per_part)]
+        keys = [[sum(x) % d for x, d in zip(zip(*terms), mods)] for terms in product(*adds)]
+        combos = [parts for _, parts in sorted(zip(keys, combos))]
+    return [FiniteFormMap(a, b, parts, sign) for parts in combos]
+
+
 def are_isometric(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> bool:
-    return bool(isometries_signed(a, b, 1, _first_only=True))
+    return bool(isometries_signed(a, b, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +652,6 @@ class FiniteOrthogonalGroup:
 
     def identity(self) -> FiniteFormMap:
         return identity_map(self.form)
-
-    def negation(self) -> FiniteFormMap:
-        return negation_map(self.form)
 
 
 def orthogonal_group(a: FiniteQuadraticForm) -> FiniteOrthogonalGroup:
@@ -651,84 +704,10 @@ def double_coset_count(group: FiniteOrthogonalGroup, h_gens, k_gens) -> int:
 
 
 # ---------------------------------------------------------------------------
-# p-parts: A = (+)_p A_p, and every isometry preserves each A_p (Nikulin 1979)
+# the double-coset walk on the product of the O(A_p)
 
 
-@dataclass(frozen=True)
-class PrimaryPart:
-    """The p-part A_p of a form A with invariant factors d_1 | ... | d_k.
-
-    Each d_i = m_i p^e_i with p not dividing m_i; for the i with e_i > 0
-    (`index`) A_p has the generator h_i = m_i g_i of order p^e_i, and these
-    orders again form a chain.  A vector c of A_p written on the g_i has
-    c_i = m_i x_i mod d_i, so its A_p coordinates are x_i = c_i / m_i."""
-
-    p: int
-    form: FiniteQuadraticForm
-    index: tuple
-    mult: tuple
-
-    def restrict(self, f: FiniteFormMap) -> tuple:
-        """The images of the h_i under f, in A_p coordinates.  A homomorphism
-        keeps A_p, so each image must come back unchanged from its A_p
-        coordinates; one that does not is a broken invariant."""
-        out = []
-        for i, m_i in zip(self.index, self.mult):
-            c = [m_i * x % d for x, d in zip(f.images[i], f.target.orders)]
-            x = tuple(c[j] // m_j for j, m_j in zip(self.index, self.mult))
-            back = [0] * len(c)
-            for j, m_j, x_j in zip(self.index, self.mult, x):
-                back[j] = m_j * x_j
-            if back != c:
-                raise RuntimeError(f"map does not preserve the {self.p}-part")
-            out.append(x)
-        return tuple(out)
-
-
-def primary_parts(a: FiniteQuadraticForm) -> tuple:
-    """The p-parts of A, one per prime dividing the exponent d_k, ascending.
-    A form whose order is a prime power is its own single part."""
-    if a.ngens == 0:
-        return ()
-    primes = prime_factors(a.orders[-1])
-    if len(primes) == 1:
-        return (PrimaryPart(primes[0], a, tuple(range(a.ngens)), (1,) * a.ngens),)
-    parts = []
-    for p in primes:
-        index, mult, orders = [], [], []
-        for i, d in enumerate(a.orders):
-            m = d
-            while m % p == 0:
-                m //= p
-            if m != d:
-                index.append(i)
-                mult.append(m)
-                orders.append(d // m)
-        # at the exponent n_p of A_p: n_p q(m_i g_i) = m_i^2 Q_i / r with
-        # r = N / n_p, exact because m_i g_i has order dividing n_p
-        n_p = orders[-1]
-        r = a.exponent // n_p
-        pairs = list(zip(index, mult))
-        q = tuple(m * m * a.q_table[i] // r % (2 * n_p) for i, m in pairs)
-        b = tuple(
-            tuple(mi * mj * a.b_table[i][j] // r % n_p for j, mj in pairs) for i, mi in pairs
-        )
-        form = FiniteQuadraticForm(tuple(orders), q, b)
-        parts.append(PrimaryPart(p, form, tuple(index), tuple(mult)))
-    return tuple(parts)
-
-
-def _searched(part: PrimaryPart) -> bool:
-    """Whether `isometries_signed` enumerates A_p to find O(A_p): always,
-    unless A_p is cyclic and its units come in closed form
-    (`_cyclic_unit_roots`)."""
-    if part.form.ngens > 1:
-        return True
-    n, q1 = part.form.orders[0], part.form.q_table[0]
-    return _cyclic_unit_roots(n, q1, q1, part.p) is None
-
-
-def _tables(a: FiniteQuadraticForm, parts, groups, gens, left: bool) -> list:
+def _tables(a: FiniteQuadraticForm, groups, gens, left: bool) -> list:
     """Per generator, its tables of element indices on each O(A_p): left
     composition x -> g o x when `left`, else right composition x -> x o g.
     `groups` holds, per part, the elements of O(A_p) and their index."""
@@ -738,16 +717,13 @@ def _tables(a: FiniteQuadraticForm, parts, groups, gens, left: bool) -> list:
     out = []
     for g in gens:
         tables = []
-        for part, (elements, where) in zip(parts, groups):
-            orders = part.form.orders
-            try:
-                g_p = elements[where[part.restrict(g)]]
-                if left:
-                    tables.append(tuple([where[_after(g_p, x, orders)] for x in elements]))
-                else:
-                    tables.append(tuple([where[_after(x, g_p, orders)] for x in elements]))
-            except KeyError:
-                raise RuntimeError(f"a generator does not restrict into O(A_{part.p})") from None
+        for part, g_p, (elements, where) in zip(a.parts, g.parts, groups):
+            if g_p not in where:
+                raise RuntimeError(f"a generator does not restrict into O(A_{part.p})")
+            if left:
+                tables.append(tuple([where[_after(g_p, x, part.orders)] for x in elements]))
+            else:
+                tables.append(tuple([where[_after(x, g_p, part.orders)] for x in elements]))
         out.append(tuple(tables))
     return out
 
@@ -791,42 +767,37 @@ def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
 
     This is the one double-coset count of the package; `double_coset_count`
     on the whole group is its reference.  O(A) is the product of the
-    O(A_p), each from `isometries_signed` on A_p alone: a cyclic A_p whose
-    units come in closed form is not searched, and the cap bounds each A_p
-    that is searched, before any is, so the search costs the sum of those
-    |A_p|.  Each generator is restricted to every part and must land in
-    O(A_p); it then acts on O(A_p) by a table of element indices
-    (`_tables`), and on the elements of O(A), numbered by their index
-    tuples in mixed radix, by one permutation (`_permutations`).  K is
-    walked first: when the orbit of one element under K alone is all of
+    O(A_p), each from `isometries_signed` on the one-part form of A_p: a
+    cyclic A_p whose units come in closed form is not searched, and the cap
+    bounds each A_p that is searched, named within A.  Each generator's
+    block on a part must lie in O(A_p); it then acts on O(A_p) by a table of
+    element indices (`_tables`), and on the elements of O(A), numbered by
+    their index tuples in mixed radix, by one permutation (`_permutations`).
+    K is walked first: when the orbit of one element under K alone is all of
     O(A), the count is 1 and H is not needed, so `h_gens` may be a callable
     that returns the generators, called only when the orbits of
     x -> h o x o k must be walked; a list of generators is checked all the
     same.
     Agrees with `double_coset_count(orthogonal_group(a), h_gens, k_gens)`.
     """
-    cap = _enumeration_cap()
-    parts = primary_parts(a)
-    for part in parts:
-        if part.form.order > cap and _searched(part):
-            raise CapExceededError(
-                f"finite group too large: |A| = {a.order}; its p-part for p = {part.p} "
-                f"has |A_{part.p}| = {part.form.order}, which exceeds the cap {cap}"
-                " (raise it with K3FM_CAP)"
-            )
     groups = []
-    for part in parts:
-        elements = [f.images for f in isometries_signed(part.form, part.form, 1, prime=part.p)]
+    for part in a.parts:
+        one = a if len(a.parts) == 1 else FiniteQuadraticForm((part,))
+        try:
+            elements = [f.parts[0] for f in isometries_signed(one, one, 1)]
+        except CapExceededError:
+            _within_cap(a, part)  # the same part, named within the whole A
+            raise
         groups.append((elements, {x: i for i, x in enumerate(elements)}))
     sizes = [len(elements) for elements, _ in groups]
-    h_tables = None if callable(h_gens) else _tables(a, parts, groups, h_gens, left=True)
-    k_tables = _tables(a, parts, groups, k_gens, left=False)
+    h_tables = None if callable(h_gens) else _tables(a, groups, h_gens, left=True)
+    k_tables = _tables(a, groups, k_gens, left=False)
     k_perms = _permutations(k_tables, sizes)
     orbit_of = [0] * prod(sizes)
     if _walk_orbit(0, k_perms, orbit_of, 1) == len(orbit_of):
         return 1
     if h_tables is None:
-        h_tables = _tables(a, parts, groups, h_gens(), left=True)
+        h_tables = _tables(a, groups, h_gens(), left=True)
     perms = k_perms + _permutations([t for t in h_tables if t not in k_tables], sizes)
     orbit_of = [0] * len(orbit_of)
     count = 0

@@ -38,9 +38,9 @@ from .arith import euler_phi, is_prime, prime_factors, primes_one_mod_four
 from .errors import UnsupportedError
 from .finite_qform import (
     FiniteFormMap,
-    FiniteQuadraticForm,
     cyclic_orthogonal_order,
     double_coset_count_by_parts,
+    form_from_tables,
     identity_map,
     isometries_signed,
     negation_map,
@@ -122,7 +122,7 @@ def carried_hodge_generators(a_s, hodge: HodgeGroupSpec) -> list:
     if hodge.action is None:
         return hodge_generators(a_s, hodge)
     a_t = hodge.action.source
-    anti = isometries_signed(a_t, a_s, -1, _first_only=True)
+    anti = isometries_signed(a_t, a_s, -1)
     if not anti:
         raise ValueError(
             "Hodge action lives on a form that is not anti-isometric to the target"
@@ -241,12 +241,18 @@ def fm_number_rank1(n: int, hodge: HodgeGroupSpec = GENERIC_HODGE) -> FMCountRes
         raise ValueError("n must be a positive integer")
     if hodge.order != 2:
         raise ValueError("Picard number 1 forces a Hodge group of order 2 (phi(2I) | 21)")
+    a_t = hodge.action.source if hodge.action is not None else None
+    if a_t is not None and a_t.exponent == 2 * n:
+        # the form the action lives on was split, when it was read, into one
+        # part per prime of 2n, so 2n is not factored again
+        primes = [part.p for part in a_t.parts]
+    else:
+        primes = prime_factors(2 * n)
     if hodge.action is not None:
-        a = FiniteQuadraticForm((2 * n,), (1,), ((1,),))  # q(g) = 1/(2n)
+        a = form_from_tables((2 * n,), (1,), ((1,),), primes)  # q(g) = 1/(2n)
         plus_minus = (identity_map(a), negation_map(a))
         if any(g not in plus_minus for g in carried_hodge_generators(a, hodge)):
             raise ValueError("Picard number 1 forces the Hodge action to be +-id (phi(2I) | 21)")
-    primes = prime_factors(2 * n)
     size = cyclic_orthogonal_order(2 * n, primes)
     counted = size // 2 if n > 1 else size
     expected = 2 ** (max(1, len(primes) - n % 2) - 1)

@@ -32,16 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, prod
 
 from . import fm_count, intmat
 from .finite_qform import FiniteFormMap, isometries_signed, negation_map, validate_map
 from .fm_count import GENERIC_HODGE, HodgeGroupSpec, coset_summand, hodge_generators
-from .lattice import (
-    DiscriminantData,
-    IntegerLattice,
-    discriminant_data,
-    discriminant_form,
-)
+from .lattice import IntegerLattice, discriminant_data, discriminant_form
 
 
 @dataclass(frozen=True)
@@ -92,13 +88,13 @@ class Overlattice:
         return hash((self.ambient_basis, self.gram, self.index))
 
 
-def _dual_numerators(data: DiscriminantData, coeffs, denom: int) -> tuple:
-    """Integer numerators over denom of the dual vector sum c_i g_i; denom
-    is a multiple of every generator order d_i, and g_i = columns[i] / d_i."""
-    vec = [0] * data.lattice.rank
-    for ci, col, d in zip(coeffs, data.columns, data.form.orders):
-        if ci:
-            f = ci * (denom // d)
+def _dual_numerators(columns, orders, coeffs, denom: int) -> tuple:
+    """Integer numerators over denom of the dual vector sum c_j h_j of one
+    part, h_j = columns[j] / p^e_j; denom is a multiple of every p^e_j."""
+    vec = [0] * len(columns[0])
+    for cj, col, pe in zip(coeffs, columns, orders):
+        if cj:
+            f = cj * (denom // pe)
             for r, x in enumerate(col):
                 vec[r] += f * x
     return tuple(vec)
@@ -108,18 +104,22 @@ def glue(s: IntegerLattice, t: IntegerLattice, phi: FiniteFormMap) -> Overlattic
     """Saturate S + T + {phi(a) + a lifts} to an integral basis and return
     the glued overlattice.
 
-    The lifts are integer rows over D, the exponent of A_T (= that of A_S),
-    which every generator order divides.  The Hermite basis of D * L over D
-    is canonical, whichever valid D is used."""
+    The lifts, one per generator h of a part of A_T, are integer rows over
+    D, the exponent of A_T (= that of A_S), which every generator order
+    divides.  The Hermite basis of D * L over D is canonical, whichever
+    valid D and whichever generators of A_T are used."""
     GluingDatum(s, t, phi)
     data_s = discriminant_data(s)
     data_t = discriminant_data(t)
     n = s.rank + t.rank
-    k = data_t.form.ngens
     denom = data_t.form.exponent
     rows = list(intmat.scale(intmat.identity(n), denom))
-    for img, unit in zip(phi.images, intmat.identity(k)):
-        rows.append(_dual_numerators(data_s, img, denom) + _dual_numerators(data_t, unit, denom))
+    for block, cols_s, cols_t, part_s, part_t in zip(
+        phi.parts, data_s.columns, data_t.columns, data_s.form.parts, data_t.form.parts
+    ):
+        for img, col_t, pe in zip(block, cols_t, part_t.orders):
+            lift_t = tuple(denom // pe * x for x in col_t)
+            rows.append(_dual_numerators(cols_s, part_s.orders, img, denom) + lift_t)
     basis_scaled = intmat.hermite_row_basis(rows)
     if len(basis_scaled) != n:
         raise RuntimeError("glued lattice lost rank")
@@ -205,7 +205,7 @@ def verify_overlattice(over: Overlattice, s: IntegerLattice, t: IntegerLattice) 
 def recovered_gluing_map(over: Overlattice, s: IntegerLattice, t: IntegerLattice) -> FiniteFormMap:
     """Recompute the gluing map from the saturated basis alone: read
     L/(S + T) off a Smith form and take each coset's S- and T-projections
-    in discriminant coordinates.
+    in the part coordinates of the discriminant forms.
 
     With the rows B over D of the overlattice and u B v = diag(d_1, ...,
     d_n), the rows of u B / D are a basis of L, and row i times v is
@@ -215,8 +215,11 @@ def recovered_gluing_map(over: Overlattice, s: IntegerLattice, t: IntegerLattice
     generators are classified; every coset's classes are sums of theirs,
     kept as one list per coordinate.  Classification is also injective on
     L/(S + T), so the cosets lie on the graph of a map A_T -> A_S exactly
-    when their T-parts are distinct, and every coset takes part in that
-    test."""
+    when their T-parts are distinct.  That graph is the sum of its p-parts,
+    and the p-part of L/(S + T) is generated by the p-components of the
+    generators, of the p-parts of their orders; their classes are the
+    generators' classes on the parts of p.  So the cosets are listed, and
+    their T-parts tested, one prime at a time."""
     data_s = discriminant_data(s)
     data_t = discriminant_data(t)
     n = s.rank + t.rank
@@ -225,35 +228,35 @@ def recovered_gluing_map(over: Overlattice, s: IntegerLattice, t: IntegerLattice
     diag = [d[i][i] for i in range(min(len(d), n))]
     if len(diag) != n or any(x == 0 or denom % x for x in diag):
         raise ValueError("S + T is not a sublattice of the overlattice")
-    k = data_t.form.ngens
-    orders = data_t.form.orders + data_s.form.orders
-    # one list per coordinate, T-classes then S-classes, entry j of every
-    # list belonging to coset j; each generator multiplies the coset count
-    cols = [[0] for _ in orders]
-    size = 1
-    for row, d_i in zip(intmat.matmul(u, basis), diag):
-        order = denom // d_i
-        if order == 1:
-            continue
-        step = data_t.classify(row[s.rank :], denom) + data_s.classify(row[: s.rank], denom)
-        cols = [
-            [(x + j * st) % m for x in col for j in range(order)]
-            for col, st, m in zip(cols, step, orders)
-        ]
-        size *= order
-    graph = dict(zip(_coset_parts(cols[:k], size), _coset_parts(cols[k:], size)))
-    if len(graph) != size:
-        raise ValueError("overlattice quotient is not a gluing graph")
-    if size != data_t.form.order or size != over.index:
+    gens = [
+        (denom // d_i, data_t.classify(row[s.rank :], denom), data_s.classify(row[: s.rank], denom))
+        for row, d_i in zip(intmat.matmul(u, basis), diag)
+        if d_i != denom
+    ]
+    # equal orders pair the parts of A_T and A_S off by prime, in order
+    graphs = []
+    for at, (part_t, part_s) in enumerate(zip(data_t.form.parts, data_s.form.parts)):
+        k, orders = len(part_t.orders), part_t.orders + part_s.orders
+        # a power of p that the order of every p-component divides
+        exponent = part_t.orders[-1] * part_s.orders[-1]
+        # one list per coordinate, T-classes then S-classes, entry j of every
+        # list belonging to coset j; each generator multiplies the count
+        cols = [[0] for _ in orders]
+        for order, classes_t, classes_s in gens:
+            steps = classes_t[at] + classes_s[at]
+            cols = [
+                [(x + j * st) % m for x in col for j in range(gcd(order, exponent))]
+                for col, st, m in zip(cols, steps, orders)
+            ]
+        graph = dict(zip(zip(*cols[:k]), zip(*cols[k:])))
+        if len(graph) != len(cols[0]):
+            raise ValueError("overlattice quotient is not a gluing graph")
+        graphs.append((k, graph))
+    size = prod(order for order, _, _ in gens)
+    if size != data_t.form.order or size != data_s.form.order or size != over.index:
         raise ValueError("overlattice quotient has the wrong size")
-    images = tuple(graph[e] for e in intmat.identity(k))
+    images = tuple(tuple(graph[unit] for unit in intmat.identity(k)) for k, graph in graphs)
     return FiniteFormMap(data_t.form, data_s.form, images, -1)
-
-
-def _coset_parts(cols: list, size: int) -> list:
-    """The coordinate tuples of the size cosets, one per coset, read across
-    the coordinate lists; the empty tuple for each when there are none."""
-    return list(zip(*cols)) if cols else [()] * size
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +291,24 @@ def gluing_classes(
     h_maps = tuple(fm_count.isometry_image_generators(s, a_s))
     walk_maps = (*h_maps, negation_map(a_s))
     g_maps = hodge_generators(a_t, hodge)
-    remaining = dict.fromkeys(sigmas)
+    # every map here goes A_T -> A_S with sign -1, so its parts key it
+    remaining = {sigma.parts: sigma for sigma in sigmas}
     count = 0
     while remaining:
-        start = next(iter(remaining))
+        start = next(iter(remaining.values()))
         count += 1
         frontier = [start]
-        seen = {start}
+        seen = {start.parts}
         while frontier:
             sigma = frontier.pop()
             moves = [h.compose(sigma) for h in walk_maps]
             moves += [sigma.compose(g) for g in g_maps]
             for nxt in moves:
-                if nxt not in seen:
-                    seen.add(nxt)
+                if nxt.parts not in seen:
+                    seen.add(nxt.parts)
                     frontier.append(nxt)
-        for sigma in seen:
-            remaining.pop(sigma, None)
+        for key in seen:
+            remaining.pop(key, None)
     return GluingClasses(count, h_maps)
 
 

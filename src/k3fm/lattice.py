@@ -6,20 +6,20 @@ quadratic form is computed from the Smith decomposition of the Gram matrix,
 on integers: dual generator i is column v_i of the Smith transform v over
 d_i, and the form's tables over the exponent N are
 N*b_ij = (v_i . G v_j / d_j)(N / d_i), with no `Fraction` on the way.
-`DiscriminantData.classify` reads a dual vector given as integer numerators
-over a denominator; `DiscriminantData.generators` shows the dual generators
-as `Fraction` vectors.  `signature` eliminates on integers, fraction-free.
+These tables are split once into the p-parts that the form holds
+(`finite_qform.form_from_tables`), and `DiscriminantData.classify` reads a
+dual vector given as integer numerators over a denominator straight into
+part coordinates.  `signature` eliminates on integers, fraction-free.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import intmat
 from .errors import LatticeParseError
-from .finite_qform import FiniteFormMap, FiniteQuadraticForm
+from .finite_qform import FiniteFormMap, FiniteQuadraticForm, form_from_tables
 
 
 @dataclass(frozen=True)
@@ -194,26 +194,20 @@ def min_generators(lat: IntegerLattice) -> int:
 @dataclass(frozen=True)
 class DiscriminantData:
     """Discriminant form plus the coordinate bookkeeping needed to map dual
-    vectors to invariant-factor coordinates and back."""
+    vectors to the coordinates of its p-parts and back."""
 
     lattice: IntegerLattice
     form: FiniteQuadraticForm
     _u: tuple = field(repr=False)
-    _keep: tuple = field(repr=False)
-    # integer numerators: dual generator i is columns[i] / form.orders[i]
+    # per part, per generator h: (row of u that reads g_i, the order p^e of h)
+    _slots: tuple = field(repr=False)
+    # per part, integer numerators: its generator j is columns[s][j] / p^e
     columns: tuple = field(repr=False)
 
-    @property
-    def generators(self) -> tuple:
-        """Dual generators as `Fraction` vectors, original basis coordinates."""
-        return tuple(
-            tuple(Fraction(x, d) for x in col)
-            for col, d in zip(self.columns, self.form.orders)
-        )
-
     def classify(self, vec, denom: int = 1) -> tuple:
-        """Invariant-factor coordinates of the dual vector vec / denom
-        (original basis).  vec / denom is in L* exactly when denom divides
+        """Part coordinates of the dual vector vec / denom (original basis),
+        one vector per part: its invariant-factor coordinates c_i read mod
+        each p^e.  vec / denom is in L* exactly when denom divides
         gram * vec; with integer vec and denom that test is on integers."""
         ints = []
         for x in intmat.mat_vec(self.lattice.gram, vec):
@@ -222,7 +216,7 @@ class DiscriminantData:
                 raise ValueError("vector is not in the dual lattice")
             ints.append(int(quot))
         c = intmat.mat_vec(self._u, ints)
-        return tuple(c[i] % self.form.orders[pos] for pos, i in enumerate(self._keep))
+        return tuple([tuple([c[i] % pe for i, pe in part]) for part in self._slots])
 
 
 def discriminant_data(lat: IntegerLattice) -> DiscriminantData:
@@ -255,14 +249,24 @@ def _compute_discriminant_data(lat: IntegerLattice) -> DiscriminantData:
     idx = range(len(keep))
     q = tuple(scaled(i, i) % (2 * n) for i in idx)
     b = tuple(tuple(scaled(i, j) % n for j in idx) for i in idx)
-    form = FiniteQuadraticForm(orders, q, b)
+    form = form_from_tables(orders, q, b)
     if form.order != abs(lat.det):
         raise RuntimeError("discriminant group order does not match |det|")
-    return DiscriminantData(lat, form, u, keep, tuple(cols))
+    # the part generator at g_i = v_i / d_i is e g_i = t v_i / p^e, with
+    # e = t m = 1 mod p^e and 0 mod m = d_i / p^e
+    slots, columns = [], []
+    for part in form.parts:
+        at = len(keep) - len(part.orders)
+        slots.append(tuple(zip(keep[at:], part.orders)))
+        columns.append(tuple([
+            tuple([pow(d // pe, -1, pe) * x for x in col])
+            for col, d, pe in zip(cols[at:], orders[at:], part.orders)
+        ]))
+    return DiscriminantData(lat, form, u, tuple(slots), tuple(columns))
 
 
 def discriminant_form(lat: IntegerLattice) -> FiniteQuadraticForm:
-    """The finite quadratic form (A_L, q_L) in invariant-factor coordinates."""
+    """The finite quadratic form (A_L, q_L), held as its p-parts."""
     return discriminant_data(lat).form
 
 
@@ -272,11 +276,11 @@ def induced_form_map(lat: IntegerLattice, mat) -> FiniteFormMap:
     if intmat.matmul(intmat.transpose(mat), intmat.matmul(lat.gram, mat)) != lat.gram:
         raise ValueError("matrix is not an isometry of the lattice")
     data = discriminant_data(lat)
-    images = tuple(
-        data.classify(intmat.mat_vec(mat, col), d)
-        for col, d in zip(data.columns, data.form.orders)
+    parts = tuple(
+        tuple(data.classify(intmat.mat_vec(mat, col), pe)[s] for col, pe in zip(cols, part.orders))
+        for s, (cols, part) in enumerate(zip(data.columns, data.form.parts))
     )
-    return FiniteFormMap(data.form, data.form, images, 1)
+    return FiniteFormMap(data.form, data.form, parts, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from k3fm.bqf import (
     class_index_of,
     enumerate_reduced,
     fold_classes,
-    form,
     genus_representative_forms,
     gram_of,
     principal_form,
@@ -52,17 +51,17 @@ def pell4_brute(d, u_limit=10**7):
 
 def test_form_rejects_square_discriminant():
     with pytest.raises(ValueError, match="isotropic"):
-        form(0, 1, 0)  # disc 1
+        BinaryQuadraticForm(0, 1, 0)  # disc 1
     with pytest.raises(ValueError, match="isotropic"):
-        form(1, 2, -3)  # disc 16
+        BinaryQuadraticForm(1, 2, -3)  # disc 16
     with pytest.raises(ValueError, match="isotropic"):
-        form(1, 1, 1)  # disc -3 < 0
+        BinaryQuadraticForm(1, 1, 1)  # disc -3 < 0
 
 
 def test_lattice_to_form_examples():
-    assert lattice_to_form(make_lattice([[2, 1], [1, -2]])) == form(1, 1, -1)
+    assert lattice_to_form(make_lattice([[2, 1], [1, -2]])) == BinaryQuadraticForm(1, 1, -1)
     f = lattice_to_form(make_lattice([[2, 1], [1, -648]]))
-    assert f == form(1, 1, -324)
+    assert f == BinaryQuadraticForm(1, 1, -324)
     assert f.disc == 1297
     with pytest.raises(ValueError, match="isotropic"):
         lattice_to_form(hyperbolic_plane())
@@ -75,20 +74,20 @@ def test_lattice_to_form_examples():
 
 
 def test_form_to_lattice_round_trip():
-    assert form_to_lattice(form(1, 1, -1)).gram == ((2, 1), (1, -2))
-    f = form(1, 1, -324)
+    assert form_to_lattice(BinaryQuadraticForm(1, 1, -1)).gram == ((2, 1), (1, -2))
+    f = BinaryQuadraticForm(1, 1, -324)
     assert lattice_to_form(form_to_lattice(f)) == f
-    assert form_to_lattice(form(3, 1, -19)).det == -229
+    assert form_to_lattice(BinaryQuadraticForm(3, 1, -19)).det == -229
 
 
 def test_reduce_examples():
-    f = form(1, 1, -1)
+    f = BinaryQuadraticForm(1, 1, -1)
     out = reduce_form(f)
     assert out.form == f and out.transform == intmat.identity(2)
     # (1, 15, -1) of disc 229 is already reduced
-    assert is_reduced(form(1, 15, -1))
+    assert is_reduced(BinaryQuadraticForm(1, 15, -1))
     # a non-reduced form: check the recorded transform identity
-    g = form(17, 5, -1)
+    g = BinaryQuadraticForm(17, 5, -1)
     assert not is_reduced(g)
     out = reduce_form(g)
     assert is_reduced(out.form)
@@ -96,14 +95,14 @@ def test_reduce_examples():
     assert intmat.det(m) == 1
     lhs = intmat.matmul(intmat.transpose(m), intmat.matmul(gram_of(g), m))
     assert lhs == gram_of(out.form)
-    assert reduce_form(form(-1, 1, 1)).form == form(-1, 1, 1)
+    assert reduce_form(BinaryQuadraticForm(-1, 1, 1)).form == BinaryQuadraticForm(-1, 1, 1)
 
 
 def test_cycle_d5():
-    cyc = cycle(form(1, 1, -1))
-    assert set(cyc) == {form(1, 1, -1), form(-1, 1, 1)}
+    cyc = cycle(BinaryQuadraticForm(1, 1, -1))
+    assert set(cyc) == {BinaryQuadraticForm(1, 1, -1), BinaryQuadraticForm(-1, 1, 1)}
     with pytest.raises(ValueError, match="not reduced"):
-        cycle(form(17, 5, -1))
+        cycle(BinaryQuadraticForm(17, 5, -1))
 
 
 def test_cycle_properties_small_d():
@@ -135,35 +134,35 @@ def test_class_numbers_small():
 
 
 def test_opposite():
-    f = form(1, 1, -1)
-    assert opposite(f) == form(1, -1, -1)
+    f = BinaryQuadraticForm(1, 1, -1)
+    assert opposite(f) == BinaryQuadraticForm(1, -1, -1)
     assert opposite(opposite(f)) == f
-    assert opposite(form(3, 1, -19)).disc == 229
+    assert opposite(BinaryQuadraticForm(3, 1, -19)).disc == 229
 
 
 def test_proper_equivalence():
-    f = form(1, 1, -1)
-    g = form(-1, 1, 1)
+    f = BinaryQuadraticForm(1, 1, -1)
+    g = BinaryQuadraticForm(-1, 1, 1)
     eq, w = is_properly_equivalent(f, g, witness=True)
     assert eq
     assert intmat.det(w) == 1
     assert intmat.matmul(intmat.transpose(w), intmat.matmul(gram_of(f), w)) == gram_of(g)
     cgd = proper_classes(229)
-    reps = cgd.representatives()
+    reps = cgd.reps
     assert not is_properly_equivalent(reps[0], reps[1])
     with pytest.raises(ValueError, match="discriminant"):
-        is_properly_equivalent(form(1, 1, -1), form(1, 3, -1))
+        is_properly_equivalent(BinaryQuadraticForm(1, 1, -1), BinaryQuadraticForm(1, 3, -1))
 
 
 def test_neighbor_equivalence():
-    f = form(1, 1, -1)
+    f = BinaryQuadraticForm(1, 1, -1)
     g = cycle(f)[1]
     assert is_properly_equivalent(f, g)
 
 
 def test_pell_examples():
     assert pell_fundamental(5) == (3, 1)
-    auto = fundamental_automorph(form(1, 1, -1))
+    auto = fundamental_automorph(BinaryQuadraticForm(1, 1, -1))
     assert auto == ((1, 1), (1, 2))
     assert intmat.det(auto) == 1
 
@@ -186,7 +185,7 @@ def test_automorph_identities():
 
 
 def test_imprimitive_automorph_generator():
-    f = form(2, 2, -2)  # content 2, disc 20
+    f = BinaryQuadraticForm(2, 2, -2)  # content 2, disc 20
     gen = fundamental_automorph(f)
     g = gram_of(f)
     assert intmat.matmul(intmat.transpose(gen), intmat.matmul(g, gen)) == g
@@ -199,9 +198,9 @@ def test_imprimitive_automorph_generator():
 
 
 def test_improper_automorph():
-    present = improper_automorph(form(1, 1, -1))
+    present = improper_automorph(BinaryQuadraticForm(1, 1, -1))
     assert present is not None
-    g = gram_of(form(1, 1, -1))
+    g = gram_of(BinaryQuadraticForm(1, 1, -1))
     assert intmat.matmul(intmat.transpose(present), intmat.matmul(g, present)) == g
     assert intmat.det(present) == -1
 
@@ -212,7 +211,7 @@ def test_improper_automorph():
     cgd = proper_classes(229)
     non_ambiguous = [i for i in range(cgd.h) if i not in cgd.ambiguous_indices]
     assert len(non_ambiguous) == 2
-    rep = cgd.representatives()[non_ambiguous[0]]
+    rep = cgd.reps[non_ambiguous[0]]
     assert improper_automorph(rep) is None
 
 
@@ -251,7 +250,7 @@ def test_genus_representatives_match_disc_form():
 
 def test_class_index_of():
     cgd = proper_classes(229)
-    f = form(1, 15, -1)
+    f = BinaryQuadraticForm(1, 15, -1)
     idx = class_index_of(cgd, f)
     assert f in cgd.cycles[idx]
 
@@ -369,7 +368,7 @@ def test_cycle_that_never_closes_exits_5(monkeypatch, capsys):
 
 
 def test_equivalence_walk_that_never_closes_raises(monkeypatch):
-    f, g = form(-3, 13, 3), form(-1, 13, 9)  # both reduced, D = 205
+    f, g = BinaryQuadraticForm(-3, 13, 3), BinaryQuadraticForm(-1, 13, 9)  # both reduced, D = 205
     assert is_reduced(f) and is_reduced(g)
     monkeypatch.setattr(bqf_module, "_step", _stuck_step)
     with pytest.raises(RuntimeError, match="did not close"):

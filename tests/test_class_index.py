@@ -26,7 +26,7 @@ def test_class_index_of_finds_the_cycle_of_every_reduced_form_up_to_2000():
 
 def test_a_form_missing_from_the_index_raises():
     cgd = bqf.proper_classes(229)
-    rep = cgd.representatives()[0]
+    rep = cgd.reps[0]
     stripped = dataclasses.replace(cgd, index={})
     with pytest.raises(RuntimeError, match="missing from cycle enumeration"):
         bqf.class_index_of(stripped, rep)
@@ -44,7 +44,7 @@ def test_lazy_cycles_equal_the_eager_walk_up_to_2000():
         cgd = bqf.proper_classes(d)
         assert "cycles" not in vars(cgd), d  # not built until read
         assert cgd.cycles == tuple(eager), d
-        assert cgd.representatives() == tuple(cyc[0] for cyc in eager), d
+        assert cgd.reps == tuple(cyc[0] for cyc in eager), d
         assert cgd.cycle_triples == tuple(
             tuple(f.coefficients() for f in cyc) for cyc in eager
         ), d

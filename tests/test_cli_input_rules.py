@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from k3fm import intmat
 from k3fm.cli import main
 from k3fm.errors import LatticeParseError
 from k3fm.lattice import (
@@ -88,6 +89,29 @@ def test_bad_action_file_exits_2(tmp_path, capsys, action, message):
     assert (code, out, err) == (2, "", f"k3fm: bad action file: {message}\n")
 
 
+# A = Z/2 + Z/6 has two parts; a malformed image is refused before it is
+# split into them, with the message the whole-group check gave
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        ([[1, 0], [0, 1, 0]], "image vector length mismatch"),
+        ([[1, 0]], "one image per source generator required"),
+        ([[1, 0], [0, 1], [0, 1]], "one image per source generator required"),
+        ([[0, 1], [0, 1]], "image order does not divide generator order"),  # g_2 has order 6
+        ([[0, 2], [0, 1]], "image order does not divide generator order"),  # 2g_2 has order 3
+    ],
+)
+def test_malformed_action_image_exits_2_with_its_message(tmp_path, capsys, images, message):
+    action = {"orders": [2, 6], "q": ["1/2", "1/6"], "images": images}
+    code, out, err = run_action(tmp_path, capsys, action)
+    assert (code, out, err) == (2, "", f"k3fm: {message}\n")
+    # a bad group order is refused before the images, as it always was
+    s = write(tmp_path, "s.json", {"gram": [[2, 1], [1, -2]]})
+    path = write(tmp_path, "action.json", action)
+    code, out, err = run(capsys, ["fm", "--lattice", s, "--hodge-order", "3", "--hodge-action", path])
+    assert (code, err) == (2, "k3fm: Hodge group order must be a positive even integer\n")
+
+
 def test_action_file_accepts_decimal_strings(tmp_path, capsys):
     code, out, _ = run_action(tmp_path, capsys, {"orders": ["5"], "q": ["2/5"], "images": [["4"]]})
     assert code == 0
@@ -113,11 +137,15 @@ def test_lattice_file_message_unchanged(entry):
 
 
 def test_discriminant_generators_are_derived_from_columns():
+    # A = Z/3 + Z/6: the 2-part has one generator, the 3-part two
     data = discriminant_data(make_lattice([[2, 1, 0], [1, -4, 0], [0, 0, 6]]))
-    assert "generators" not in type(data).__dataclass_fields__
-    assert len(data.generators) == data.form.ngens == 2
-    for gen, col, d in zip(data.generators, data.columns, data.form.orders):
-        assert tuple(x * d for x in gen) == col
+    assert data.form.ngens == 2
+    assert [len(cols) for cols in data.columns] == [len(part.orders) for part in data.form.parts]
+    for s, (cols, part) in enumerate(zip(data.columns, data.form.parts)):
+        for col, pe, unit in zip(cols, part.orders, intmat.identity(len(part.orders))):
+            coords = data.classify(col, pe)
+            assert coords[s] == unit
+            assert all(not any(x) for r, x in enumerate(coords) if r != s)
 
 
 ACTIONS = {

@@ -1,7 +1,7 @@
 """The double-coset count without -I among the generators of O(S), the
 determinant test of generation on a p-part, and the walk on a 2-part with
-a non-abelian O(A_2), each against a whole-group reference that keeps -I
-and the Hermite test."""
+a non-abelian O(A_2), each against a whole-group reference that keeps -I,
+or against the Hermite test of generation."""
 
 from itertools import product
 from math import isqrt
@@ -22,7 +22,8 @@ from k3fm import (
     rescale,
 )
 from k3fm.bqf import fold_classes
-from k3fm.finite_qform import _generates, double_coset_count_by_parts, primary_parts
+from k3fm import intmat
+from k3fm.finite_qform import FiniteQuadraticForm, Part, _generates, double_coset_count_by_parts
 from k3fm.fm_count import (
     GENERIC_HODGE,
     carried_hodge_generators,
@@ -71,7 +72,7 @@ def reference_gluing_orbits(s, t) -> int:
 def hyperbolic_classes(d: int) -> list:
     """One lattice per GL2-class of discriminant d."""
     cgd = proper_classes(d)
-    reps = cgd.representatives()
+    reps = cgd.reps
     return [form_to_lattice(reps[orbit[0]]) for orbit in fold_classes(cgd, range(cgd.h))]
 
 
@@ -128,16 +129,26 @@ def test_gluing_orbits_without_minus_identity():
         assert gluing_classes(s, t).count == reference_gluing_orbits(s, t), s.gram
 
 
+def hermite_generates(orders, images) -> bool:
+    """Whether the images generate Z/d_1 + ... + Z/d_k: exactly when the rows
+    of the images and of diag(orders) span Z^k."""
+    diag = intmat.identity(len(orders))
+    rows = tuple(images) + tuple(tuple(d * e for e in row) for d, row in zip(orders, diag))
+    return intmat.hermite_row_basis(rows) == diag
+
+
 @pytest.mark.parametrize(
     "orders, p",
-    [((2, 2), 2), ((2, 4), 2), ((4, 4), 2), ((2, 2, 2), 2), ((3, 3), 3), ((3, 9), 3)],
+    [((2,), 2), ((8,), 2), ((9,), 3), ((2, 2), 2), ((2, 4), 2), ((4, 4), 2), ((2, 2, 2), 2),
+     ((3, 3), 3), ((3, 9), 3)],
 )
 def test_determinant_mod_p_equals_the_hermite_test(orders, p):
+    part = Part(p, orders, (0,) * len(orders), ((0,) * len(orders),) * len(orders))
     elements = list(product(*(range(d) for d in orders)))
     generating = 0
     for images in product(elements, repeat=len(orders)):
-        expected = _generates(orders, images)
-        assert _generates(orders, images, p) == expected, images
+        expected = hermite_generates(orders, images)
+        assert _generates(part, images) == expected, images
         generating += expected
     assert generating > 0
 
@@ -146,9 +157,9 @@ def test_walk_on_the_660_lattice_equals_the_whole_group():
     s = make_lattice(D660)
     a = discriminant_form(s)
     assert a.orders == (2, 330)
-    two = primary_parts(a)[0]
-    assert two.form.orders == (2, 2)
-    assert len(isometries_signed(two.form, two.form, 1, prime=2)) == 6
+    two = FiniteQuadraticForm(a.parts[:1])
+    assert two.orders == (2, 2)
+    assert len(isometries_signed(two, two, 1)) == 6
     whole = orthogonal_group(a)
     assert len(whole) == 48
     for h in whole:

@@ -1,8 +1,8 @@
 """The count of a cyclic A: the walk `double_coset_count_by_parts` must equal
 the whole-group `double_coset_count`, build O(S) only when it can change the
-count, and enumerate no cyclic A.  A rank-1 count factors 2n once, and its
-|O(A)|, `cyclic_orthogonal_order`, equals the product of the
-`isometries_signed` counts of the `primary_parts`."""
+count, and enumerate no cyclic A.  A rank-1 count factors 2n once, with or
+without a Hodge action, and its |O(A)|, `cyclic_orthogonal_order`, equals
+the product of the `isometries_signed` counts of the p-parts of A."""
 
 import random
 from fractions import Fraction
@@ -14,17 +14,17 @@ from reference_arith import tau
 from k3fm import arith, bqf, finite_qform, fm_count
 from k3fm.cli import main
 from k3fm.finite_qform import (
-    FiniteFormMap,
     FiniteOrthogonalGroup,
     FiniteQuadraticForm,
     cyclic_form,
     cyclic_orthogonal_order,
     double_coset_count,
     double_coset_count_by_parts,
+    form_from_tables,
     isometries_signed,
+    map_from_images,
     negation_map,
     orthogonal_group,
-    primary_parts,
 )
 from k3fm.errors import LatticeParseError
 from k3fm.fm_count import fm_number_rank1, fm_table
@@ -43,7 +43,7 @@ def test_equals_the_walk_on_every_cyclic_form_up_to_600():
         admissible = [q for q in range(2 * n) if gcd(q, n) == 1 and n * q % 2 == 0]
         qs = admissible if n <= 200 else admissible[:: len(admissible) // 8 + 1]
         for q in qs:
-            a = FiniteQuadraticForm((n,), (q,), ((q % n,),))
+            a = form_from_tables((n,), (q,), ((q % n,),))
             group = isometries_signed(a, a, 1)
             h = [f for f in group if rng.random() < 0.3]
             k = [f for f in group if rng.random() < 0.3]
@@ -56,7 +56,7 @@ def test_equals_the_walk_on_every_cyclic_form_up_to_600():
 
 
 def test_a_trivial_form_counts_one():
-    a = FiniteQuadraticForm((), (), ())
+    a = form_from_tables((), (), ())
     assert double_coset_count_by_parts(a, [], []) == 1
 
 
@@ -72,7 +72,7 @@ def test_h_is_read_only_when_k_does_not_fill_the_group():
 
     def h_gens():
         calls.append(1)
-        return [FiniteFormMap(a, a, ((4,),), 1)]
+        return [map_from_images(a, a, ((4,),), 1)]
 
     assert double_coset_count_by_parts(a, h_gens, [neg]) == 1
     assert calls == [1]
@@ -92,7 +92,7 @@ def test_h_is_never_read_when_k_fills_a_non_cyclic_group():
 
 def test_a_map_outside_the_orthogonal_group_is_an_internal_error():
     a = cyclic_form(15, Fraction(2, 15))
-    doubling = FiniteFormMap(a, a, ((2,),), 1)  # x -> 2x: -1 on A_3, but 4 != 1 mod 5
+    doubling = map_from_images(a, a, ((2,),), 1)  # x -> 2x: -1 on A_3, but 4 != 1 mod 5
     with pytest.raises(RuntimeError, match=r"O\(A_5\)"):
         double_coset_count_by_parts(a, [doubling], [])
     other = negation_map(cyclic_form(15, Fraction(4, 15)))
@@ -103,7 +103,7 @@ def test_a_map_outside_the_orthogonal_group_is_an_internal_error():
     with pytest.raises(RuntimeError, match="self-isometry"):
         double_coset_count_by_parts(a, [other], whole)
     b = discriminant_form(make_lattice([[6, 0], [0, -12]]))  # Z/6 + Z/12
-    doubling_b = FiniteFormMap(b, b, ((2, 0), (0, 1)), 1)  # kills the 2-part of Z/6
+    doubling_b = map_from_images(b, b, ((2, 0), (0, 1)), 1)  # kills the 2-part of Z/6
     with pytest.raises(RuntimeError, match=r"O\(A_2\)"):
         double_coset_count_by_parts(b, [doubling_b], list(orthogonal_group(b)))
 
@@ -150,6 +150,26 @@ def test_rank_one_factors_2n_once(monkeypatch, capsys):
     assert calls == [2 * n]
 
 
+def test_rank_one_with_an_action_factors_2n_once(monkeypatch, capsys, tmp_path):
+    # -id on A_T = (Z/2n, -1/2n): the action file's form is split once, by
+    # the primes of 2n, and the count reads them from its parts
+    n = 999999999989
+    action = tmp_path / "minus_id.json"
+    action.write_text('{"orders": [%d], "q": ["%d/%d"], "images": [[%d]]}' % (2 * n, 4 * n - 1, 2 * n, 2 * n - 1))
+    calls = []
+    real = arith.prime_factors
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    for module in (arith, finite_qform, fm_count):
+        monkeypatch.setattr(module, "prime_factors", counting)
+    assert main(["fm", "--rank1", str(n), "--hodge-action", str(action)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "fm=1"
+    assert calls == [2 * n]
+
+
 def test_fm_count_counts_a_cyclic_summand_in_closed_form(monkeypatch):
     # a cap of 2 refuses any enumeration of a group with more than 2 elements
     monkeypatch.setenv("K3FM_CAP", "2")
@@ -160,8 +180,9 @@ def test_fm_count_counts_a_cyclic_summand_in_closed_form(monkeypatch):
 def orthogonal_order_by_parts(n: int) -> int:
     """|O(Z/n, 1/n)| as the rank-1 count once read it: the maps of every
     p-part, listed by `isometries_signed` and counted."""
-    a = FiniteQuadraticForm((n,), (1,), ((1,),))
-    return prod(len(isometries_signed(p.form, p.form, 1, prime=p.p)) for p in primary_parts(a))
+    a = form_from_tables((n,), (1,), ((1,),))
+    parts = [FiniteQuadraticForm((part,)) for part in a.parts]
+    return prod(len(isometries_signed(one, one, 1)) for one in parts)
 
 
 def test_rank_one_order_equals_the_parts_up_to_3000_and_on_seeded_n():

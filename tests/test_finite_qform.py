@@ -21,14 +21,15 @@ from k3fm import (
 from k3fm import finite_qform
 from k3fm.arith import prime_factors
 from k3fm.finite_qform import (
-    FiniteFormMap,
-    all_elements,
     evaluate_q,
     finite_form,
+    form_from_tables,
     identity_map,
+    map_from_images,
     negation_map,
     validate_map,
 )
+from test_isometry_reference import all_elements, images_of
 
 
 def brute_units(n):
@@ -60,7 +61,7 @@ def test_orthogonal_group_odd_prime():
         a = cyclic_form(p, Fraction(m, p))
         group = orthogonal_group(a)
         assert len(group) == 2
-        images = sorted(f.images[0][0] for f in group)
+        images = sorted(images_of(f)[0][0] for f in group)
         assert images == [1, p - 1]
 
 
@@ -68,8 +69,8 @@ def test_orthogonal_group_z24():
     a = cyclic_form(24, Fraction(1, 24))
     group = orthogonal_group(a)
     assert len(group) == 4
-    assert sorted(f.images[0][0] for f in group) == [1, 7, 17, 23]
-    assert sorted(f.images[0][0] for f in group) == brute_units(12)
+    assert sorted(images_of(f)[0][0] for f in group) == [1, 7, 17, 23]
+    assert sorted(images_of(f)[0][0] for f in group) == brute_units(12)
 
 
 def test_orthogonal_group_trivial():
@@ -86,7 +87,7 @@ def test_group_contains_identity_and_negation():
         assert negation_map(a) in group
         # negation is central
         for f in group:
-            assert f.compose(group.negation()) == group.negation().compose(f)
+            assert f.compose(negation_map(a)) == negation_map(a).compose(f)
 
 
 def test_isometries_signed_examples():
@@ -136,9 +137,9 @@ def test_subgroup_generated():
     assert subgroup_generated(group, []) == (identity_map(a),)
     closure = subgroup_generated(group, [negation_map(a)])
     assert len(closure) == 2
-    seven = next(f for f in group if f.images[0][0] == 7)
+    seven = next(f for f in group if images_of(f)[0][0] == 7)
     assert len(subgroup_generated(group, [seven])) == 2
-    outsider = FiniteFormMap(a, a, ((5,),), 1)
+    outsider = map_from_images(a, a, ((5,),), 1)
     with pytest.raises(ValueError, match="not an element"):
         subgroup_generated(group, [outsider])
 
@@ -150,7 +151,7 @@ def test_double_coset_examples():
     assert double_coset_count(group, list(group), list(group)) == 1
     assert double_coset_count(group, [neg], [neg]) == 2
     small = orthogonal_group(cyclic_form(5, Fraction(2, 5)))
-    neg5 = small.negation()
+    neg5 = negation_map(small.form)
     assert double_coset_count(small, [neg5], [neg5]) == 1
 
 
@@ -198,7 +199,7 @@ def test_rank1_group_law_small():
         a = cyclic_form(2 * n, Fraction(1, 2 * n))
         group = orthogonal_group(a)
         assert len(group) == 2 ** tau(n)
-        assert sorted(f.images[0][0] for f in group) == brute_units(n)
+        assert sorted(images_of(f)[0][0] for f in group) == brute_units(n)
     # n = 1: negation collapses onto the identity, so the group is trivial
     assert len(orthogonal_group(cyclic_form(2, Fraction(1, 2)))) == 1
 
@@ -208,7 +209,8 @@ def test_maps_well_defined_on_all_elements():
     a = discriminant_form(lat)
     for f in orthogonal_group(a):
         for x in all_elements(a):
-            assert evaluate_q(a, f.apply(x)) == evaluate_q(a, x)
+            image = [sum(c * img[j] for c, img in zip(x, images_of(f))) for j in range(a.ngens)]
+            assert evaluate_q(a, image) == evaluate_q(a, x)
 
 
 def _odd_prime_powers(bound):
@@ -225,7 +227,7 @@ def _filtered(monkeypatch, a, b, sign):
     """isometries_signed with the cyclic closed form switched off, so every
     cyclic search filters range(N): the reference."""
     with monkeypatch.context() as m:
-        m.setattr(finite_qform, "_cyclic_unit_roots", lambda n, q1, t, p=None: None)
+        m.setattr(finite_qform, "_cyclic_unit_roots", lambda n, q1, t, p: None)
         return isometries_signed(a, b, sign)
 
 
@@ -254,13 +256,13 @@ def test_cyclic_closed_form_equals_the_filter(monkeypatch):
 
 def test_cyclic_unit_roots_solve_every_congruence():
     # x^2 * 2 = t mod 2N for every even t: the units of the filter, in order
-    for n, _ in _odd_prime_powers(2000):
+    for n, p in _odd_prime_powers(2000):
         by_value = {}
         for x in range(n):
             by_value.setdefault(x * x * 2 % (2 * n), []).append(x)
         for t in range(0, 2 * n, 2):
             units = [x for x in by_value.get(t, ()) if gcd(x, n) == 1]
-            assert finite_qform._cyclic_unit_roots(n, 2, t) == units, (n, t)
+            assert finite_qform._cyclic_unit_roots(n, 2, t, p) == units, (n, t)
 
 
 def test_two_power_closed_form_equals_the_filter():
@@ -276,9 +278,8 @@ def test_two_power_closed_form_equals_the_filter():
             for x in range(1, n, 2):
                 by_value.setdefault(x * x * q % (2 * n), []).append(x)
             for t in range(2 * n):
-                got = finite_qform._cyclic_unit_roots(n, q, t)
+                got = finite_qform._cyclic_unit_roots(n, q, t, 2)
                 assert got == by_value.get(t, []), (n, q, t)
-                assert finite_qform._cyclic_unit_roots(n, q, t, 2) == got
                 checked += bool(got)
     assert checked > 0
 
@@ -296,32 +297,43 @@ def test_two_power_isometries_equal_the_filter(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n, q1", [(4, 2), (8, 6), (15, 10), (45, 6), (9, 6), (25, 10), (27, 6), (12, 2)]
+    "n, q1, p",
+    [(4, 2, 2), (8, 6, 2), (15, 10, 5), (45, 6, 3), (9, 6, 3), (25, 10, 5), (27, 6, 3), (12, 2, 2)],
 )
-def test_cyclic_closed_form_leaves_the_other_cases_to_the_filter(n, q1):
-    # degenerate forms only: Q_1 even for even N, or p | Q_1 for an odd p | N
-    assert finite_qform._cyclic_unit_roots(n, q1, q1) is None
+def test_cyclic_closed_form_leaves_the_other_cases_to_the_filter(n, q1, p):
+    # degenerate parts only: Q_1 even for p = 2, or p | Q_1 / 2 for odd p
+    (part,) = [part for part in _cyclic(n, q1).parts if part.p == p]
+    q = part.q_table[0]
+    assert finite_qform._cyclic_unit_roots(part.orders[0], q, q, p) is None
 
 
 def _cyclic(n, q):
-    return finite_qform.FiniteQuadraticForm((n,), (q,), ((q % n,),))
+    return form_from_tables((n,), (q,), ((q % n,),))
 
 
 def _closed_and_filtered(monkeypatch, pairs):
-    """isometries_signed(a, b, 1) on each pair: in closed form under the cap
-    1, and by the range(N) filter with the cap raised; only pairs whose b
-    is nondegenerate at every prime of N are taken."""
+    """On each pair (a, b) of cyclic forms of order N, with Q_a and Q_b:
+    the images of isometries_signed(a, b, 1) in closed form under the cap 1,
+    and the units x of Z/N with x^2 Q_b = Q_a mod 2N, filtered from range(N)
+    on the whole group; only pairs whose b is nondegenerate at every prime
+    of N are taken."""
     pairs = [
         (a, b) for a, b in pairs
-        if finite_qform._cyclic_unit_roots(b.orders[0], b.q_table[0], b.q_table[0]) is not None
+        if all(
+            finite_qform._cyclic_unit_roots(part.orders[0], part.q_table[0], part.q_table[0], part.p)
+            is not None
+            for part in b.parts
+        )
     ]
-    with monkeypatch.context() as m:
-        m.setenv("K3FM_CAP", str(10**6))
-        m.setattr(finite_qform, "_cyclic_unit_roots", lambda n, q1, t, p=None: None)
-        filtered = [isometries_signed(a, b, 1) for a, b in pairs]
+    filtered = []
+    for a, b in pairs:
+        n = b.orders[0]
+        two_n, qa, qb = 2 * n, int(a.q_gens[0] * n), int(b.q_gens[0] * n)
+        units = [x for x in range(n) if x * x * qb % two_n == qa and gcd(x, n) == 1]
+        filtered.append([((x,),) for x in units])
     with monkeypatch.context() as m:
         m.setenv("K3FM_CAP", "1")
-        closed = [isometries_signed(a, b, 1) for a, b in pairs]
+        closed = [[images_of(f) for f in isometries_signed(a, b, 1)] for a, b in pairs]
     return pairs, closed, filtered
 
 
@@ -359,13 +371,13 @@ def test_composite_closed_form_equals_the_filter_on_seeded_forms(monkeypatch):
 
 def test_a_wrong_prime_is_refused_at_once():
     # 25 is a power of 25 but no prime: the non-residue search stops at 25
-    a = cyclic_form(25, Fraction(2, 25))
+    # (u = -1 passes Euler's test mod 25, so the square root is looked for)
     with pytest.raises(ValueError, match="not an odd prime"):
-        isometries_signed(a, a, -1, prime=25)
+        finite_qform._cyclic_unit_roots(25, 2, 48, 25)
+    a = cyclic_form(25, Fraction(2, 25))
+    assert len(isometries_signed(a, a, -1)) == 2
     b = cyclic_form(1129, Fraction(2, 1129))
     assert len(isometries_signed(b, b, 1)) == 2
-    with pytest.raises(ValueError, match="not a power of prime = 2257"):
-        isometries_signed(b, b, 1, prime=2257)
 
 
 def test_cyclic_inverse_is_the_inverse_unit():
@@ -373,25 +385,29 @@ def test_cyclic_inverse_is_the_inverse_unit():
     for f in isometries_signed(a, a, 1):
         back = f.inverse()
         assert f.compose(back) == back.compose(f) == identity_map(a)
-        assert back.images == ((pow(f.images[0][0], -1, 20018),),)
+        assert images_of(back) == ((pow(images_of(f)[0][0], -1, 20018),),)
     with pytest.raises(ValueError, match="not bijective"):
-        FiniteFormMap(a, a, ((2,),), 1).inverse()
+        map_from_images(a, a, ((2,),), 1).inverse()
 
 
 def test_the_closed_form_is_not_capped_and_the_filter_is(monkeypatch):
     monkeypatch.setenv("K3FM_CAP", "10")
     big = cyclic_form(2**20, Fraction(1, 2**20))
-    assert [f.images for f in isometries_signed(big, big, 1)] == [((1,),), ((2**20 - 1,),)]
+    assert [images_of(f) for f in isometries_signed(big, big, 1)] == [((1,),), ((2**20 - 1,),)]
     prime = cyclic_form(10009, Fraction(2, 10009))
-    assert len(isometries_signed(prime, prime, 1, prime=10009)) == 2
+    assert len(isometries_signed(prime, prime, 1)) == 2
     composite = cyclic_form(20018, Fraction(1, 20018))
     anti = isometries_signed(composite, negate_form(composite), -1)
-    assert [f.images for f in anti] == [((1,),), ((20017,),)]
+    assert [images_of(f) for f in anti] == [((1,),), ((20017,),)]
     phi = isometries_signed(prime, prime, -1)[0]
     assert phi.compose(phi.inverse()) == identity_map(prime)
     degenerate = cyclic_form(27, Fraction(6, 27))
-    with pytest.raises(CapExceededError, match=r"\|A\| = 27 exceeds the cap 10"):
+    with pytest.raises(CapExceededError, match=r"\|A_3\| = 27, which exceeds the cap 10"):
         isometries_signed(degenerate, degenerate, 1)
-    non_cyclic = finite_form((2, 6), (Fraction(1, 2), Fraction(1, 6)))
-    with pytest.raises(CapExceededError, match=r"\|A\| = 12 exceeds the cap 10"):
+    # the inverse enumerates only a part with two or more generators: A_2 of
+    # Z/2 + Z/6 has order 4, under the cap, and A_2 of Z/4 + Z/12 has 16
+    small = finite_form((2, 6), (Fraction(1, 2), Fraction(1, 6)))
+    assert negation_map(small).inverse() == negation_map(small)
+    non_cyclic = finite_form((4, 12), (Fraction(1, 4), Fraction(1, 12)))
+    with pytest.raises(CapExceededError, match=r"\|A\| = 48; .* \|A_2\| = 16, which exceeds"):
         negation_map(non_cyclic).inverse()

@@ -23,7 +23,7 @@ VALID_D = [d for d in range(5, 2001) if d % 4 in (0, 1) and isqrt(d) ** 2 != d]
 
 def brute_force_partition(cgd) -> tuple:
     """Classes grouped by discriminant-form isometry, in first-seen order."""
-    forms = [discriminant_form(bqf.form_to_lattice(r)) for r in cgd.representatives()]
+    forms = [discriminant_form(bqf.form_to_lattice(r)) for r in cgd.reps]
     parts = []
     for i, fa in enumerate(forms):
         for part in parts:
@@ -78,7 +78,7 @@ def test_key_is_invariant_under_gl2_base_change(d, pick, steps):
     for kind, k in steps:
         m = intmat.matmul(m, _step(kind, k))
     g = intmat.matmul(intmat.transpose(m), intmat.matmul(bqf.gram_of(f), m))
-    image = bqf.form(g[0][0] // 2, g[0][1], g[1][1] // 2)
+    image = bqf.BinaryQuadraticForm(g[0][0] // 2, g[0][1], g[1][1] // 2)
     assert image.disc == d
     assert bqf.genus_key(image) == bqf.genus_key(f)
 
@@ -130,7 +130,7 @@ def reference_definite_genus(s) -> tuple:
     return tuple(
         gram
         for gram in reduced_definite_grams(s.det, sign)
-        if isometries_signed(discriminant_form(make_lattice(gram)), target, 1, _first_only=True)
+        if isometries_signed(discriminant_form(make_lattice(gram)), target, 1)
     )
 
 

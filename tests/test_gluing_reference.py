@@ -1,7 +1,8 @@
 """The gluing oracle against the plain `Fraction` code it replaced.
 
 `reference_recovered_gluing_map` classifies every coset of L/(S + T) one by
-one, and `reference_glue` computes the glued Gram matrix over the rationals.
+one, and `reference_glue` computes the glued Gram matrix over the rationals,
+both in the invariant-factor coordinates of the Smith form.
 The production `recovered_gluing_map` reads the map back by linearity and
 `glue` computes the Gram on integers; both must give the same results on
 every anti-isometry.
@@ -26,19 +27,23 @@ from k3fm import (
 )
 from k3fm import intmat
 from k3fm.bqf import form_to_lattice, principal_form
-from k3fm.finite_qform import FiniteFormMap
+from k3fm.finite_qform import map_from_images
 from k3fm.gluing import GluingDatum, Overlattice
 from k3fm.lattice import discriminant_data
+from test_integer_forms import reference_classify, smith_view
+from test_isometry_reference import images_of
 
 
-def _dual_coords(data, coeffs) -> tuple:
-    """The dual vector sum c_i g_i as `Fraction`s: the rational view of
+def _dual_coords(lat, coeffs) -> tuple:
+    """The dual vector sum c_i g_i as `Fraction`s, g_i the invariant-factor
+    generators read off the Smith form: the rational view of
     `gluing._dual_numerators`."""
-    vec = [Fraction(0)] * data.lattice.rank
-    for ci, gen in zip(coeffs, data.generators):
+    _, _, orders, columns = smith_view(lat)
+    vec = [Fraction(0)] * lat.rank
+    for ci, col, d in zip(coeffs, columns, orders):
         if ci:
-            for r, x in enumerate(gen):
-                vec[r] += ci * x
+            for r, x in enumerate(col):
+                vec[r] += Fraction(ci * x, d)
     return tuple(vec)
 
 
@@ -50,7 +55,7 @@ def reference_glue(s, t, phi):
     rows = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
     for k in range(data_t.form.ngens):
         unit = tuple(int(i == k) for i in range(data_t.form.ngens))
-        rows.append(_dual_coords(data_s, phi.images[k]) + _dual_coords(data_t, unit))
+        rows.append(_dual_coords(s, images_of(phi)[k]) + _dual_coords(t, unit))
     denom = lcm(1, *(x.denominator for row in rows for x in row))
     scaled = tuple(tuple(int(x * denom) for x in row) for row in rows)
     basis_scaled = intmat.hermite_row_basis(scaled)
@@ -95,8 +100,8 @@ def reference_recovered_gluing_map(over, s, t):
             for col in range(n):
                 x[col] += c * v_inv[i][col]
         vec = intmat.mat_vec(intmat.transpose(over.ambient_basis), tuple(x))
-        cls_s = data_s.classify(vec[: s.rank])
-        cls_t = data_t.classify(vec[s.rank :])
+        cls_s = reference_classify(s, vec[: s.rank])
+        cls_t = reference_classify(t, vec[s.rank :])
         if cls_t in graph and graph[cls_t] != cls_s:
             raise ValueError("overlattice quotient is not a gluing graph")
         graph[cls_t] = cls_s
@@ -106,7 +111,7 @@ def reference_recovered_gluing_map(over, s, t):
         tuple(int(i == k) for i in range(data_t.form.ngens))
         for k in range(data_t.form.ngens)
     ]
-    return FiniteFormMap(data_t.form, data_s.form, tuple(graph[u] for u in units), -1)
+    return map_from_images(data_t.form, data_s.form, tuple(graph[u] for u in units), -1)
 
 
 def _definite_grams(max_det):

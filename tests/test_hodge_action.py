@@ -33,6 +33,7 @@ from k3fm import (
 )
 from k3fm.cli import main
 from k3fm.fm_count import carried_hodge_generators, hodge_generators
+from test_isometry_reference import images_of
 
 # gram of S -> {image of the generator of A_T under u: agreed count}
 EXPECTED = {
@@ -43,7 +44,7 @@ EXPECTED = {
 
 def nontrivial_actions(a_t):
     n = a_t.orders[0]
-    return [u for u in orthogonal_group(a_t).elements if u.images[0][0] not in (1, n - 1)]
+    return [u for u in orthogonal_group(a_t).elements if images_of(u)[0][0] not in (1, n - 1)]
 
 
 @pytest.mark.parametrize("gram", sorted(EXPECTED))
@@ -61,8 +62,8 @@ def test_engine_and_oracle_agree_on_nontrivial_action(gram):
         hodge = HodgeGroupSpec(4, u)
         total = fm_number(NeronSeveriSpec(s), hodge).total
         report = verify_gluing_counts(s_list, t, hodge)
-        assert total == report.total_orbits == report.total_cosets, u.images
-        seen[u.images[0][0]] = total
+        assert total == report.total_orbits == report.total_cosets, images_of(u)
+        seen[images_of(u)[0][0]] = total
     assert seen == EXPECTED[gram]
 
 
@@ -103,7 +104,7 @@ def test_action_is_carried_even_when_a_s_equals_a_t(gram):
         hodge = HodgeGroupSpec(lcm(2, u.map_order()), u)
         total = fm_number(NeronSeveriSpec(s), hodge).total
         report = verify_gluing_counts(s_list, t, hodge)
-        assert total == report.total_orbits == report.total_cosets, u.images
+        assert total == report.total_orbits == report.total_cosets, images_of(u)
         totals.append(total)
     assert sorted(totals) == EQUAL_FORMS[gram]
 
@@ -120,7 +121,7 @@ def test_action_off_a_t_is_refused(tmp_path, capsys):
     lat = tmp_path / "s.json"
     lat.write_text('{"gram": [[2, 1], [1, -10]]}')
     act = tmp_path / "u.json"
-    act.write_text('{"orders": [21], "q": ["40/21"], "images": [[%d]]}' % u.images[0][0])
+    act.write_text('{"orders": [21], "q": ["40/21"], "images": [[%d]]}' % images_of(u)[0][0])
     code = main(["fm", "--lattice", str(lat), "--hodge-order", "4", "--hodge-action", str(act)])
     err = capsys.readouterr().err
     assert (code, err) == (

@@ -1,14 +1,15 @@
 """Integer forms, `DiscriminantData.classify` and `validate_map` against
-the `Fraction` code they replaced.
+the `Fraction` code they replaced, in invariant-factor coordinates.
 
-`reference_classify` tests a dual vector of `Fraction`s for integrality of
-G * vec; `reference_validate_map` compares q and b as `Fraction`s in Q/2Z
-and Q/Z.  The production code runs on integer numerators and on the integer
-tables N*q mod 2N and N*b mod N that a form holds; both must accept and
-reject alike, with the same message.  `reference_discriminant_values` and
-`reference_parts` compute a discriminant form and its p-parts as
-`Fraction`s, as the code did before a form held integers, and every
-malformed input keeps the message it had then.
+`reference_classify` reads a dual vector of `Fraction`s off the Smith form
+of the Gram, as the code did before a form held its p-parts;
+`reference_validate_map` compares q and b as `Fraction`s in Q/2Z and Q/Z on
+the invariant-factor generators.  The production code runs on integer
+numerators and on the integer tables n*q mod 2n and n*b mod n of each
+p-part; its coordinates, joined by CRT, and its verdicts must agree, with
+the same message.  `reference_discriminant_values` and `reference_parts`
+compute a discriminant form and its p-parts as `Fraction`s, and every
+malformed input keeps the message it had when forms held `Fraction`s.
 """
 
 import re
@@ -16,9 +17,20 @@ import re
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
-from test_isometry_reference import _raw_b, _raw_q, forms_of
+from test_isometry_reference import (
+    _raw_b,
+    _raw_q,
+    _span_size,
+    all_elements,
+    b_matrix,
+    element_order,
+    forms_of,
+    images_of,
+    join,
+)
 
 from k3fm import (
     diagonal_lattice,
@@ -30,25 +42,42 @@ from k3fm import (
 from k3fm import intmat
 from k3fm.arith import prime_factors
 from k3fm.finite_qform import (
-    FiniteFormMap,
     FiniteQuadraticForm,
-    _generates,
-    all_elements,
-    element_order,
     evaluate_q,
     finite_form,
-    primary_parts,
+    form_from_tables,
+    map_from_images,
+    negation_map,
     validate_map,
 )
 from k3fm.lattice import discriminant_data, induced_form_map
 
 
-def reference_classify(data, vec):
-    y = intmat.mat_vec(data.lattice.gram, vec)
+def smith_view(lat):
+    """(u, kept rows, invariant factors, columns) of the Smith form u G v = d:
+    the dual generator g_i is columns[i] / d_i."""
+    u, d, v = intmat.smith_normal_form(lat.gram)
+    keep = [i for i in range(lat.rank) if d[i][i] > 1]
+    return u, keep, tuple(d[i][i] for i in keep), [tuple(row[i] for row in v) for i in keep]
+
+
+def reference_classify(lat, vec):
+    """Invariant-factor coordinates of the dual vector vec: u G vec mod d_i."""
+    u, keep, orders, _ = smith_view(lat)
+    y = intmat.mat_vec(lat.gram, vec)
     if any(Fraction(x).denominator != 1 for x in y):
         raise ValueError("vector is not in the dual lattice")
-    c = intmat.mat_vec(data._u, tuple(int(x) for x in y))
-    return tuple(c[i] % data.form.orders[pos] for pos, i in enumerate(data._keep))
+    c = intmat.mat_vec(u, tuple(int(x) for x in y))
+    return tuple(c[i] % d for i, d in zip(keep, orders))
+
+
+def split(form, coords) -> tuple:
+    """Part coordinates of an invariant-factor vector: c_i mod each p^e."""
+    k = len(coords)
+    return tuple(
+        tuple(c % pe for c, pe in zip(coords[k - len(part.orders):], part.orders))
+        for part in form.parts
+    )
 
 
 LATTICES = [diagonal_lattice(2 * n) for n in (1, 6, 30)]
@@ -68,22 +97,24 @@ LATTICES += [
 @pytest.mark.parametrize("lat", LATTICES, ids=lambda lat: str(list(map(list, lat.gram))))
 def test_integer_classify_matches_the_fraction_path(lat):
     data = discriminant_data(lat)
+    _, _, orders, columns = smith_view(lat)
     rng = random.Random(str(lat.gram))
-    n = data.form.orders[-1]
+    n = orders[-1]
     rank = lat.rank
     for _ in range(200):
         # a random dual vector: generators, plus a lattice vector, over n
-        coeffs = [rng.randrange(-3 * d, 3 * d) for d in data.form.orders]
+        coeffs = [rng.randrange(-3 * d, 3 * d) for d in orders]
         vec = [n * rng.randrange(-5, 6) for _ in range(rank)]
-        for c, col, d in zip(coeffs, data.columns, data.form.orders):
+        for c, col, d in zip(coeffs, columns, orders):
             for r, x in enumerate(col):
                 vec[r] += c * (n // d) * x
         as_fractions = tuple(Fraction(x, n) for x in vec)
-        expected = reference_classify(data, as_fractions)
-        assert expected == tuple(c % d for c, d in zip(coeffs, data.form.orders))
-        assert data.classify(vec, n) == expected
-        assert data.classify([3 * x for x in vec], 3 * n) == expected
-        assert data.classify(as_fractions) == expected
+        expected = reference_classify(lat, as_fractions)
+        assert expected == tuple(c % d for c, d in zip(coeffs, orders))
+        assert data.classify(vec, n) == split(data.form, expected)
+        assert join(data.form, data.classify(vec, n)) == expected
+        assert data.classify([3 * x for x in vec], 3 * n) == split(data.form, expected)
+        assert data.classify(as_fractions) == split(data.form, expected)
 
 
 @pytest.mark.parametrize("lat", LATTICES, ids=lambda lat: str(list(map(list, lat.gram))))
@@ -95,50 +126,64 @@ def test_integer_classify_refuses_vectors_off_the_dual(lat):
         denom = rng.randrange(1, 4 * abs(lat.det) + 2)
         vec = [rng.randrange(-50, 51) for _ in range(lat.rank)]
         try:
-            expected = reference_classify(data, tuple(Fraction(x, denom) for x in vec))
+            expected = reference_classify(lat, tuple(Fraction(x, denom) for x in vec))
         except ValueError:
             refused += 1
             with pytest.raises(ValueError, match="^vector is not in the dual lattice$"):
                 data.classify(vec, denom)
         else:
-            assert data.classify(vec, denom) == expected
+            assert join(data.form, data.classify(vec, denom)) == expected
     assert refused > 0
 
 
 @pytest.mark.parametrize("lat", LATTICES, ids=lambda lat: str(list(map(list, lat.gram))))
 def test_induced_form_map_of_minus_identity_is_negation(lat):
     data = discriminant_data(lat)
+    _, _, orders, columns = smith_view(lat)
     minus = intmat.scale(intmat.identity(lat.rank), -1)
-    images = induced_form_map(lat, minus).images
-    expected = tuple(reference_classify(data, tuple(-x for x in g)) for g in data.generators)
-    assert images == expected
+    f = induced_form_map(lat, minus)
+    expected = tuple(
+        reference_classify(lat, tuple(Fraction(-x, d) for x in col))
+        for col, d in zip(columns, orders)
+    )
+    assert images_of(f) == expected
+    assert f == negation_map(data.form)
 
 
-def reference_validate_map(f):
-    a, b = f.source, f.target
-    if f.sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if a.order != b.order:
-        raise ValueError("source and target orders differ")
-    if len(f.images) != a.ngens:
+def reference_validate_map(a, b, images, sign):
+    """The checks of a map given on the invariant-factor generators, as
+    `Fraction`s: first that the images define a homomorphism, then the
+    sign, the orders, q and b generator by generator, and generation by
+    the span of the images."""
+    if len(images) != a.ngens:
         raise ValueError("one image per source generator required")
-    for i, img in enumerate(f.images):
+    for i, img in enumerate(images):
         if len(img) != b.ngens:
             raise ValueError("image vector length mismatch")
         if a.orders[i] % element_order(b, img) != 0:
             raise ValueError("image order does not divide generator order")
-        if _raw_q(b.orders, b.q_gens, b.b_matrix, img) != Fraction(f.sign * a.q_gens[i]) % 2:
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if a.order != b.order:
+        raise ValueError("source and target orders differ")
+    b_a, b_b = b_matrix(a), b_matrix(b)
+    for i, img in enumerate(images):
+        if _raw_q(b.orders, b.q_gens, b_b, img) != Fraction(sign * a.q_gens[i]) % 2:
             raise ValueError("map does not rescale q by its sign")
         for j in range(i):
-            if _raw_b(b.b_matrix, img, f.images[j]) != Fraction(f.sign * a.b_matrix[i][j]) % 1:
+            if _raw_b(b_b, img, images[j]) != Fraction(sign * b_a[i][j]) % 1:
                 raise ValueError("map does not rescale b by its sign")
-    if not _generates(b.orders, f.images):
+    if _span_size(b, [tuple(c % d for c, d in zip(img, b.orders)) for img in images]) != b.order:
         raise ValueError("images do not generate the target group")
 
 
-def _outcome(check, f):
+def production_validate_map(a, b, images, sign):
+    validate_map(map_from_images(a, b, images, sign))
+
+
+def _outcome(check, a, b, images, sign):
     try:
-        check(f)
+        check(a, b, images, sign)
     except ValueError as exc:
         return str(exc)
     return None
@@ -193,14 +238,15 @@ def test_integer_validate_map_matches_the_fraction_reference(a):
         elements = list(all_elements(b))
         for images in product(elements, repeat=a.ngens):
             for sign in (1, -1, 2):
-                f = FiniteFormMap(a, b, images, sign)
-                expected = _outcome(reference_validate_map, f)
-                assert _outcome(validate_map, f) == expected, (a, b, images, sign)
+                expected = _outcome(reference_validate_map, a, b, images, sign)
+                got = _outcome(production_validate_map, a, b, images, sign)
+                assert got == expected, (a, b, images, sign)
                 messages.add(expected)
                 if expected is None:
                     for bad in _mutations(a, b, images):
-                        g = FiniteFormMap(a, b, bad, sign)
-                        assert _outcome(validate_map, g) == _outcome(reference_validate_map, g)
+                        assert _outcome(production_validate_map, a, b, bad, sign) == _outcome(
+                            reference_validate_map, a, b, bad, sign
+                        )
     assert None in messages
 
 
@@ -230,9 +276,9 @@ def test_validate_map_with_unequal_exponents():
                 continue
             for images in product(list(all_elements(b)), repeat=a.ngens):
                 for sign in (1, -1):
-                    f = FiniteFormMap(a, b, images, sign)
-                    expected = _outcome(reference_validate_map, f)
-                    assert _outcome(validate_map, f) == expected, (a, b, images, sign)
+                    expected = _outcome(reference_validate_map, a, b, images, sign)
+                    got = _outcome(production_validate_map, a, b, images, sign)
+                    assert got == expected, (a, b, images, sign)
                     seen.add(expected)
     assert seen >= {
         "map does not rescale q by its sign",
@@ -247,13 +293,13 @@ def test_every_validate_map_message_is_reached():
         for b in _targets(a):
             for images in product(list(all_elements(b)), repeat=a.ngens):
                 for sign in (1, -1, 2):
-                    outcome = _outcome(validate_map, FiniteFormMap(a, b, images, sign))
+                    outcome = _outcome(production_validate_map, a, b, images, sign)
                     reached.add(outcome)
                     if outcome is None:
                         for bad in _mutations(a, b, images):
-                            reached.add(_outcome(validate_map, FiniteFormMap(a, b, bad, sign)))
+                            reached.add(_outcome(production_validate_map, a, b, bad, sign))
     z4 = finite_form((4,), (Fraction(1, 4),))
-    reached.add(_outcome(validate_map, FiniteFormMap(z4, finite_form((2,), (1,)), ((1,),), 1)))
+    reached.add(_outcome(production_validate_map, z4, finite_form((2,), (1,)), ((1,),), 1))
     assert reached >= {
         None,
         "sign must be +1 or -1",
@@ -302,21 +348,22 @@ def reference_discriminant_values(lat):
 
 def reference_parts(orders, q_gens, b_matrix):
     """(orders, q, b) of each p-part: d_i = m_i p^e_i gives the generator
-    m_i g_i of order p^e_i, with q and b scaled by m_i m_j."""
+    e_i g_i of order p^e_i, e_i = 1 mod p^e_i and 0 mod m_i, with q and b
+    scaled by e_i e_j."""
     out = []
     for p in prime_factors(orders[-1]) if orders else ():
-        index, mult, part_orders = [], [], []
+        index, idem, part_orders = [], [], []
         for i, d in enumerate(orders):
             m = d
             while m % p == 0:
                 m //= p
             if m != d:
                 index.append(i)
-                mult.append(m)
+                idem.append(m * pow(m, -1, d // m))
                 part_orders.append(d // m)
-        pairs = list(zip(index, mult))
-        q = tuple(m * m * q_gens[i] % 2 for i, m in pairs)
-        b = tuple(tuple(mi * mj * b_matrix[i][j] % 1 for j, mj in pairs) for i, mi in pairs)
+        pairs = list(zip(index, idem))
+        q = tuple(e * e * q_gens[i] % 2 for i, e in pairs)
+        b = tuple(tuple(ei * ej * b_matrix[i][j] % 1 for j, ej in pairs) for i, ei in pairs)
         out.append((tuple(part_orders), q, b))
     return out
 
@@ -339,15 +386,41 @@ def test_forms_hold_the_values_of_the_fraction_reference():
     for lat in _sweep_lattices():
         orders, q, b = reference_discriminant_values(lat)
         a = discriminant_form(lat)
-        parts = [part.form for part in primary_parts(a)]
+        parts = [FiniteQuadraticForm((part,)) for part in a.parts]
         expected = [(orders, q, b)] + reference_parts(orders, q, b)
-        assert [(f.orders, f.q_gens, f.b_matrix) for f in [a] + parts] == expected, lat.gram
+        assert [(f.orders, f.q_gens, b_matrix(f)) for f in [a] + parts] == expected, lat.gram
         for f in [a] + parts:
-            rebuilt = finite_form(f.orders, f.q_gens, f.b_matrix)
+            rebuilt = finite_form(f.orders, f.q_gens, b_matrix(f))
             assert rebuilt == f and hash(rebuilt) == hash(f)
         for x in product(range(3), repeat=a.ngens):
             assert evaluate_q(a, x) == _raw_q(orders, q, b, x)
         assert negate_form(a).q_gens == tuple(-x % 2 for x in q)
+
+
+def test_split_and_join_agree_with_the_smith_form_up_to_30():
+    """Every nondegenerate even Gram [[2a, b], [b, 2c]] with entries of size
+    at most 30: the invariant factors and q values joined from the parts,
+    and the part coordinates of each dual generator joined by CRT, are those
+    read off the Smith form."""
+    checked = 0
+    for a in range(-15, 16):
+        for b in range(-30, 31):
+            for c in range(-15, 16):
+                if 4 * a * c == b * b:
+                    continue
+                lat = make_lattice([[2 * a, b], [b, 2 * c]])
+                _, _, orders, columns = smith_view(lat)
+                data = discriminant_data(lat)
+                assert data.form.orders == orders, lat.gram
+                q = tuple(
+                    Fraction(sum(map(mul, col, intmat.mat_vec(lat.gram, col))), d * d) % 2
+                    for col, d in zip(columns, orders)
+                )
+                assert data.form.q_gens == q, lat.gram
+                for col, d, unit in zip(columns, orders, intmat.identity(len(orders))):
+                    assert join(data.form, data.classify(col, d)) == unit, lat.gram
+                checked += 1
+    assert checked > 50000
 
 
 # (orders, q, b, message): each malformed input with the message of its
@@ -407,4 +480,4 @@ def test_malformed_forms_keep_their_messages(orders, q, b, message):
 )
 def test_tables_out_of_range_keep_their_messages(q_table, b_table, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        FiniteQuadraticForm((2,), q_table, b_table)
+        form_from_tables((2,), q_table, b_table)

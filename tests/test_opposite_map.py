@@ -8,7 +8,7 @@ from k3fm import bqf
 
 
 def reference_opposite_map(cgd) -> tuple:
-    return tuple(bqf.class_index_of(cgd, bqf.opposite(rep)) for rep in cgd.representatives())
+    return tuple(bqf.class_index_of(cgd, bqf.opposite(rep)) for rep in cgd.reps)
 
 
 def test_opposite_map_equals_reference_up_to_3000():

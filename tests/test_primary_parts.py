@@ -32,11 +32,11 @@ from k3fm.bqf import fold_classes, lattice_isometry_generators
 from k3fm.cli import main
 from k3fm.errors import CapExceededError
 from k3fm.finite_qform import (
-    FiniteFormMap,
+    FiniteQuadraticForm,
     double_coset_count_by_parts,
     finite_form,
     isometries_signed,
-    primary_parts,
+    map_from_images,
 )
 from k3fm.fm_count import carried_hodge_generators, coset_summand
 
@@ -57,36 +57,40 @@ def genus_lattices(d: int) -> list:
     under the opposite involution, as `genus_representative_forms` folds
     each genus."""
     cgd = proper_classes(d)
-    reps = cgd.representatives()
+    reps = cgd.reps
     return [form_to_lattice(reps[orbit[0]]) for orbit in fold_classes(cgd, range(cgd.h))]
 
 
 def test_parts_of_a_composite_form():
     a = cyclic_form(12000, Fraction(1, 12000))
-    parts = primary_parts(a)
-    assert [(part.p, part.form.orders) for part in parts] == [(2, (32,)), (3, (3,)), (5, (125,))]
-    assert prod(part.form.order for part in parts) == a.order
-    # h = m g with m = 12000 / p^e; q(h) = m^2 / 12000 mod 2
-    assert parts[2].mult == (96,) and parts[2].form.q_gens == (Fraction(96 * 96, 12000) % 2,)
+    assert [(part.p, part.orders) for part in a.parts] == [(2, (32,)), (3, (3,)), (5, (125,))]
+    assert prod(prod(part.orders) for part in a.parts) == a.order
+    # h = e g with e = 1 mod 125 and 0 mod m = 12000 / 125 = 96; q(h) = e^2 / 12000 mod 2
+    e = 96 * pow(96, -1, 125)
+    assert FiniteQuadraticForm(a.parts[2:]).q_gens == (Fraction(e * e, 12000) % 2,)
+    # g is the sum of its parts, and so is q(g)
+    assert sum(FiniteQuadraticForm((part,)).q_gens[0] for part in a.parts) % 2 == a.q_gens[0]
+    assert a.q_gens == (Fraction(1, 12000),)
 
 
 def test_a_prime_power_form_is_its_own_part():
     a = discriminant_form(make_lattice(((6, 0), (0, -12))))
     assert a.orders == (6, 12)
-    two, three = primary_parts(a)
-    assert two.form.orders == (2, 4) and three.form.orders == (3, 3)
+    two, three = a.parts
+    assert two.orders == (2, 4) and three.orders == (3, 3)
     b = cyclic_form(229, Fraction(2, 229))
-    (only,) = primary_parts(b)
-    assert only.form is b and only.p == 229
+    (only,) = b.parts
+    assert only.p == 229 and only.orders == b.orders and only.q_table == (2,)
 
 
 def test_restriction_of_the_whole_group_is_onto_each_part():
     a = discriminant_form(make_lattice(((6, 0), (0, -12))))
     whole = orthogonal_group(a)
-    for part in primary_parts(a):
-        images = {part.restrict(f) for f in whole}
-        assert images == {f.images for f in isometries_signed(part.form, part.form, 1)}
-    assert len(whole) == prod(len(orthogonal_group(part.form)) for part in primary_parts(a))
+    parts = [FiniteQuadraticForm((part,)) for part in a.parts]
+    for s, one in enumerate(parts):
+        blocks = {f.parts[s] for f in whole}
+        assert blocks == {f.parts[0] for f in isometries_signed(one, one, 1)}
+    assert len(whole) == prod(len(orthogonal_group(one)) for one in parts)
 
 
 def test_equals_brute_force_on_every_genus_up_to_2000():
@@ -148,7 +152,7 @@ def test_count_without_generators_is_the_group_order():
 
 def test_a_map_outside_the_orthogonal_group_is_an_internal_error():
     a = cyclic_form(15, Fraction(2, 15))
-    doubling = FiniteFormMap(a, a, ((2,),), 1)  # x -> 2x: -1 on A_3, but 4 != 1 mod 5
+    doubling = map_from_images(a, a, ((2,),), 1)  # x -> 2x: -1 on A_3, but 4 != 1 mod 5
     with pytest.raises(RuntimeError, match=r"O\(A_5\)"):
         double_coset_count_by_parts(a, [doubling], [])
     other = negation_map(cyclic_form(15, Fraction(4, 15)))
@@ -160,7 +164,7 @@ def test_cap_bounds_the_largest_part(monkeypatch):
     # A_5 = Z/5 + Z/25 is searched; the cyclic A_2 = Z/128 and A_3 = Z/3 have
     # their units in closed form, so A_2 passes a cap below its order
     a = discriminant_form(direct_sum(make_lattice([[10, 5], [5, -10]]), make_lattice([[384]])))
-    assert [(part.p, part.form.orders) for part in primary_parts(a)] == [
+    assert [(part.p, part.orders) for part in a.parts] == [
         (2, (128,)), (3, (3,)), (5, (5, 25))
     ]
     neg = negation_map(a)
