@@ -10,13 +10,14 @@ and composition runs on one part's integers.
 
 A form given on invariant-factor generators g_i of orders d_1 | ... | d_k
 (`form_from_tables`, `finite_form`, so every discriminant form) is split
-once: the generator of A_p at g_i is its CRT projection h = e g_i, with
-e = 1 mod p^e and 0 mod d_i / p^e.  So g_i is the sum of its h, q(g_i) the
-sum of their q, and the part coordinates of a vector are its
-invariant-factor coordinates mod p^e.  That view is kept at the boundary
-only: `orders`, `order` and `q_gens` (the `discform` output), the order of
-the whole maps (that of `glue --list`), and `map_from_images`, which splits
-a map given on the g_i (a `--hodge-action` file).
+once, when its parts are first read: the generator of A_p at g_i is its CRT
+projection h = e g_i, with e = 1 mod p^e and 0 mod d_i / p^e.  So g_i is
+the sum of its h, q(g_i) the sum of their q, and the part coordinates of a
+vector are its invariant-factor coordinates mod p^e.  That view is kept at
+the boundary only: `orders`, `order` and `q_gens` (the `discform` output,
+which so never factors the exponent), the order of the whole maps (that of
+`glue --list`), and `map_from_images`, which splits a map given on the g_i
+(a `--hodge-action` file) after checking its shape.
 
 A cyclic part that is nondegenerate at p, as every p-part of a discriminant
 form is, has its maps x -> u x straight from the unit square roots u, mod
@@ -46,6 +47,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
@@ -117,26 +119,46 @@ class Part(NamedTuple):
     b_table: tuple
 
 
-@dataclass(frozen=True)
 class FiniteQuadraticForm:
     """A finite abelian group with a Q/2Z-valued quadratic form, held as its
     p-parts, one per prime of its exponent, ascending.  The generator g_i of
     the invariant-factor view is the sum of the h of the parts that reach
-    index i: a part of k_p generators reaches the last k_p indices."""
+    index i: a part of k_p generators reaches the last k_p indices.
 
-    parts: tuple
-    # the invariant factors d_1 | ... | d_k and their product, set from parts
-    orders: tuple = field(init=False, repr=False, compare=False)
-    order: int = field(init=False, repr=False, compare=False)
+    A form made from invariant-factor tables (`form_from_tables`) keeps them
+    and is split when `parts` is first read, so its invariant-factor view
+    (`orders`, `order`, `q_gens`) never factors the exponent."""
 
-    def __post_init__(self):
-        k = max((len(part.orders) for part in self.parts), default=0)
-        orders = [1] * k
-        for part in self.parts:
-            for i, pe in enumerate(part.orders, k - len(part.orders)):
-                orders[i] *= pe
-        object.__setattr__(self, "orders", tuple(orders))
-        object.__setattr__(self, "order", prod(orders))
+    _tables = None  # (orders, Q, B, primes) of `form_from_tables`
+
+    def __init__(self, parts: tuple = (), tables: tuple | None = None):
+        if tables is not None:
+            self._tables = tables
+            self.orders = tables[0]
+        else:
+            self.parts = parts
+            k = max((len(part.orders) for part in parts), default=0)
+            orders = [1] * k
+            for part in parts:
+                for i, pe in enumerate(part.orders, k - len(part.orders)):
+                    orders[i] *= pe
+            self.orders = tuple(orders)
+        self.order = prod(self.orders)
+
+    @cached_property
+    def parts(self) -> tuple:
+        return _split(*self._tables)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, FiniteQuadraticForm) and self.parts == other.parts
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"FiniteQuadraticForm({self.parts!r})"
 
     @property
     def ngens(self) -> int:
@@ -148,7 +170,10 @@ class FiniteQuadraticForm:
 
     @property
     def q_gens(self) -> tuple:
-        """q(g_i) in [0, 2), as `Fraction`s: the sum of q(h) over its parts."""
+        """q(g_i) in [0, 2), as `Fraction`s: Q_i / N from the tables the form
+        was made from, else the sum of q(h) over its parts."""
+        if self._tables is not None:
+            return tuple(Fraction(x, self.exponent) for x in self._tables[1])
         q = [Fraction(0)] * self.ngens
         for part in self.parts:
             for i, x in enumerate(part.q_table, self.ngens - len(part.orders)):
@@ -164,16 +189,21 @@ def _idempotent(d: int, pe: int) -> int:
 
 def form_from_tables(orders, q_table, b_table, primes=None) -> FiniteQuadraticForm:
     """The form with invariant factors `orders` and the integer tables
-    Q_i = N*q(g_i) mod 2N, B_ij = N*b(g_i, g_j) mod N over N = d_k, split
-    into its p-parts; `primes` are those of N, factored here when not given.
-
-    The part of p holds h_i = e_i g_i for the d_i that p divides, of order
-    p^e_i, e_i = 1 mod p^e_i and 0 mod m_i = d_i / p^e_i.  Over its exponent
-    n_p, n_p q(h_i) = e_i^2 Q_i / r with r = N / n_p, exact because m_i^2 Q_i
-    / r is (m_i g_i has order dividing n_p), and b alike."""
+    Q_i = N*q(g_i) mod 2N, B_ij = N*b(g_i, g_j) mod N over N = d_k, checked
+    here and split into its p-parts when they are first read; `primes` are
+    those of N, factored then when not given."""
     orders = tuple(orders)
+    _check(orders, q_table, b_table, orders[-1] if orders else 1)
+    return FiniteQuadraticForm(tables=(orders, q_table, b_table, primes))
+
+
+def _split(orders, q_table, b_table, primes) -> tuple:
+    """The p-parts of the form of `form_from_tables`.  The part of p holds
+    h_i = e_i g_i for the d_i that p divides, of order p^e_i, e_i = 1 mod
+    p^e_i and 0 mod m_i = d_i / p^e_i.  Over its exponent n_p,
+    n_p q(h_i) = e_i^2 Q_i / r with r = N / n_p, exact because m_i^2 Q_i / r
+    is (m_i g_i has order dividing n_p), and b alike."""
     n = orders[-1] if orders else 1
-    _check(orders, q_table, b_table, n)
     parts = []
     for p in prime_factors(n) if primes is None else primes:
         index, pes = [], []
@@ -189,7 +219,7 @@ def form_from_tables(orders, q_table, b_table, primes=None) -> FiniteQuadraticFo
         q = tuple([e * e * q_table[i] // r % (2 * n_p) for i, e in index])
         b = tuple([tuple([e * f * b_table[i][j] // r % n_p for j, f in index]) for i, e in index])
         parts.append(Part(p, tuple(pes), q, b))
-    return FiniteQuadraticForm(tuple(parts))
+    return tuple(parts)
 
 
 def finite_form(orders, q_gens, b_matrix=None) -> FiniteQuadraticForm:
@@ -197,7 +227,7 @@ def finite_form(orders, q_gens, b_matrix=None) -> FiniteQuadraticForm:
     defaulting the bilinear matrix to diag(q mod Z).  The values are checked
     at a common denominator of all of them, so a malformed input gets the
     message of its first failed check, and only then scaled to the exponent
-    and split into parts."""
+    (`form_from_tables`)."""
     orders = tuple(int(d) for d in orders)
     q = [Fraction(x) % 2 for x in q_gens]
     if b_matrix is None:
@@ -288,8 +318,10 @@ def _after(f_images, g_images, orders) -> tuple:
     """The images of f o g, from the images of f and of g: f, the
     homomorphism that sends generator i to f_images[i], applied to each
     image of g and reduced mod the target orders."""
-    cols = list(zip(*f_images))
-    return tuple([tuple([sum(map(mul, y, c)) % d for c, d in zip(cols, orders)]) for y in g_images])
+    cols = tuple(zip(*f_images))
+    return tuple(
+        [tuple([sum(map(mul, y, c)) % d for c, d in zip(cols, orders)]) for y in g_images]
+    )
 
 
 @dataclass(frozen=True)
@@ -538,12 +570,14 @@ def _within_cap(a: FiniteQuadraticForm, part: Part) -> None:
         )
 
 
-def _part_maps(a: FiniteQuadraticForm, pa: Part, pb: Part, sign: int) -> list:
+def _part_maps(a: FiniteQuadraticForm, pa: Part, pb: Part, sign: int, first: bool) -> list:
     """The image matrices of the maps A_p -> B_p, on one chain of orders,
-    with q_B(f(x)) = sign * q_A(x), in lexicographic order of the images.
-    A cyclic part takes its units in closed form when it can
-    (`_cyclic_unit_roots`), else filters range(p^e); any other part is
-    searched, images tried in lexicographic order of coefficient vectors."""
+    with q_B(f(x)) = sign * q_A(x), in lexicographic order of the images;
+    only the first of them when `first`.  A cyclic part takes its units in
+    closed form when it can (`_cyclic_unit_roots`), else filters range(p^e);
+    any other part is searched, images tried in lexicographic order of
+    coefficient vectors, and the search stops at its first map when
+    `first`."""
     orders, p = pb.orders, pb.p
     n = orders[-1]
     two_n = 2 * n
@@ -555,7 +589,7 @@ def _part_maps(a: FiniteQuadraticForm, pa: Part, pb: Part, sign: int) -> list:
         if roots is None:
             _within_cap(a, pa)
             roots = [x for x in range(n) if x * x * q1 % two_n == t and x % p]
-        return [((x,),) for x in roots]
+        return [((x,),) for x in roots[: 1 if first else None]]
 
     _within_cap(a, pa)
     qb, bb = pb.q_table, pb.b_table
@@ -579,30 +613,38 @@ def _part_maps(a: FiniteQuadraticForm, pa: Part, pb: Part, sign: int) -> list:
     # pairing rows of the chosen images: b(x, y) * n = sum_s x_s row_y[s] mod n
     rows: list[list] = []
 
-    def backtrack(i: int) -> None:
+    def backtrack(i: int) -> bool:
         if i == k:
             if _generates(pb, images):
                 results.append(tuple(images))
-            return
+                return first
+            return False
         want = target_b[i]
         for x in candidates[i]:
             if all(sum(map(mul, x, rows[j])) % n == want[j] for j in range(i)):
                 images.append(x)
                 rows.append([sum(map(mul, bs, x)) for bs in bb])
-                backtrack(i + 1)
+                if backtrack(i + 1):
+                    return True
                 images.pop()
                 rows.pop()
+        return False
 
     backtrack(0)
     return results
 
 
-def isometries_signed(a: FiniteQuadraticForm, b: FiniteQuadraticForm, sign: int) -> list:
+def isometries_signed(
+    a: FiniteQuadraticForm, b: FiniteQuadraticForm, sign: int, _first_only: bool = False
+) -> list:
     """All bijective maps f: A -> B with q_B(f(x)) = sign * q_A(x), the
     product of each part's maps (`_part_maps`), in lexicographic order of
     the images of the g_i, so the first entry is the canonical choice: on a
     form of one part that is the order of the part's list, and on several
     the product is sorted by these images, summed from the parts' addends.
+    `_first_only` keeps each part's first map alone, so at most one map is
+    made: the first entry of the list on a form of one part, an entry of it
+    on several.
 
     K3FM_CAP is read on every call with equal invariant factors, but the cap
     is compared with |A_p| only before a part is enumerated.
@@ -612,9 +654,9 @@ def isometries_signed(a: FiniteQuadraticForm, b: FiniteQuadraticForm, sign: int)
     if a.orders != b.orders:
         return []
     _enumeration_cap()  # a malformed K3FM_CAP fails every call, searching or not
-    per_part = [_part_maps(a, pa, pb, sign) for pa, pb in zip(a.parts, b.parts)]
+    per_part = [_part_maps(a, pa, pb, sign, _first_only) for pa, pb in zip(a.parts, b.parts)]
     combos = product(*per_part)
-    if len(per_part) > 1:
+    if len(per_part) > 1 and not _first_only:
         mods = b.orders * a.ngens
         adds = [[_addends(a, b, s, rows) for rows in maps] for s, maps in enumerate(per_part)]
         keys = [[sum(x) % d for x, d in zip(zip(*terms), mods)] for terms in product(*adds)]
@@ -623,7 +665,7 @@ def isometries_signed(a: FiniteQuadraticForm, b: FiniteQuadraticForm, sign: int)
 
 
 def are_isometric(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> bool:
-    return bool(isometries_signed(a, b, 1))
+    return bool(isometries_signed(a, b, 1, _first_only=True))
 
 
 # ---------------------------------------------------------------------------
@@ -769,10 +811,11 @@ def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
     on the whole group is its reference.  O(A) is the product of the
     O(A_p), each from `isometries_signed` on the one-part form of A_p: a
     cyclic A_p whose units come in closed form is not searched, and the cap
-    bounds each A_p that is searched, named within A.  Each generator's
-    block on a part must lie in O(A_p); it then acts on O(A_p) by a table of
-    element indices (`_tables`), and on the elements of O(A), numbered by
-    their index tuples in mixed radix, by one permutation (`_permutations`).
+    bounds each A_p that is searched, named within A, before any is.  Each
+    generator's block on a part must lie in O(A_p); it then acts on O(A_p)
+    by a table of element indices (`_tables`), and on the elements of O(A),
+    numbered by their index tuples in mixed radix, by one permutation
+    (`_permutations`).
     K is walked first: when the orbit of one element under K alone is all of
     O(A), the count is 1 and H is not needed, so `h_gens` may be a callable
     that returns the generators, called only when the orbits of
@@ -780,14 +823,14 @@ def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
     same.
     Agrees with `double_coset_count(orthogonal_group(a), h_gens, k_gens)`.
     """
+    for part in a.parts:  # every part that is enumerated is within the cap before any is
+        n, q1 = part.orders[0], part.q_table[0]
+        if len(part.orders) > 1 or _cyclic_unit_roots(n, q1, q1, part.p) is None:
+            _within_cap(a, part)
     groups = []
     for part in a.parts:
         one = a if len(a.parts) == 1 else FiniteQuadraticForm((part,))
-        try:
-            elements = [f.parts[0] for f in isometries_signed(one, one, 1)]
-        except CapExceededError:
-            _within_cap(a, part)  # the same part, named within the whole A
-            raise
+        elements = [f.parts[0] for f in isometries_signed(one, one, 1)]
         groups.append((elements, {x: i for i, x in enumerate(elements)}))
     sizes = [len(elements) for elements, _ in groups]
     h_tables = None if callable(h_gens) else _tables(a, groups, h_gens, left=True)

@@ -122,7 +122,7 @@ def carried_hodge_generators(a_s, hodge: HodgeGroupSpec) -> list:
     if hodge.action is None:
         return hodge_generators(a_s, hodge)
     a_t = hodge.action.source
-    anti = isometries_signed(a_t, a_s, -1)
+    anti = isometries_signed(a_t, a_s, -1, _first_only=True)
     if not anti:
         raise ValueError(
             "Hodge action lives on a form that is not anti-isometric to the target"

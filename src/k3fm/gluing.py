@@ -37,7 +37,11 @@ from math import gcd, prod
 from . import fm_count, intmat
 from .finite_qform import FiniteFormMap, isometries_signed, negation_map, validate_map
 from .fm_count import GENERIC_HODGE, HodgeGroupSpec, coset_summand, hodge_generators
-from .lattice import IntegerLattice, discriminant_data, discriminant_form
+from .lattice import (
+    IntegerLattice,
+    discriminant_data,
+    discriminant_form,
+)
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,18 @@ on integers: dual generator i is column v_i of the Smith transform v over
 d_i, and the form's tables over the exponent N are
 N*b_ij = (v_i . G v_j / d_j)(N / d_i), with no `Fraction` on the way.
 These tables are split once into the p-parts that the form holds
-(`finite_qform.form_from_tables`), and `DiscriminantData.classify` reads a
-dual vector given as integer numerators over a denominator straight into
-part coordinates.  `signature` eliminates on integers, fraction-free.
+(`finite_qform.form_from_tables`), when a count or a search first reads
+them, so `discform` prints the invariant factors without factoring |det|.
+`DiscriminantData.classify` reads a dual vector given as integer numerators
+over a denominator straight into part coordinates.  `signature` eliminates
+on integers, fraction-free.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import intmat
 from .errors import LatticeParseError
@@ -198,11 +201,24 @@ class DiscriminantData:
 
     lattice: IntegerLattice
     form: FiniteQuadraticForm
+    # the rows of u that read the g_i, and the columns v_i of v: g_i = v_i / d_i
     _u: tuple = field(repr=False)
-    # per part, per generator h: (row of u that reads g_i, the order p^e of h)
-    _slots: tuple = field(repr=False)
-    # per part, integer numerators: its generator j is columns[s][j] / p^e
-    columns: tuple = field(repr=False)
+    _cols: tuple = field(repr=False)
+
+    @cached_property
+    def columns(self) -> tuple:
+        """Per part, integer numerators: its generator j is columns[s][j] / p^e.
+        The part generator at g_i = v_i / d_i is e g_i = t v_i / p^e, with
+        e = t m = 1 mod p^e and 0 mod m = d_i / p^e."""
+        k, orders = len(self._cols), self.form.orders
+        columns = []
+        for part in self.form.parts:
+            at = k - len(part.orders)
+            columns.append(tuple([
+                tuple([pow(d // pe, -1, pe) * x for x in col])
+                for col, d, pe in zip(self._cols[at:], orders[at:], part.orders)
+            ]))
+        return tuple(columns)
 
     def classify(self, vec, denom: int = 1) -> tuple:
         """Part coordinates of the dual vector vec / denom (original basis),
@@ -216,7 +232,10 @@ class DiscriminantData:
                 raise ValueError("vector is not in the dual lattice")
             ints.append(int(quot))
         c = intmat.mat_vec(self._u, ints)
-        return tuple([tuple([c[i] % pe for i, pe in part]) for part in self._slots])
+        return tuple([
+            tuple([x % pe for x, pe in zip(c[len(c) - len(part.orders):], part.orders)])
+            for part in self.form.parts
+        ])
 
 
 def discriminant_data(lat: IntegerLattice) -> DiscriminantData:
@@ -252,17 +271,7 @@ def _compute_discriminant_data(lat: IntegerLattice) -> DiscriminantData:
     form = form_from_tables(orders, q, b)
     if form.order != abs(lat.det):
         raise RuntimeError("discriminant group order does not match |det|")
-    # the part generator at g_i = v_i / d_i is e g_i = t v_i / p^e, with
-    # e = t m = 1 mod p^e and 0 mod m = d_i / p^e
-    slots, columns = [], []
-    for part in form.parts:
-        at = len(keep) - len(part.orders)
-        slots.append(tuple(zip(keep[at:], part.orders)))
-        columns.append(tuple([
-            tuple([pow(d // pe, -1, pe) * x for x in col])
-            for col, d, pe in zip(cols[at:], orders[at:], part.orders)
-        ]))
-    return DiscriminantData(lat, form, u, tuple(slots), tuple(columns))
+    return DiscriminantData(lat, form, tuple(u[i] for i in keep), tuple(cols))
 
 
 def discriminant_form(lat: IntegerLattice) -> FiniteQuadraticForm:
@@ -276,9 +285,15 @@ def induced_form_map(lat: IntegerLattice, mat) -> FiniteFormMap:
     if intmat.matmul(intmat.transpose(mat), intmat.matmul(lat.gram, mat)) != lat.gram:
         raise ValueError("matrix is not an isometry of the lattice")
     data = discriminant_data(lat)
+    # the image of g_i = v_i / d_i, classified once; its part s is the image
+    # of the p-component of g_i, the generator of the part at index i
+    images = [
+        data.classify(intmat.mat_vec(mat, col), d) for col, d in zip(data._cols, data.form.orders)
+    ]
+    k = len(images)
     parts = tuple(
-        tuple(data.classify(intmat.mat_vec(mat, col), pe)[s] for col, pe in zip(cols, part.orders))
-        for s, (cols, part) in enumerate(zip(data.columns, data.form.parts))
+        tuple(images[i][s] for i in range(k - len(part.orders), k))
+        for s, part in enumerate(data.form.parts)
     )
     return FiniteFormMap(data.form, data.form, parts, 1)
 

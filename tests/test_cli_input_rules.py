@@ -112,6 +112,25 @@ def test_malformed_action_image_exits_2_with_its_message(tmp_path, capsys, image
     assert (code, err) == (2, "k3fm: Hodge group order must be a positive even integer\n")
 
 
+# a strong probable prime past psi_13, which `arith.prime_factors` refuses
+BIG_PRIME = 10**25 + 13
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_discform_does_not_factor_the_determinant(tmp_path, capsys, sign):
+    path = write(tmp_path, "big.json", {"gram": [[sign * 2 * BIG_PRIME]]})
+    q = "1" if sign == 1 else str(4 * BIG_PRIME - 1)
+    code, out, err = run(capsys, ["discform", path])
+    assert (code, err) == (0, "")
+    assert out == f"invariant factors: {2 * BIG_PRIME}\nq(g1) = {q}/{2 * BIG_PRIME}\n"
+
+
+def test_malformed_action_image_is_refused_before_the_exponent_is_factored(tmp_path, capsys):
+    action = {"orders": [2 * BIG_PRIME], "q": [f"1/{2 * BIG_PRIME}"], "images": [[1, 0]]}
+    code, out, err = run_action(tmp_path, capsys, action)
+    assert (code, out, err) == (2, "", "k3fm: image vector length mismatch\n")
+
+
 def test_action_file_accepts_decimal_strings(tmp_path, capsys):
     code, out, _ = run_action(tmp_path, capsys, {"orders": ["5"], "q": ["2/5"], "images": [["4"]]})
     assert code == 0

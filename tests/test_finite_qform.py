@@ -411,3 +411,15 @@ def test_the_closed_form_is_not_capped_and_the_filter_is(monkeypatch):
     non_cyclic = finite_form((4, 12), (Fraction(1, 4), Fraction(1, 12)))
     with pytest.raises(CapExceededError, match=r"\|A\| = 48; .* \|A_2\| = 16, which exceeds"):
         negation_map(non_cyclic).inverse()
+
+
+def test_every_enumerated_part_is_within_the_cap_before_any_is_searched(monkeypatch):
+    # Z/6 + Z/6: A_2 has order 4, under the cap 5, and A_3 has 9
+    a = discriminant_form(diagonal_lattice(6, 6))
+    calls = []
+    monkeypatch.setattr(finite_qform, "isometries_signed", lambda *args: calls.append(args))
+    monkeypatch.setenv("K3FM_CAP", "5")
+    message = r"\|A\| = 36; .* \|A_3\| = 9, which exceeds the cap 5"
+    with pytest.raises(CapExceededError, match=message):
+        finite_qform.double_coset_count_by_parts(a, [], [negation_map(a)])
+    assert calls == []

@@ -130,7 +130,7 @@ def reference_definite_genus(s) -> tuple:
     return tuple(
         gram
         for gram in reduced_definite_grams(s.det, sign)
-        if isometries_signed(discriminant_form(make_lattice(gram)), target, 1)
+        if isometries_signed(discriminant_form(make_lattice(gram)), target, 1, _first_only=True)
     )
 
 

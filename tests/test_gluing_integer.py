@@ -119,7 +119,7 @@ def _grams_match(g_perp: tuple, s: IntegerLattice) -> bool:
     if perp.det != s.det or signature(perp) != signature(s):
         return False
     return bool(
-        isometries_signed(discriminant_form(perp), discriminant_form(s), 1)
+        isometries_signed(discriminant_form(perp), discriminant_form(s), 1, _first_only=True)
     )
 
 

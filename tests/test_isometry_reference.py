@@ -5,7 +5,8 @@ with `_raw_q` and `_raw_b`, the `Fraction` evaluators the integer tables of
 a form replaced, on the whole group in invariant-factor coordinates, and
 tests each complete candidate map by building the whole span of its images.
 The production `isometries_signed` must return the same maps in the same
-order, for both signs.
+order, for both signs, and with `_first_only` one of them: the first on a
+form of one part.
 """
 
 from fractions import Fraction
@@ -211,6 +212,15 @@ def _pairs(forms):
             yield a, same[0]
 
 
+def assert_first_only(a, b, sign, expected):
+    """`_first_only` gives one of the maps, or none when there are none; on
+    a form of one part, the first of them."""
+    first = isometries_signed(a, b, sign, _first_only=True)
+    assert len(first) == min(1, len(expected)) and set(first) <= set(expected), (a, b, sign)
+    if len(a.parts) <= 1:
+        assert first == expected[:1], (a, b, sign)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_same_maps_in_the_same_order_as_the_reference(family):
     checked = 0
@@ -218,6 +228,7 @@ def test_same_maps_in_the_same_order_as_the_reference(family):
         for sign in (1, -1):
             expected = reference_isometries(a, b, sign)
             assert isometries_signed(a, b, sign) == expected, (a, b, sign)
+            assert_first_only(a, b, sign, expected)
             checked += bool(expected)
     assert checked > 0
 
@@ -234,6 +245,7 @@ def test_multi_prime_non_cyclic_forms_give_the_reference_maps_in_order(gram):
             got = isometries_signed(a, b, sign)
             assert [images_of(f) for f in got] == [images_of(f) for f in expected]
             assert got == expected
+            assert_first_only(a, b, sign, expected)
     assert len(isometries_signed(negate_form(a), a, -1)) == len(reference_isometries(a, a, 1))
 
 
