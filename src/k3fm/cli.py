@@ -74,6 +74,13 @@ def _parse_fraction(x) -> Fraction:
     raise LatticeParseError("expected an integer or 'p/q' string")
 
 
+def _array(value, name: str) -> list:
+    """The JSON array `value`, or LatticeParseError naming the field."""
+    if not isinstance(value, list):
+        raise LatticeParseError(f"{name} must be an array")
+    return value
+
+
 def _parse_action_file(path) -> tuple:
     """The form and the generator images of an action file, JSON format:
     {"orders": [...], "q": [...], "b": [[...], ...] (optional),
@@ -86,13 +93,17 @@ def _parse_action_file(path) -> tuple:
     if not isinstance(obj, dict) or "orders" not in obj or "q" not in obj or "images" not in obj:
         raise LatticeParseError("action file needs 'orders', 'q' and 'images'")
     try:
-        orders = [json_integer(d, "orders") for d in obj["orders"]]
-        q = [_parse_fraction(x) for x in obj["q"]]
+        orders = [json_integer(d, "orders") for d in _array(obj["orders"], "orders")]
+        q = [_parse_fraction(x) for x in _array(obj["q"], "q")]
         b = None
         if "b" in obj:
-            b = [[_parse_fraction(x) for x in row] for row in obj["b"]]
+            rows = _array(obj["b"], "b")
+            b = [[_parse_fraction(x) for x in _array(row, "each row of b")] for row in rows]
         form = finite_form(orders, q, b)
-        images = tuple(tuple(json_integer(c, "images") for c in img) for img in obj["images"])
+        images = tuple(
+            tuple(json_integer(c, "images") for c in _array(img, "each image"))
+            for img in _array(obj["images"], "images")
+        )
     except (TypeError, ValueError, LatticeParseError) as exc:
         raise LatticeParseError(f"bad action file: {exc}") from exc
     return form, images
@@ -128,11 +139,11 @@ def _cmd_fm(args) -> int:
         result = fm_number(ns, _hodge_from_args(args))
     print(f"fm={result.total}")
     print(f"method: {result.method}")
-    for item, summand in result.breakdown:
-        if isinstance(item, bqf.BinaryQuadraticForm):
-            label = f"form {item}"
+    for s, summand in result.breakdown:
+        if result.method == "rank2" and s.det != -1:
+            label = f"form {bqf.lattice_to_form(s)}"
         else:
-            label = f"gram {list(list(r) for r in item.gram)}"
+            label = f"gram {list(list(r) for r in s.gram)}"
         print(f"  {label}: {summand}")
     return 0
 

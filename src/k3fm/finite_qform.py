@@ -1,23 +1,19 @@
 """Finite quadratic forms (A, q) on finite abelian groups, one p-part at a time.
 
-A is the orthogonal sum of its p-parts A_p, and every isometry keeps each
-A_p, so O(A) is the product of the O(A_p) (Nikulin 1979, section 1.7).  A
-form is stored as its parts alone, one `Part` per prime p of its exponent,
-ascending: generators h_1, ..., h_k of orders p^e_1 | ... | p^e_k and the
-integer tables Q_i = n*q(h_i) mod 2n and B_ij = n*b(h_i, h_j) mod n over
-n = p^e_k.  A map holds one image matrix per part, and every search, check
-and composition runs on one part's integers.
-
-A form given on invariant-factor generators g_i of orders d_1 | ... | d_k
-(`form_from_tables`, `finite_form`, so every discriminant form) is split
-once, when its parts are first read: the generator of A_p at g_i is its CRT
-projection h = e g_i, with e = 1 mod p^e and 0 mod d_i / p^e.  So g_i is
-the sum of its h, q(g_i) the sum of their q, and the part coordinates of a
-vector are its invariant-factor coordinates mod p^e.  That view is kept at
-the boundary only: `orders`, `order` and `q_gens` (the `discform` output,
-which so never factors the exponent), the order of the whole maps (that of
-`glue --list`), and `map_from_images`, which splits a map given on the g_i
-(a `--hodge-action` file) after checking its shape.
+A form is its invariant-factor tables: generators g_i of orders
+d_1 | ... | d_k and the integers Q_i = N*q(g_i) mod 2N and
+B_ij = N*b(g_i, g_j) mod N over the exponent N = d_k.  A is the orthogonal
+sum of its p-parts A_p, and every isometry keeps each A_p, so O(A) is the
+product of the O(A_p) (Nikulin 1979, section 1.7).  The parts are the one
+view of a form, cached when first read, one `Part` per prime p of N: the
+generator of A_p at g_i is its CRT projection h = e g_i, with e = 1 mod p^e
+and 0 mod d_i / p^e, so g_i is the sum of its h, q(g_i) the sum of their q,
+and the part coordinates of a vector are its invariant-factor coordinates
+mod p^e.  When N is a prime power the split is the identity.  `discform`
+reads the tables alone, so it never factors N.  A map holds one image
+matrix per part, and every search, check and composition runs on one
+part's integers; `map_from_images` splits a map given on the g_i (a
+`--hodge-action` file) after checking its shape.
 
 A cyclic part that is nondegenerate at p, as every p-part of a discriminant
 form is, has its maps x -> u x straight from the unit square roots u, mod
@@ -36,10 +32,9 @@ never called.
 
 The size cap on what is enumerated lives here alone: K3FM_CAP (else
 DEFAULT_CAP) is read by every isometry search or count and bounds each part
-that is enumerated: the range(p^e) filter of a degenerate cyclic part, a
-part with two or more generators, and the inverse of a map on such a part.
-A part that exceeds it raises CapExceededError; the closed forms, and the
-inverse u -> u^-1 mod p^e on a cyclic part, are not capped.
+that is searched, and the inverse of a map on a part of two or more
+generators.  A part that exceeds it raises CapExceededError; the closed
+forms, and the inverse u -> u^-1 mod p^e on a cyclic part, are not capped.
 """
 
 from __future__ import annotations
@@ -119,46 +114,30 @@ class Part(NamedTuple):
     b_table: tuple
 
 
+@dataclass(frozen=True)
 class FiniteQuadraticForm:
-    """A finite abelian group with a Q/2Z-valued quadratic form, held as its
-    p-parts, one per prime of its exponent, ascending.  The generator g_i of
-    the invariant-factor view is the sum of the h of the parts that reach
-    index i: a part of k_p generators reaches the last k_p indices.
+    """A finite abelian group with a Q/2Z-valued quadratic form, on
+    generators g_i of orders d_1 | ... | d_k: the integer tables
+    Q_i = N*q(g_i) mod 2N and B_ij = N*b(g_i, g_j) mod N over the exponent
+    N = d_k, checked here.  `primes` are those of N, factored when the parts
+    are first read if not given; they are no part of the form's value, and
+    two forms are equal when their tables are."""
 
-    A form made from invariant-factor tables (`form_from_tables`) keeps them
-    and is split when `parts` is first read, so its invariant-factor view
-    (`orders`, `order`, `q_gens`) never factors the exponent."""
+    orders: tuple
+    q_table: tuple
+    b_table: tuple
+    primes: tuple | None = field(default=None, compare=False, repr=False)
 
-    _tables = None  # (orders, Q, B, primes) of `form_from_tables`
-
-    def __init__(self, parts: tuple = (), tables: tuple | None = None):
-        if tables is not None:
-            self._tables = tables
-            self.orders = tables[0]
-        else:
-            self.parts = parts
-            k = max((len(part.orders) for part in parts), default=0)
-            orders = [1] * k
-            for part in parts:
-                for i, pe in enumerate(part.orders, k - len(part.orders)):
-                    orders[i] *= pe
-            self.orders = tuple(orders)
-        self.order = prod(self.orders)
+    def __post_init__(self):
+        _check(self.orders, self.q_table, self.b_table, self.exponent)
 
     @cached_property
     def parts(self) -> tuple:
-        return _split(*self._tables)
+        return _split(self.orders, self.q_table, self.b_table, self.primes)
 
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, FiniteQuadraticForm) and self.parts == other.parts
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"FiniteQuadraticForm({self.parts!r})"
+    @cached_property
+    def order(self) -> int:
+        return prod(self.orders)
 
     @property
     def ngens(self) -> int:
@@ -170,15 +149,8 @@ class FiniteQuadraticForm:
 
     @property
     def q_gens(self) -> tuple:
-        """q(g_i) in [0, 2), as `Fraction`s: Q_i / N from the tables the form
-        was made from, else the sum of q(h) over its parts."""
-        if self._tables is not None:
-            return tuple(Fraction(x, self.exponent) for x in self._tables[1])
-        q = [Fraction(0)] * self.ngens
-        for part in self.parts:
-            for i, x in enumerate(part.q_table, self.ngens - len(part.orders)):
-                q[i] += Fraction(x, part.orders[-1])
-        return tuple(x % 2 for x in q)
+        """q(g_i) in [0, 2), as `Fraction`s."""
+        return tuple(Fraction(x, self.exponent) for x in self.q_table)
 
 
 def _idempotent(d: int, pe: int) -> int:
@@ -187,25 +159,19 @@ def _idempotent(d: int, pe: int) -> int:
     return m * pow(m, -1, pe)
 
 
-def form_from_tables(orders, q_table, b_table, primes=None) -> FiniteQuadraticForm:
-    """The form with invariant factors `orders` and the integer tables
-    Q_i = N*q(g_i) mod 2N, B_ij = N*b(g_i, g_j) mod N over N = d_k, checked
-    here and split into its p-parts when they are first read; `primes` are
-    those of N, factored then when not given."""
-    orders = tuple(orders)
-    _check(orders, q_table, b_table, orders[-1] if orders else 1)
-    return FiniteQuadraticForm(tables=(orders, q_table, b_table, primes))
-
-
 def _split(orders, q_table, b_table, primes) -> tuple:
-    """The p-parts of the form of `form_from_tables`.  The part of p holds
-    h_i = e_i g_i for the d_i that p divides, of order p^e_i, e_i = 1 mod
-    p^e_i and 0 mod m_i = d_i / p^e_i.  Over its exponent n_p,
+    """The p-parts of a form, one per prime of N, ascending.  The part of p
+    holds h_i = e_i g_i for the d_i that p divides, of order p^e_i,
+    e_i = 1 mod p^e_i and 0 mod m_i = d_i / p^e_i.  Over its exponent n_p,
     n_p q(h_i) = e_i^2 Q_i / r with r = N / n_p, exact because m_i^2 Q_i / r
-    is (m_i g_i has order dividing n_p), and b alike."""
+    is (m_i g_i has order dividing n_p), and b alike.  When N is a power of
+    p, every e_i and r are 1 and the part is the form's own tables."""
     n = orders[-1] if orders else 1
+    primes = prime_factors(n) if primes is None else primes
+    if len(primes) == 1:
+        return (Part(primes[0], orders, q_table, b_table),)
     parts = []
-    for p in prime_factors(n) if primes is None else primes:
+    for p in primes:
         index, pes = [], []
         for i, d in enumerate(orders):
             if d % p == 0:
@@ -226,8 +192,8 @@ def finite_form(orders, q_gens, b_matrix=None) -> FiniteQuadraticForm:
     """Build a form from rational values on invariant-factor generators,
     defaulting the bilinear matrix to diag(q mod Z).  The values are checked
     at a common denominator of all of them, so a malformed input gets the
-    message of its first failed check, and only then scaled to the exponent
-    (`form_from_tables`)."""
+    message of its first failed check, and only then scaled to the
+    exponent."""
     orders = tuple(int(d) for d in orders)
     q = [Fraction(x) % 2 for x in q_gens]
     if b_matrix is None:
@@ -236,7 +202,7 @@ def finite_form(orders, q_gens, b_matrix=None) -> FiniteQuadraticForm:
     n = orders[-1] if orders else 1
     m = lcm(n, *(x.denominator for x in q), *(x.denominator for row in b for x in row))
     _check(orders, [int(x * m) for x in q], [[int(x * m) for x in row] for row in b], m)
-    return form_from_tables(
+    return FiniteQuadraticForm(
         orders,
         tuple(int(x * n) for x in q),
         tuple(tuple(int(x * n) for x in row) for row in b),
@@ -244,7 +210,7 @@ def finite_form(orders, q_gens, b_matrix=None) -> FiniteQuadraticForm:
 
 
 def trivial_form() -> FiniteQuadraticForm:
-    return FiniteQuadraticForm(())
+    return FiniteQuadraticForm((), (), ())
 
 
 def cyclic_form(n: int, q) -> FiniteQuadraticForm:
@@ -252,13 +218,10 @@ def cyclic_form(n: int, q) -> FiniteQuadraticForm:
 
 
 def negate_form(a: FiniteQuadraticForm) -> FiniteQuadraticForm:
-    parts = []
-    for p, orders, q_table, b_table in a.parts:
-        n = orders[-1]
-        q = tuple(-x % (2 * n) for x in q_table)
-        b = tuple(tuple(-x % n for x in row) for row in b_table)
-        parts.append(Part(p, orders, q, b))
-    return FiniteQuadraticForm(tuple(parts))
+    n = a.exponent
+    q = tuple(-x % (2 * n) for x in a.q_table)
+    b = tuple(tuple(-x % n for x in row) for row in a.b_table)
+    return FiniteQuadraticForm(a.orders, q, b, a.primes)
 
 
 def _scaled_q(q_table, b_table, x) -> int:
@@ -284,15 +247,10 @@ def _scaled_b(b_table, x, y) -> int:
 
 
 def evaluate_q(a: FiniteQuadraticForm, x) -> Fraction:
-    """q(sum c_i g_i) in Q/2Z, for c in invariant-factor coordinates: the sum
-    over the parts of q at the part coordinates c_i mod p^e_i."""
+    """q(sum c_i g_i) in Q/2Z, for c in invariant-factor coordinates."""
     if len(x) != a.ngens:
         raise ValueError("coefficient vector length mismatch")
-    total = Fraction(0)
-    for _, orders, q_table, b_table in a.parts:
-        y = [c % d for c, d in zip(x[len(x) - len(orders):], orders)]
-        total += Fraction(_scaled_q(q_table, b_table, y), orders[-1])
-    return total % 2
+    return Fraction(_scaled_q(a.q_table, a.b_table, x), a.exponent) % 2
 
 
 def _generates(part: Part, images) -> bool:
@@ -497,9 +455,9 @@ def _sqrt_mod_prime(u: int, p: int) -> int:
 def _cyclic_unit_roots(n: int, q1: int, t: int, p: int):
     """The units x of Z/n, n = p^e, with x^2 Q_1 = t mod 2n, ascending, in
     closed form when the form is nondegenerate at p: p odd not dividing
-    Q_1 / 2, or p = 2 and Q_1 odd; None otherwise, and the caller filters
-    over range(n).  Q_1 and t are reduced mod 2n, and even for odd n, as on
-    every form of order n.
+    Q_1 / 2, or p = 2 and Q_1 odd; None otherwise, and the caller searches
+    the part.  Q_1 and t are reduced mod 2n, and even for odd n, as on every
+    form of order n.
 
     For odd p the congruence reads x^2 = u = (t/2)(Q_1/2)^-1 mod n.  For
     u = 1 (t = Q_1) the roots are +-1.  Any other unit u that is a residue
@@ -574,22 +532,18 @@ def _part_maps(a: FiniteQuadraticForm, pa: Part, pb: Part, sign: int, first: boo
     """The image matrices of the maps A_p -> B_p, on one chain of orders,
     with q_B(f(x)) = sign * q_A(x), in lexicographic order of the images;
     only the first of them when `first`.  A cyclic part takes its units in
-    closed form when it can (`_cyclic_unit_roots`), else filters range(p^e);
-    any other part is searched, images tried in lexicographic order of
-    coefficient vectors, and the search stops at its first map when
-    `first`."""
-    orders, p = pb.orders, pb.p
+    closed form when it can (`_cyclic_unit_roots`); any other part is
+    searched, images tried in lexicographic order of coefficient vectors,
+    and the search stops at its first map when `first`."""
+    orders = pb.orders
     n = orders[-1]
     two_n = 2 * n
     k = len(orders)
     if k == 1:
         # cyclic: q(x h) = x^2 Q_1 mod 2n, and x h generates iff x is a unit
-        q1, t = pb.q_table[0], sign * pa.q_table[0] % two_n
-        roots = _cyclic_unit_roots(n, q1, t, p)
-        if roots is None:
-            _within_cap(a, pa)
-            roots = [x for x in range(n) if x * x * q1 % two_n == t and x % p]
-        return [((x,),) for x in roots[: 1 if first else None]]
+        roots = _cyclic_unit_roots(n, pb.q_table[0], sign * pa.q_table[0] % two_n, pb.p)
+        if roots is not None:
+            return [((x,),) for x in roots[: 1 if first else None]]
 
     _within_cap(a, pa)
     qb, bb = pb.q_table, pb.b_table
@@ -672,42 +626,20 @@ def are_isometric(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> bool:
 # orthogonal groups and double cosets
 
 
-@dataclass(frozen=True)
-class FiniteOrthogonalGroup:
-    """The full group of sign +1 self-isometries of a form, fully enumerated."""
-
-    form: FiniteQuadraticForm
-    elements: tuple
-    _element_set: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_element_set", frozenset(self.elements))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, f) -> bool:
-        return f in self._element_set
-
-    def identity(self) -> FiniteFormMap:
-        return identity_map(self.form)
+def orthogonal_group(a: FiniteQuadraticForm) -> tuple:
+    """O(A), every sign +1 self-isometry, fully enumerated."""
+    return tuple(isometries_signed(a, a, 1))
 
 
-def orthogonal_group(a: FiniteQuadraticForm) -> FiniteOrthogonalGroup:
-    elems = isometries_signed(a, a, 1)
-    return FiniteOrthogonalGroup(a, tuple(elems))
-
-
-def subgroup_generated(group: FiniteOrthogonalGroup, gens) -> tuple:
-    """Closure of the generators (plus identity) under composition."""
+def subgroup_generated(group: tuple, gens) -> tuple:
+    """Closure of the generators (plus identity) under composition, inside
+    the `orthogonal_group` `group`."""
     gens = list(gens)
+    members = frozenset(group)
     for g in gens:
-        if g not in group:
+        if g not in members:
             raise ValueError("generator is not an element of the group")
-    ident = group.identity()
+    ident = identity_map(group[0].source)
     seen = {ident}
     out = [ident]
     frontier = [ident]
@@ -722,8 +654,9 @@ def subgroup_generated(group: FiniteOrthogonalGroup, gens) -> tuple:
     return tuple(out)
 
 
-def double_coset_count(group: FiniteOrthogonalGroup, h_gens, k_gens) -> int:
-    """Number of orbits of (h, k) . x = h o x o k^-1 on the group's elements.
+def double_coset_count(group: tuple, h_gens, k_gens) -> int:
+    """Number of orbits of (h, k) . x = h o x o k^-1 on the elements of the
+    `orthogonal_group` `group`.
 
     Since H and K are closed under inversion the orbit of x is just the set
     {h o x o k}, computed directly per unvisited element.
@@ -733,7 +666,7 @@ def double_coset_count(group: FiniteOrthogonalGroup, h_gens, k_gens) -> int:
     visited: set[FiniteFormMap] = set()
     count = 0
     total = 0
-    for x in group.elements:
+    for x in group:
         if x in visited:
             continue
         orbit = {h.compose(x).compose(k) for h in h_sub for k in k_sub}
@@ -809,7 +742,7 @@ def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
 
     This is the one double-coset count of the package; `double_coset_count`
     on the whole group is its reference.  O(A) is the product of the
-    O(A_p), each from `isometries_signed` on the one-part form of A_p: a
+    O(A_p), each from `isometries_signed` on the form of A_p's tables: a
     cyclic A_p whose units come in closed form is not searched, and the cap
     bounds each A_p that is searched, named within A, before any is.  Each
     generator's block on a part must lie in O(A_p); it then acts on O(A_p)
@@ -828,8 +761,8 @@ def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
         if len(part.orders) > 1 or _cyclic_unit_roots(n, q1, q1, part.p) is None:
             _within_cap(a, part)
     groups = []
-    for part in a.parts:
-        one = a if len(a.parts) == 1 else FiniteQuadraticForm((part,))
+    for p, orders, q_table, b_table in a.parts:
+        one = FiniteQuadraticForm(orders, q_table, b_table, (p,))
         elements = [f.parts[0] for f in isometries_signed(one, one, 1)]
         groups.append((elements, {x: i for i, x in enumerate(elements)}))
     sizes = [len(elements) for elements, _ in groups]

@@ -38,9 +38,9 @@ from .arith import euler_phi, is_prime, prime_factors, primes_one_mod_four
 from .errors import UnsupportedError
 from .finite_qform import (
     FiniteFormMap,
+    FiniteQuadraticForm,
     cyclic_orthogonal_order,
     double_coset_count_by_parts,
-    form_from_tables,
     identity_map,
     isometries_signed,
     negation_map,
@@ -208,7 +208,7 @@ def genus_lattices(s: IntegerLattice) -> tuple:
 @dataclass(frozen=True)
 class FMCountResult:
     total: int
-    breakdown: tuple  # (genus representative form or lattice, summand)
+    breakdown: tuple  # (genus representative lattice, summand)
     method: str
 
     def __post_init__(self):
@@ -249,7 +249,7 @@ def fm_number_rank1(n: int, hodge: HodgeGroupSpec = GENERIC_HODGE) -> FMCountRes
     else:
         primes = prime_factors(2 * n)
     if hodge.action is not None:
-        a = form_from_tables((2 * n,), (1,), ((1,),), primes)  # q(g) = 1/(2n)
+        a = FiniteQuadraticForm((2 * n,), (1,), ((1,),), primes)  # q(g) = 1/(2n)
         plus_minus = (identity_map(a), negation_map(a))
         if any(g not in plus_minus for g in carried_hodge_generators(a, hodge)):
             raise ValueError("Picard number 1 forces the Hodge action to be +-id (phi(2I) | 21)")
@@ -279,17 +279,14 @@ def fm_number_rank2(ns: NeronSeveriSpec, hodge: HodgeGroupSpec = GENERIC_HODGE) 
 
     The genus of NS comes from `genus_lattices` (proper classes keyed by
     content and assigned characters, folded to isomorphism classes under the
-    opposite involution); each representative, reported as its form,
-    contributes its `coset_summand`.  U (D = 1, a square) is alone in its
-    genus and has no binary form, so it stands as itself with summand 1;
-    `genus_lattices` refuses every other square D as out of scope.
+    opposite involution); each representative contributes its
+    `coset_summand`.  U (D = 1, a square) is alone in its genus, with
+    summand 1; `genus_lattices` refuses every other square D as out of
+    scope.
     """
     if ns.rank != 2:
         raise ValueError("rank-2 lattice required")
-    breakdown = [
-        (s if s.det == -1 else bqf.lattice_to_form(s), coset_summand(s, hodge))
-        for s in genus_lattices(ns.lattice)
-    ]
+    breakdown = [(s, coset_summand(s, hodge)) for s in genus_lattices(ns.lattice)]
     total = sum(s for _, s in breakdown)
     return FMCountResult(total, tuple(breakdown), "rank2")
 

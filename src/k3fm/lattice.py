@@ -6,9 +6,9 @@ quadratic form is computed from the Smith decomposition of the Gram matrix,
 on integers: dual generator i is column v_i of the Smith transform v over
 d_i, and the form's tables over the exponent N are
 N*b_ij = (v_i . G v_j / d_j)(N / d_i), with no `Fraction` on the way.
-These tables are split once into the p-parts that the form holds
-(`finite_qform.form_from_tables`), when a count or a search first reads
-them, so `discform` prints the invariant factors without factoring |det|.
+These tables are the form (`finite_qform.FiniteQuadraticForm`); it is split
+into its p-parts when a count or a search first reads them, so `discform`
+prints the invariant factors without factoring |det|.
 `DiscriminantData.classify` reads a dual vector given as integer numerators
 over a denominator straight into part coordinates.  `signature` eliminates
 on integers, fraction-free.
@@ -22,7 +22,7 @@ from functools import cached_property
 
 from . import intmat
 from .errors import LatticeParseError
-from .finite_qform import FiniteFormMap, FiniteQuadraticForm, form_from_tables
+from .finite_qform import FiniteFormMap, FiniteQuadraticForm
 
 
 @dataclass(frozen=True)
@@ -268,14 +268,14 @@ def _compute_discriminant_data(lat: IntegerLattice) -> DiscriminantData:
     idx = range(len(keep))
     q = tuple(scaled(i, i) % (2 * n) for i in idx)
     b = tuple(tuple(scaled(i, j) % n for j in idx) for i in idx)
-    form = form_from_tables(orders, q, b)
+    form = FiniteQuadraticForm(orders, q, b)
     if form.order != abs(lat.det):
         raise RuntimeError("discriminant group order does not match |det|")
     return DiscriminantData(lat, form, tuple(u[i] for i in keep), tuple(cols))
 
 
 def discriminant_form(lat: IntegerLattice) -> FiniteQuadraticForm:
-    """The finite quadratic form (A_L, q_L), held as its p-parts."""
+    """The finite quadratic form (A_L, q_L)."""
     return discriminant_data(lat).form
 
 

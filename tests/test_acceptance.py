@@ -278,7 +278,7 @@ def test_criterion_10_transport_independence():
     for a in instances:
         group = orthogonal_group(a)
         h_gens = [negation_map(a)]
-        for k_gens in ([negation_map(a)], [group.elements[-1]]):
+        for k_gens in ([negation_map(a)], [group[-1]]):
             base = double_coset_count(group, h_gens, k_gens)
             for c in group:
                 conjugated = [c.compose(k).compose(c.inverse()) for k in k_gens]

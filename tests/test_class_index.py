@@ -51,9 +51,9 @@ def test_lazy_cycles_equal_the_eager_walk_up_to_2000():
 
 
 def test_a_table_row_builds_few_forms(monkeypatch):
-    # the h class representatives, one form per partner in the reported
-    # breakdown, the row's own form and its reduction; the 102 reduced forms
-    # of D = 1129 are walked as triples
+    # the h class representatives, the row's own form and its reduction; the
+    # breakdown holds lattices, and the 102 reduced forms of D = 1129 are
+    # walked as triples
     built = []
     original = bqf.BinaryQuadraticForm.__post_init__
 
@@ -63,5 +63,5 @@ def test_a_table_row_builds_few_forms(monkeypatch):
 
     monkeypatch.setattr(bqf.BinaryQuadraticForm, "__post_init__", counted)
     assert fm_table((1129,)) == ((1129, 9, 5),)
-    assert len(built) <= 9 + 5 + 2
+    assert len(built) <= 9 + 2
     assert len(bqf.enumerate_reduced(1129)) == 102

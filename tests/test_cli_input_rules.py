@@ -89,6 +89,34 @@ def test_bad_action_file_exits_2(tmp_path, capsys, action, message):
     assert (code, out, err) == (2, "", f"k3fm: bad action file: {message}\n")
 
 
+ACTION_FIVE = {"orders": [5], "q": ["2/5"], "b": [["2/5"]], "images": [[4]]}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # read one character at a time, these once made a form and exited 0
+        ({"orders": "5", "images": ["4"]}, "orders must be an array"),
+        ({"orders": "5"}, "orders must be an array"),
+        ({"images": "4"}, "images must be an array"),
+        ({"images": ["4"]}, "each image must be an array"),
+        ({"q": "2"}, "q must be an array"),
+        ({"b": "2"}, "b must be an array"),
+        # this one once failed with "bad rational value '/'"
+        ({"b": ["2/5"]}, "each row of b must be an array"),
+        ({"orders": 5}, "orders must be an array"),
+        ({"orders": {"5": 1}}, "orders must be an array"),
+        ({"q": None}, "q must be an array"),
+        ({"images": [4]}, "each image must be an array"),
+        ({"b": [{"0": "2/5"}]}, "each row of b must be an array"),
+    ],
+)
+def test_action_file_fields_must_be_arrays(tmp_path, capsys, changes, message):
+    assert run_action(tmp_path, capsys, ACTION_FIVE)[0] == 0  # well formed as it stands
+    code, out, err = run_action(tmp_path, capsys, {**ACTION_FIVE, **changes})
+    assert (code, out, err) == (2, "", f"k3fm: bad action file: {message}\n")
+
+
 # A = Z/2 + Z/6 has two parts; a malformed image is refused before it is
 # split into them, with the message the whole-group check gave
 @pytest.mark.parametrize(

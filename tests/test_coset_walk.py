@@ -157,7 +157,7 @@ def test_walk_on_the_660_lattice_equals_the_whole_group():
     s = make_lattice(D660)
     a = discriminant_form(s)
     assert a.orders == (2, 330)
-    two = FiniteQuadraticForm(a.parts[:1])
+    two = FiniteQuadraticForm(*a.parts[0][1:])
     assert two.orders == (2, 2)
     assert len(isometries_signed(two, two, 1)) == 6
     whole = orthogonal_group(a)

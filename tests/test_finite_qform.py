@@ -21,9 +21,10 @@ from k3fm import (
 from k3fm import finite_qform
 from k3fm.arith import prime_factors
 from k3fm.finite_qform import (
+    FiniteFormMap,
+    FiniteQuadraticForm,
     evaluate_q,
     finite_form,
-    form_from_tables,
     identity_map,
     map_from_images,
     negation_map,
@@ -151,7 +152,7 @@ def test_double_coset_examples():
     assert double_coset_count(group, list(group), list(group)) == 1
     assert double_coset_count(group, [neg], [neg]) == 2
     small = orthogonal_group(cyclic_form(5, Fraction(2, 5)))
-    neg5 = negation_map(small.form)
+    neg5 = negation_map(small[0].source)
     assert double_coset_count(small, [neg5], [neg5]) == 1
 
 
@@ -162,7 +163,7 @@ def test_double_coset_conjugation_invariance():
     ):
         group = orthogonal_group(a)
         h_gens = [negation_map(a)]
-        k_gens = [group.elements[-1]]
+        k_gens = [group[-1]]
         base = double_coset_count(group, h_gens, k_gens)
         for c in group:
             conj = [c.compose(k).compose(c.inverse()) for k in k_gens]
@@ -176,7 +177,7 @@ def test_are_isometric_examples():
 
 
 def test_cap_exceeded(monkeypatch):
-    # Z/27 with Q_1 = 6 is degenerate at 3, so its range(N) filter is capped
+    # Z/27 with Q_1 = 6 is degenerate at 3, so it is searched, and the search is capped
     monkeypatch.setenv("K3FM_CAP", "10")
     a = cyclic_form(27, Fraction(6, 27))
     with pytest.raises(CapExceededError, match="finite group too large"):
@@ -223,15 +224,22 @@ def _odd_prime_powers(bound):
     return out
 
 
-def _filtered(monkeypatch, a, b, sign):
-    """isometries_signed with the cyclic closed form switched off, so every
-    cyclic search filters range(N): the reference."""
-    with monkeypatch.context() as m:
-        m.setattr(finite_qform, "_cyclic_unit_roots", lambda n, q1, t, p: None)
-        return isometries_signed(a, b, sign)
+def _units(a, b, sign):
+    """The units x of Z/N, ascending, with x^2 Q_b = sign Q_a mod 2N, for
+    cyclic forms a and b of order N, filtered from range(N): the images of
+    the maps a -> b with q_b(f(x)) = sign q_a(x)."""
+    n = b.exponent
+    t = sign * a.q_table[0] % (2 * n)
+    return [x for x in range(n) if x * x * b.q_table[0] % (2 * n) == t and gcd(x, n) == 1]
 
 
-def test_cyclic_closed_form_equals_the_filter(monkeypatch):
+def _filtered(a, b, sign):
+    """The maps of isometries_signed(a, b, sign) on cyclic forms of prime
+    power order, filtered from range(N) (`_units`): the reference."""
+    return [FiniteFormMap(a, b, (((x,),),), sign) for x in _units(a, b, sign)]
+
+
+def test_cyclic_closed_form_equals_the_filter():
     # every odd prime power N <= 2000; every Q_b with p not dividing Q_b/2
     # up to N = 150, above that Q_b/2 in {1, c, N - 1, (N + 1)/2} with c the
     # least non-residue mod p.  Q_a runs over Q_b, 2N - Q_b, a residue and a
@@ -249,7 +257,7 @@ def test_cyclic_closed_form_equals_the_filter(monkeypatch):
                 a = cyclic_form(n, Fraction(qa, n))
                 for sign in (1, -1):
                     got = isometries_signed(a, b, sign)
-                    assert got == _filtered(monkeypatch, a, b, sign), (n, qa, qb, sign)
+                    assert got == _filtered(a, b, sign), (n, qa, qb, sign)
                     checked += bool(got)
     assert checked > 0
 
@@ -284,7 +292,7 @@ def test_two_power_closed_form_equals_the_filter():
     assert checked > 0
 
 
-def test_two_power_isometries_equal_the_filter(monkeypatch):
+def test_two_power_isometries_equal_the_filter():
     # isometries_signed on Z/2^e, e <= 6, every odd Q_a and Q_b, both signs
     for e in range(1, 7):
         n = 2**e
@@ -292,23 +300,59 @@ def test_two_power_isometries_equal_the_filter(monkeypatch):
         for b in forms:
             for a in forms:
                 for sign in (1, -1):
-                    expected = _filtered(monkeypatch, a, b, sign)
+                    expected = _filtered(a, b, sign)
                     assert isometries_signed(a, b, sign) == expected, (n, a, b, sign)
 
 
-@pytest.mark.parametrize(
-    "n, q1, p",
-    [(4, 2, 2), (8, 6, 2), (15, 10, 5), (45, 6, 3), (9, 6, 3), (25, 10, 5), (27, 6, 3), (12, 2, 2)],
-)
+# (N, Q_1, p): Z/N degenerate at p, Q_1 even for p = 2, or p | Q_1 / 2 for odd p
+DEGENERATE_CYCLIC = [
+    (4, 2, 2), (8, 6, 2), (15, 10, 5), (45, 6, 3), (9, 6, 3), (25, 10, 5), (27, 6, 3), (12, 2, 2)
+]
+
+
+@pytest.mark.parametrize("n, q1, p", DEGENERATE_CYCLIC)
 def test_cyclic_closed_form_leaves_the_other_cases_to_the_filter(n, q1, p):
-    # degenerate parts only: Q_1 even for p = 2, or p | Q_1 / 2 for odd p
+    # degenerate parts only; they are searched like any other part (below)
     (part,) = [part for part in _cyclic(n, q1).parts if part.p == p]
     q = part.q_table[0]
     assert finite_qform._cyclic_unit_roots(part.orders[0], q, q, p) is None
 
 
+@pytest.mark.parametrize("n, q1, p", DEGENERATE_CYCLIC)
+def test_the_search_on_a_degenerate_cyclic_form_equals_the_filter(monkeypatch, n, q1, p):
+    # against every form of order N, both signs, with the cap raised
+    monkeypatch.setenv("K3FM_CAP", str(10**6))
+    b = _cyclic(n, q1)
+    for qa in range(2 * n):
+        if n * qa % 2 == 0:
+            a = _cyclic(n, qa)
+            for sign in (1, -1):
+                expected = [((x,),) for x in _units(a, b, sign)]
+                assert [images_of(f) for f in isometries_signed(a, b, sign)] == expected, qa
+
+
+def test_every_degenerate_cyclic_form_up_to_40_equals_the_filter(monkeypatch):
+    # Q_1 degenerate at some prime of N: gcd(Q_1, N) > 1; against every form
+    # of order N, both signs
+    monkeypatch.setenv("K3FM_CAP", str(10**6))
+    checked = found = 0
+    for n in range(2, 41):
+        forms = [_cyclic(n, q) for q in range(2 * n) if n * q % 2 == 0]
+        for b in forms:
+            if gcd(b.q_table[0], n) == 1:
+                continue
+            for a in forms:
+                for sign in (1, -1):
+                    expected = [((x,),) for x in _units(a, b, sign)]
+                    got = [images_of(f) for f in isometries_signed(a, b, sign)]
+                    assert got == expected, (n, a.q_table, b.q_table, sign)
+                    checked += 1
+                    found += bool(got)
+    assert checked > 10000 and found > 1000
+
+
 def _cyclic(n, q):
-    return form_from_tables((n,), (q,), ((q % n,),))
+    return FiniteQuadraticForm((n,), (q,), ((q % n,),))
 
 
 def _closed_and_filtered(monkeypatch, pairs):
@@ -325,12 +369,7 @@ def _closed_and_filtered(monkeypatch, pairs):
             for part in b.parts
         )
     ]
-    filtered = []
-    for a, b in pairs:
-        n = b.orders[0]
-        two_n, qa, qb = 2 * n, int(a.q_gens[0] * n), int(b.q_gens[0] * n)
-        units = [x for x in range(n) if x * x * qb % two_n == qa and gcd(x, n) == 1]
-        filtered.append([((x,),) for x in units])
+    filtered = [[((x,),) for x in _units(a, b, 1)] for a, b in pairs]
     with monkeypatch.context() as m:
         m.setenv("K3FM_CAP", "1")
         closed = [[images_of(f) for f in isometries_signed(a, b, 1)] for a, b in pairs]

@@ -44,7 +44,7 @@ EXPECTED = {
 
 def nontrivial_actions(a_t):
     n = a_t.orders[0]
-    return [u for u in orthogonal_group(a_t).elements if images_of(u)[0][0] not in (1, n - 1)]
+    return [u for u in orthogonal_group(a_t) if images_of(u)[0][0] not in (1, n - 1)]
 
 
 @pytest.mark.parametrize("gram", sorted(EXPECTED))
@@ -100,7 +100,7 @@ def test_action_is_carried_even_when_a_s_equals_a_t(gram):
     s_list = [form_to_lattice(f) for f in genus_representative_forms(s)]
     assert a_t in [discriminant_form(x) for x in s_list]
     totals = []
-    for u in orthogonal_group(a_t).elements:
+    for u in orthogonal_group(a_t):
         hodge = HodgeGroupSpec(lcm(2, u.map_order()), u)
         total = fm_number(NeronSeveriSpec(s), hodge).total
         report = verify_gluing_counts(s_list, t, hodge)

@@ -45,7 +45,6 @@ from k3fm.finite_qform import (
     FiniteQuadraticForm,
     evaluate_q,
     finite_form,
-    form_from_tables,
     map_from_images,
     negation_map,
     validate_map,
@@ -386,7 +385,7 @@ def test_forms_hold_the_values_of_the_fraction_reference():
     for lat in _sweep_lattices():
         orders, q, b = reference_discriminant_values(lat)
         a = discriminant_form(lat)
-        parts = [FiniteQuadraticForm((part,)) for part in a.parts]
+        parts = [FiniteQuadraticForm(part.orders, part.q_table, part.b_table, (part.p,)) for part in a.parts]
         expected = [(orders, q, b)] + reference_parts(orders, q, b)
         assert [(f.orders, f.q_gens, b_matrix(f)) for f in [a] + parts] == expected, lat.gram
         for f in [a] + parts:
@@ -395,6 +394,70 @@ def test_forms_hold_the_values_of_the_fraction_reference():
         for x in product(range(3), repeat=a.ngens):
             assert evaluate_q(a, x) == _raw_q(orders, q, b, x)
         assert negate_form(a).q_gens == tuple(-x % 2 for x in q)
+
+
+def _rank2_forms():
+    """The discriminant forms of every non-degenerate even Gram
+    [[2a, b], [b, 2c]] with entries of size at most 12."""
+    return [
+        discriminant_form(make_lattice([[2 * a, b], [b, 2 * c]]))
+        for a in range(-6, 7)
+        for b in range(-12, 13)
+        for c in range(-6, 7)
+        if 4 * a * c != b * b
+    ]
+
+
+def test_forms_are_equal_exactly_when_their_parts_are():
+    classes = {}
+    for a in _rank2_forms():
+        classes.setdefault(a.parts, []).append(a)
+    for members in classes.values():
+        assert all(a == members[0] and hash(a) == hash(members[0]) for a in members)
+    reps = [members[0] for members in classes.values()]
+    assert len(reps) > 100 and len(reps) < sum(map(len, classes.values()))
+    for i, a in enumerate(reps):
+        assert all(a != b for b in reps[i + 1:]), a
+
+
+def test_the_part_of_a_p_group_is_the_group():
+    checked = 0
+    for a in _rank2_forms():
+        if len(a.parts) == 1:
+            (part,) = a.parts
+            one = FiniteQuadraticForm(part.orders, part.q_table, part.b_table, (part.p,))
+            assert one == a and hash(one) == hash(a), a
+            checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize(
+    "orders, q, b",
+    [
+        ((3, 9), ("2/3", "2/9"), None),
+        ((5, 25), ("2/5", "2/25"), [["2/5", "1/5"], ["1/5", "2/25"]]),
+        ((7, 49), ("4/7", "6/49"), None),
+        ((2, 4, 8), ("1/2", "1/4", "1/8"), None),
+        (
+            (2, 4, 8),
+            ("3/2", "7/4", "5/8"),
+            [["1/2", "1/2", 0], ["1/2", "3/4", "1/4"], [0, "1/4", "5/8"]],
+        ),
+        ((2, 2), (0, 0), [[0, "1/2"], ["1/2", 0]]),
+        ((4, 4), ("1/2", "1/2"), [["1/2", "1/4"], ["1/4", "1/2"]]),
+    ],
+)
+def test_one_prime_forms_are_their_reference_part(orders, q, b):
+    a = finite_form(orders, q, b)
+    n = a.exponent
+    (part,) = a.parts
+    assert part.p == prime_factors(n)[0]
+    got = (
+        part.orders,
+        tuple(Fraction(x, n) for x in part.q_table),
+        tuple(tuple(Fraction(x, n) for x in row) for row in part.b_table),
+    )
+    assert [got] == reference_parts(a.orders, a.q_gens, b_matrix(a))
 
 
 def test_split_and_join_agree_with_the_smith_form_up_to_30():
@@ -480,4 +543,4 @@ def test_malformed_forms_keep_their_messages(orders, q, b, message):
 )
 def test_tables_out_of_range_keep_their_messages(q_table, b_table, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        form_from_tables((2,), q_table, b_table)
+        FiniteQuadraticForm((2,), q_table, b_table)
