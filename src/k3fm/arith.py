@@ -15,6 +15,7 @@ at or above psi_13 is refused.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, isqrt, prod
 
 from .errors import UnsupportedError
@@ -24,11 +25,17 @@ MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI_13 = 3317044064679887385961981  # least strong pseudoprime to all the bases
 
 
+@lru_cache(maxsize=1)
 def prime_factors(n: int) -> tuple:
     """The distinct primes dividing n >= 1, ascending: trial division by 2
     and the odd numbers up to TRIAL_BOUND, then `_split_cofactor`.  Raises
     UnsupportedError when a cofactor of at least PSI_13 is a strong probable
-    prime to every base."""
+    prime to every base.
+
+    The last n factored is kept (a one-entry memo; the tuple is immutable):
+    a `table` row asks for the primes of p in `is_prime`, in each class
+    representative's genus key and in the split of each genus member's
+    A_S = Z/p, and factors p once.  A refusal is not kept."""
     primes = []
     p, step = 2, 1
     while p * p <= n:

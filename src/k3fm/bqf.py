@@ -6,21 +6,19 @@ sqrt(D) is an integer comparison against isqrt(D), computed once per walk, so
 the module never touches floating point.  Proper classes are the cycles of
 reduced forms under the neighbor step; the class number, the opposite-class
 map (hence the ambiguous classes) and automorphs are all derived from that
-enumeration.  The enumeration of reduced forms, reduction, cycles, the Pell
-walk and the equivalence walk step integer triples and accumulate their
-transform in four integers; a `BinaryQuadraticForm` is built only for a form
-a public function returns.  So `proper_classes` keys its class index by
-triples and builds the h class representatives alone, and
-`ClassGroupData.cycles` builds the other forms of each cycle on first read.
+enumeration.  Every walk steps integer triples and keeps its transform in
+four integers; a `BinaryQuadraticForm` is built only for a form a public
+function returns, so `proper_classes` builds the h representatives alone
+(its index keyed by triples) and `ClassGroupData.cycles` the rest of
+each cycle on first read.
 Genera of either sign of D are keyed by the content and Gauss's assigned
 characters of the primitive part (`triple_genus_key`), so nothing here
 touches a finite group or the cap.  `lattice_isometry_generators` gives
 generators of O(S) for every lattice the program counts, of rank 1 or 2.
 
 `proper_classes` keeps its last result (a one-entry memo; a
-`ClassGroupData` is never changed once built, as its index is only read and
-its cycles are filled in once, so sharing it is safe): a `table` row asks
-for the classes of p twice, in `fm_table` and again in
+`ClassGroupData` is never changed once built, so sharing it is safe): a
+`table` row asks for the classes of p twice, in `fm_table` and in
 `genus_representative_forms`, and enumerates them once.  The memo can give
 way to passing the `ClassGroupData` down once the benchmark's pin on the
 number of `proper_classes` calls per row is restated.
@@ -176,17 +174,21 @@ def _walk_limit(root: int) -> int:
 
 
 def _cycle_triples(a0: int, b0: int, c: int, d: int, root: int) -> tuple:
-    """The cycle through the reduced (a0, b0, c) of discriminant d, as
-    triples in walk order, with root = isqrt(d).  A walk that outlasts the
-    number of reduced forms raises RuntimeError."""
+    """The cycle through the reduced (a0, b0, c) of discriminant d in walk
+    order, root = isqrt(d).  The step commutes with (a, b, c) -> (-a, b, -c),
+    so a walk that meets (-a0, b0, -c0), as at every prime d, stops there:
+    the rest is the walked half negated.  A walk that outlasts the number of
+    reduced forms raises RuntimeError."""
     out = [(a0, b0, c)]
     limit = _walk_limit(root)
     a, (b, c, _) = c, _step(b0, c, d, root)
-    while a != a0 or b != b0:  # (a, b) fixes c at discriminant d
+    while b != b0 or (a != a0 and a != -a0):  # (a, b) fixes c at discriminant d
         out.append((a, b, c))
         if len(out) > limit:
             raise RuntimeError(f"cycle of discriminant {d} did not close")
         a, (b, c, _) = c, _step(b, c, d, root)
+    if a != a0:
+        out += [(-x, y, -z) for x, y, z in out]
     return tuple(out)
 
 

@@ -742,7 +742,7 @@ def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
 
     This is the one double-coset count of the package; `double_coset_count`
     on the whole group is its reference.  O(A) is the product of the
-    O(A_p), each from `isometries_signed` on the form of A_p's tables: a
+    O(A_p), by `isometries_signed` on A_p's tables (on A when A = A_p): a
     cyclic A_p whose units come in closed form is not searched, and the cap
     bounds each A_p that is searched, named within A, before any is.  Each
     generator's block on a part must lie in O(A_p); it then acts on O(A_p)
@@ -754,7 +754,6 @@ def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
     that returns the generators, called only when the orbits of
     x -> h o x o k must be walked; a list of generators is checked all the
     same.
-    Agrees with `double_coset_count(orthogonal_group(a), h_gens, k_gens)`.
     """
     for part in a.parts:  # every part that is enumerated is within the cap before any is
         n, q1 = part.orders[0], part.q_table[0]
@@ -762,7 +761,7 @@ def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
             _within_cap(a, part)
     groups = []
     for p, orders, q_table, b_table in a.parts:
-        one = FiniteQuadraticForm(orders, q_table, b_table, (p,))
+        one = a if len(a.parts) == 1 else FiniteQuadraticForm(orders, q_table, b_table, (p,))
         elements = [f.parts[0] for f in isometries_signed(one, one, 1)]
         groups.append((elements, {x: i for i, x in enumerate(elements)}))
     sizes = [len(elements) for elements, _ in groups]

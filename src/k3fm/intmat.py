@@ -43,8 +43,12 @@ def scale(m: Matrix, k) -> Matrix:
 
 
 def det(m: Matrix) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
+    """Determinant of an integer matrix by fraction-free Bareiss elimination;
+    a 2x2 one, every rank-2 Gram, is read off as ad - bc."""
     n = len(m)
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
     a = [list(row) for row in m]
     sign = 1
     prev = 1
@@ -89,8 +93,13 @@ def smith_normal_form(m: Matrix, track_v: bool = True) -> tuple[Matrix, Matrix, 
     diagonal, nonnegative, each entry dividing the next.  Without track_v,
     v is not carried and is returned as None; u and d do not depend on it.
 
-    Pivots are chosen by smallest absolute value for determinism.
+    Pivots are chosen by smallest absolute value for determinism.  A 2x2
+    input, the Gram of every rank-2 lattice and each genus member of a
+    `table` row, takes `_smith_2x2`: the same pivots and operations on
+    scalars, hence the same (u, d, v), without the lists of the loop.
     """
+    if len(m) == 2 and len(m[0]) == 2:
+        return _smith_2x2(m, track_v)
     rows = len(m)
     cols = len(m[0])
     a = [list(row) for row in m]
@@ -151,6 +160,57 @@ def smith_normal_form(m: Matrix, track_v: bool = True) -> tuple[Matrix, Matrix, 
             a[s] = [-x for x in a[s]]
             u[s] = [-x for x in u[s]]
     return freeze(u), freeze(a), (freeze(v) if track_v else None)
+
+
+def _smith_2x2(m: Matrix, track_v: bool) -> tuple[Matrix, Matrix, Matrix | None]:
+    """`smith_normal_form` of [[a, b], [c, d]] on twelve ints, step for step
+    as the loop: the pivot is the first entry of least |x| in row-major
+    order, swapped into a; c and b are reduced by it, and when b and c are 0
+    but a does not divide d, row 2 is added to row 1.  Once a divides d,
+    a and d are made nonnegative."""
+    (a, b), (c, d) = m
+    u00, u01, u10, u11 = 1, 0, 0, 1
+    v00, v01, v10, v11 = 1, 0, 0, 1
+    while True:
+        pivot = None
+        if a:
+            pivot, best = 0, abs(a)
+        if b and (pivot is None or abs(b) < best):
+            pivot, best = 1, abs(b)
+        if c and (pivot is None or abs(c) < best):
+            pivot, best = 2, abs(c)
+        if d and (pivot is None or abs(d) < best):
+            pivot = 3
+        if pivot is None:
+            break
+        if pivot > 1:
+            a, b, c, d = c, d, a, b
+            u00, u01, u10, u11 = u10, u11, u00, u01
+        if pivot % 2:
+            a, b, c, d = b, a, d, c
+            v00, v01, v10, v11 = v01, v00, v11, v10
+        dirty = False
+        if c:
+            q = c // a
+            c, d = c - q * a, d - q * b
+            u10, u11 = u10 - q * u00, u11 - q * u01
+            dirty = c != 0
+        if b:
+            q = b // a
+            b, d = b - q * a, d - q * c
+            v01, v11 = v01 - q * v00, v11 - q * v10
+            dirty = dirty or b != 0
+        if not dirty:
+            if d % a == 0:
+                break
+            b = d
+            u00, u01 = u00 + u10, u01 + u11
+    if a < 0:
+        a, u00, u01 = -a, -u00, -u01
+    if d < 0:
+        d, u10, u11 = -d, -u10, -u11
+    v = ((v00, v01), (v10, v11)) if track_v else None
+    return ((u00, u01), (u10, u11)), ((a, 0), (0, d)), v
 
 
 def _row_echelon(m: Matrix, track: bool) -> tuple[list, list | None, int]:

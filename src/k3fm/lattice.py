@@ -27,9 +27,14 @@ from .finite_qform import FiniteFormMap, FiniteQuadraticForm
 
 @dataclass(frozen=True)
 class IntegerLattice:
+    """A lattice by its Gram matrix, checked square, integral, symmetric and
+    nondegenerate.  The determinant that the check computes is kept, so
+    `det` is read, not eliminated again; like the memo of
+    `discriminant_data`, it is set once, outside equality and repr."""
+
     gram: tuple
     name: str | None = field(default=None, compare=False)
-    # memo of discriminant_data(self); set once, outside equality and repr
+    _det: int = field(default=0, init=False, repr=False, compare=False)
     _discriminant: DiscriminantData | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -48,8 +53,10 @@ class IntegerLattice:
             for j in range(i):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("gram must be symmetric")
-        if intmat.det(self.gram) == 0:
+        det = intmat.det(self.gram)
+        if det == 0:
             raise ValueError("degenerate lattice")
+        object.__setattr__(self, "_det", det)
 
     @property
     def rank(self) -> int:
@@ -57,7 +64,7 @@ class IntegerLattice:
 
     @property
     def det(self) -> int:
-        return intmat.det(self.gram)
+        return self._det
 
     @property
     def is_even(self) -> bool:

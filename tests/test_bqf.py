@@ -377,3 +377,53 @@ def test_equivalence_walk_that_never_closes_raises(monkeypatch):
         cycle(f)
     with pytest.raises(RuntimeError, match="did not close"):
         pell_fundamental(205)
+
+
+def full_walk(a0, b0, c, d, root):
+    """The cycle through (a0, b0, c), walked until it returns to its start."""
+    out = [(a0, b0, c)]
+    a, (b, c, _) = c, _TRUE_STEP(b0, c, d, root)
+    while (a, b) != (a0, b0):
+        out.append((a, b, c))
+        a, (b, c, _) = c, _TRUE_STEP(b, c, d, root)
+    return tuple(out)
+
+
+# every cycle of a D with N(eps) = -1 meets its negation, and none of a D
+# with N(eps) = +1 does: 1000005 = 3 * 5 * 66667 and x^2 - D y^2 = -4 has no
+# solution mod 3
+@pytest.mark.parametrize(
+    "d, halved", [(5, True), (229, True), (32045, True), (12, False), (221, False), (1000005, False)]
+)
+def test_cycle_triples_are_the_full_walk(monkeypatch, d, halved):
+    steps = []
+
+    def counted_step(b, c, d, root):
+        steps.append(b)
+        return _TRUE_STEP(b, c, d, root)
+
+    monkeypatch.setattr(bqf_module, "_step", counted_step)
+    root = isqrt(d)
+    seen = set()
+    for a0, b0, c0 in bqf_module._reduced_triples(d):
+        if (a0, b0, c0) in seen:
+            continue
+        steps.clear()
+        cyc = bqf_module._cycle_triples(a0, b0, c0, d, root)
+        assert cyc == full_walk(a0, b0, c0, d, root), (d, a0, b0, c0)
+        assert ((-a0, b0, -c0) in cyc) == halved, (d, a0, b0, c0)
+        # a halved cycle stops at the negated start, half way round
+        assert len(steps) == (len(cyc) // 2 if halved else len(cyc))
+        seen.update(cyc)
+    assert seen == set(bqf_module._reduced_triples(d))
+
+
+def test_cycle_walk_limit_bounds_the_walked_steps(monkeypatch):
+    # (-9, 7, 5) of D = 229: six forms, three walked; (-7, 3, 7) of
+    # D = 205: four forms, all walked
+    for (a, b, c), d, walked, size in (((-9, 7, 5), 229, 3, 6), ((-7, 3, 7), 205, 4, 4)):
+        monkeypatch.setattr(bqf_module, "_walk_limit", lambda root: walked)
+        assert len(bqf_module._cycle_triples(a, b, c, d, isqrt(d))) == size
+        monkeypatch.setattr(bqf_module, "_walk_limit", lambda root: walked - 1)
+        with pytest.raises(RuntimeError, match=f"cycle of discriminant {d} did not close"):
+            bqf_module._cycle_triples(a, b, c, d, isqrt(d))

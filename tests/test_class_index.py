@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from k3fm import bqf
+from k3fm import arith, bqf, finite_qform, fm_count, intmat
 from k3fm.fm_count import fm_table
 
 
@@ -65,3 +65,26 @@ def test_a_table_row_builds_few_forms(monkeypatch):
     assert fm_table((1129,)) == ((1129, 9, 5),)
     assert len(built) <= 9 + 2
     assert len(bqf.enumerate_reduced(1129)) == 102
+
+
+def test_a_table_row_factors_p_once_and_keeps_each_determinant(monkeypatch):
+    # every factorization of the row is of p = 1129 (is_prime, the genus
+    # keys, the structure check, each member's A_S = Z/p), so the memo's
+    # misses count the times p is factored; one determinant per lattice
+    # built: NS and its five genus members
+    factored = []
+    real = arith.prime_factors
+
+    def counting(n):
+        factored.append(n)
+        return real(n)
+
+    for module in (arith, bqf, finite_qform, fm_count):
+        monkeypatch.setattr(module, "prime_factors", counting)
+    dets = []
+    real_det = intmat.det
+    monkeypatch.setattr(intmat, "det", lambda m: dets.append(m) or real_det(m))
+    assert fm_table((1129,)) == ((1129, 9, 5),)
+    assert set(factored) == {1129}
+    assert real.cache_info().misses <= 2
+    assert len(dets) <= 6

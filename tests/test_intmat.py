@@ -210,3 +210,40 @@ def test_smith_transforms_on_request_equal_the_reference():
         assert intmat.smith_normal_form(m, track_v=False) == (u, d, None), m
         shapes += rows != cols
     assert shapes > 500
+
+
+def assert_2x2_path_is_the_loop(m):
+    """The scalar 2x2 path against the loop's reference, with and without v."""
+    u, d, v = reference_smith_normal_form(m)
+    assert intmat.smith_normal_form(m) == (u, d, v), m
+    assert intmat.smith_normal_form(m, track_v=False) == (u, d, None), m
+
+
+def test_smith_2x2_path_on_every_small_matrix():
+    # singular, zero and non-symmetric ones included: `gluing` passes
+    # non-symmetric 2x2 bases
+    small = range(-6, 7)
+    for a in small:
+        for b in small:
+            for c in small:
+                for d in small:
+                    assert_2x2_path_is_the_loop(((a, b), (c, d)))
+
+
+def test_smith_2x2_path_on_every_even_gram_up_to_30():
+    for a in range(-15, 16):
+        for b in range(-30, 31):
+            for c in range(-15, 16):
+                assert_2x2_path_is_the_loop(((2 * a, b), (b, 2 * c)))
+
+
+def test_smith_2x2_path_on_random_matrices_up_to_1e12():
+    # each entry of size up to 10^k, k drawn per entry, so that small and
+    # huge entries meet in one matrix
+    rng = random.Random(28)
+    for _ in range(20000):
+        m = tuple(
+            tuple(rng.randint(-(10 ** k), 10**k) for k in (rng.randint(0, 12), rng.randint(0, 12)))
+            for _ in range(2)
+        )
+        assert_2x2_path_is_the_loop(m)
