@@ -10,7 +10,7 @@ enumeration.  Every walk steps integer triples and keeps its transform in
 four integers; a `BinaryQuadraticForm` is built only for a form a public
 function returns, so `proper_classes` builds the h representatives alone
 (its index keyed by triples) and `ClassGroupData.cycles` the rest of
-each cycle on first read.
+each cycle on first read; `genus` prints the triples themselves.
 Genera of either sign of D are keyed by the content and Gauss's assigned
 characters of the primitive part (`triple_genus_key`), so nothing here
 touches a finite group or the cap.  `lattice_isometry_generators` gives

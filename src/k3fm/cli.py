@@ -9,7 +9,7 @@ code for a broken pipe, and nothing on stderr: stdout is flushed before
 `main` returns, and on a broken pipe fd 1 is pointed at os.devnull so that
 the interpreter's own flush at exit finds nothing to write.
 The K3FM_CAP environment variable overrides the finite-group enumeration cap;
-`finite_qform` reads it on every isometry search or count, closed form or
+`finite_qform` reads it once per isometry search or count, closed form or
 not, so a malformed value exits 2 from any run that looks for an isometry,
 even one that enumerates nothing (`K3FM_CAP=abc k3fm fm --rank1 6`), and a
 run that needs none ignores it.
@@ -160,8 +160,8 @@ def _cmd_classnum(args) -> int:
 def _cmd_genus(args) -> int:
     cgd = bqf.proper_classes(args.d)
     print(f"D={cgd.d} h={cgd.h}")
-    for i, cyc in enumerate(cgd.cycles, start=1):
-        print(f"cycle {i}: " + " ".join(str(f) for f in cyc))
+    for i, cyc in enumerate(cgd.cycle_triples, start=1):
+        print(f"cycle {i}: " + " ".join(str(t) for t in cyc))
     for i, part in enumerate(cgd.genus_partition, start=1):
         print(f"genus {i}: classes " + " ".join(str(j + 1) for j in part))
     print("ambiguous classes: " + " ".join(str(j + 1) for j in cgd.ambiguous_indices))

@@ -25,16 +25,17 @@ elements.  Orthogonal groups, subgroup closure and `double_coset_count` are
 brute force over whole maps, the reference for the walk below.
 
 Double cosets H \\ O(A) / K have one count, `double_coset_count_by_parts`:
-each O(A_p) comes from `isometries_signed` on the one-part form of A_p, and
-the orbits are walked on their product, numbered in mixed radix; K is
-walked first, and when it fills O(A) the count is 1 and a callable H is
-never called.
+the O(A_p) are listed once per form (`orthogonal_parts`), so a caller that
+needs only |O(A)| and then the count lists them once, and the orbits are
+walked on their product, numbered in mixed radix; K is walked first, and
+when it fills O(A) the count is 1 and a callable H is never called.
 
 The size cap on what is enumerated lives here alone: K3FM_CAP (else
-DEFAULT_CAP) is read by every isometry search or count and bounds each part
-that is searched, and the inverse of a map on a part of two or more
-generators.  A part that exceeds it raises CapExceededError; the closed
-forms, and the inverse u -> u^-1 mod p^e on a cyclic part, are not capped.
+DEFAULT_CAP) is read once by every isometry search and by every listing of
+the O(A_p), and bounds each part that is searched, before any is, and the
+inverse of a map on a part of two or more generators.  A part that exceeds
+it raises CapExceededError; the closed forms, and the inverse
+u -> u^-1 mod p^e on a cyclic part, are not capped.
 """
 
 from __future__ import annotations
@@ -317,7 +318,7 @@ class FiniteFormMap:
                     raise ValueError("map is not bijective")
                 parts.append(((pow(rows[0][0], -1, part.orders[0]),),))
                 continue
-            _within_cap(a, part)
+            _within_cap(a, (part,))
             elements = list(product(*(range(d) for d in part.orders)))
             back = {_after(rows, (x,), part.orders)[0]: x for x in elements}
             if len(back) != len(elements):
@@ -515,26 +516,36 @@ def cyclic_orthogonal_order(n: int, primes) -> int:
     return size
 
 
-def _within_cap(a: FiniteQuadraticForm, part: Part) -> None:
-    """Raise CapExceededError before the part of A is enumerated, if it
-    exceeds the cap."""
+def _searched(part: Part) -> bool:
+    """Whether the maps onto `part` are searched over its elements: it has
+    two or more generators, or it is cyclic and degenerate at p, so
+    `_cyclic_unit_roots` gives no closed form."""
+    n, q1 = part.orders[0], part.q_table[0]
+    return len(part.orders) > 1 or _cyclic_unit_roots(n, q1, q1, part.p) is None
+
+
+def _within_cap(a: FiniteQuadraticForm, parts) -> None:
+    """Read the cap once, and raise CapExceededError before anything is
+    enumerated if one of the given parts of A is searched and exceeds it."""
     cap = _enumeration_cap()
-    size = prod(part.orders)
-    if size > cap:
-        raise CapExceededError(
-            f"finite group too large: |A| = {a.order}; its p-part for p = {part.p} "
-            f"has |A_{part.p}| = {size}, which exceeds the cap {cap}"
-            " (raise it with K3FM_CAP)"
-        )
+    for part in parts:
+        size = prod(part.orders)
+        if size > cap and _searched(part):
+            raise CapExceededError(
+                f"finite group too large: |A| = {a.order}; its p-part for p = {part.p} "
+                f"has |A_{part.p}| = {size}, which exceeds the cap {cap}"
+                " (raise it with K3FM_CAP)"
+            )
 
 
-def _part_maps(a: FiniteQuadraticForm, pa: Part, pb: Part, sign: int, first: bool) -> list:
+def _part_maps(pa: Part, pb: Part, sign: int, first: bool) -> list:
     """The image matrices of the maps A_p -> B_p, on one chain of orders,
     with q_B(f(x)) = sign * q_A(x), in lexicographic order of the images;
     only the first of them when `first`.  A cyclic part takes its units in
     closed form when it can (`_cyclic_unit_roots`); any other part is
     searched, images tried in lexicographic order of coefficient vectors,
-    and the search stops at its first map when `first`."""
+    and the search stops at its first map when `first`.  The caller has
+    checked the part against the cap (`_within_cap`)."""
     orders = pb.orders
     n = orders[-1]
     two_n = 2 * n
@@ -545,7 +556,6 @@ def _part_maps(a: FiniteQuadraticForm, pa: Part, pb: Part, sign: int, first: boo
         if roots is not None:
             return [((x,),) for x in roots[: 1 if first else None]]
 
-    _within_cap(a, pa)
     qb, bb = pb.q_table, pb.b_table
     target_q = [sign * x % two_n for x in pa.q_table]
     target_b = [[sign * x % n for x in row] for row in pa.b_table]
@@ -600,15 +610,16 @@ def isometries_signed(
     made: the first entry of the list on a form of one part, an entry of it
     on several.
 
-    K3FM_CAP is read on every call with equal invariant factors, but the cap
-    is compared with |A_p| only before a part is enumerated.
+    K3FM_CAP is read once on every call with equal invariant factors, so a
+    malformed value fails every such call, searching or not; each part that
+    is searched is compared with the cap before any is.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if a.orders != b.orders:
         return []
-    _enumeration_cap()  # a malformed K3FM_CAP fails every call, searching or not
-    per_part = [_part_maps(a, pa, pb, sign, _first_only) for pa, pb in zip(a.parts, b.parts)]
+    _within_cap(a, b.parts)
+    per_part = [_part_maps(pa, pb, sign, _first_only) for pa, pb in zip(a.parts, b.parts)]
     combos = product(*per_part)
     if len(per_part) > 1 and not _first_only:
         mods = b.orders * a.ngens
@@ -737,33 +748,40 @@ def _walk_orbit(x: int, perms: list, orbit_of: list, label: int) -> int:
     return size
 
 
-def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens) -> int:
+def orthogonal_parts(a: FiniteQuadraticForm) -> list:
+    """Per p-part of A, the image matrices of the maps in O(A_p), in the
+    order of `isometries_signed`: O(A) is their product, so its order is the
+    product of their lengths.  K3FM_CAP is read once, and each part that is
+    searched is within it before any is.  A form of one part is its own
+    A_p, and its maps are `isometries_signed` on A; a form of several parts
+    reads the cap itself and searches each part alone, building no one-part
+    form and no map of A; A = 0 has no part, and reads no cap."""
+    if len(a.parts) == 1:
+        return [[f.parts[0] for f in isometries_signed(a, a, 1)]]
+    if a.parts:
+        _within_cap(a, a.parts)
+    return [_part_maps(part, part, 1, False) for part in a.parts]
+
+
+def double_coset_count_by_parts(a: FiniteQuadraticForm, h_gens, k_gens, o_parts=None) -> int:
     """Number of double cosets H \\ O(A) / K, found one p-part at a time.
 
     This is the one double-coset count of the package; `double_coset_count`
     on the whole group is its reference.  O(A) is the product of the
-    O(A_p), by `isometries_signed` on A_p's tables (on A when A = A_p): a
-    cyclic A_p whose units come in closed form is not searched, and the cap
-    bounds each A_p that is searched, named within A, before any is.  Each
-    generator's block on a part must lie in O(A_p); it then acts on O(A_p)
-    by a table of element indices (`_tables`), and on the elements of O(A),
-    numbered by their index tuples in mixed radix, by one permutation
-    (`_permutations`).
+    O(A_p) of `orthogonal_parts`, or of `o_parts` when the caller has
+    listed them for A already.  Each generator's block on a part must lie
+    in O(A_p); it then acts on O(A_p) by a table of element indices
+    (`_tables`), and on the elements of O(A), numbered by their index tuples
+    in mixed radix, by one permutation (`_permutations`).
     K is walked first: when the orbit of one element under K alone is all of
     O(A), the count is 1 and H is not needed, so `h_gens` may be a callable
     that returns the generators, called only when the orbits of
     x -> h o x o k must be walked; a list of generators is checked all the
     same.
     """
-    for part in a.parts:  # every part that is enumerated is within the cap before any is
-        n, q1 = part.orders[0], part.q_table[0]
-        if len(part.orders) > 1 or _cyclic_unit_roots(n, q1, q1, part.p) is None:
-            _within_cap(a, part)
-    groups = []
-    for p, orders, q_table, b_table in a.parts:
-        one = a if len(a.parts) == 1 else FiniteQuadraticForm(orders, q_table, b_table, (p,))
-        elements = [f.parts[0] for f in isometries_signed(one, one, 1)]
-        groups.append((elements, {x: i for i, x in enumerate(elements)}))
+    if o_parts is None:
+        o_parts = orthogonal_parts(a)
+    groups = [(elements, {x: i for i, x in enumerate(elements)}) for elements in o_parts]
     sizes = [len(elements) for elements, _ in groups]
     h_tables = None if callable(h_gens) else _tables(a, groups, h_gens, left=True)
     k_tables = _tables(a, groups, k_gens, left=False)

@@ -9,11 +9,15 @@ for every A_S, cyclic or not, is counted by the one walk
 keeps each A_p (Nikulin), so O(A_S) is the product of the O(A_p).  A cyclic
 A_p whose units come in closed form (every p-part of a prime row of `table`
 and `scan`) is not searched, so no cap bounds it; the enumeration cap bounds
-every A_p that is searched (`finite_qform` owns the cap and reads K3FM_CAP;
-nothing here takes one).  O(S) is built only when G alone does not fill
-O(A_S).  Rank 1 needs no walk and builds no form: tau(n) and |O(A)| are
-read off one factorization of 2n (`cyclic_orthogonal_order`).  O(S)
-comes from `bqf` as generators for every lattice, and
+every A_p that is searched (`finite_qform` owns the cap and reads K3FM_CAP
+once per listing of the O(A_p); nothing here takes one).  O(S) is built
+only when G alone does not fill O(A_S), and with the generic G = {+-1} that
+is decided once per genus, on one member's A_S (`fm_number_rank2`): the
+members' discriminant forms are isometric, so G fills all or none, and a
+prime row of `table` and `scan`, whose O(A_S) = {+-1} is G, builds one A_S
+and walks nothing.  Rank 1 needs no walk and builds no form: tau(n) and
+|O(A)| are read off one factorization of 2n (`cyclic_orthogonal_order`).
+O(S) comes from `bqf` as generators for every lattice, and
 `isometry_image_generators` gives their image in O(A_S) to this engine and
 the gluing oracle alike, less -id, which G always holds.  The genus, the
 sum's index set, is listed by `genus_lattices` alone, for `fm` and
@@ -31,7 +35,7 @@ phi and the primality test come from `arith`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 
 from . import bqf, intmat
 from .arith import euler_phi, is_prime, prime_factors, primes_one_mod_four
@@ -44,6 +48,7 @@ from .finite_qform import (
     identity_map,
     isometries_signed,
     negation_map,
+    orthogonal_parts,
     validate_map,
 )
 from .lattice import (
@@ -145,17 +150,20 @@ def isometry_image_generators(s: IntegerLattice, a_s) -> list:
     return [induced_form_map(s, m) for m in bqf.lattice_isometry_generators(s) if m != minus]
 
 
-def coset_summand(s: IntegerLattice, hodge: HodgeGroupSpec = GENERIC_HODGE, h_maps=None) -> int:
+def coset_summand(
+    s: IntegerLattice, hodge: HodgeGroupSpec = GENERIC_HODGE, h_maps=None, o_parts=None
+) -> int:
     """The Counting Formula's term for one genus member S: the double cosets
     O(S) \\ O(A_S) / G, with O(S) from `isometry_image_generators` and G
     from `carried_hodge_generators`; -id, left out of the former, comes
     from G.  One walk, `double_coset_count_by_parts`, counts every A_S, and
     it builds O(S) only when G alone does not fill O(A_S).  A caller that
-    holds the image of O(S) already hands it in as h_maps, and it is used
-    instead."""
+    holds the image of O(S) already hands it in as h_maps, and one that has
+    listed the O(A_p) of A_S (`orthogonal_parts`) hands them in as o_parts;
+    each is used instead."""
     a_s = discriminant_form(s)
     h_gens = (lambda: isometry_image_generators(s, a_s)) if h_maps is None else h_maps
-    return double_coset_count_by_parts(a_s, h_gens, carried_hodge_generators(a_s, hodge))
+    return double_coset_count_by_parts(a_s, h_gens, carried_hodge_generators(a_s, hodge), o_parts)
 
 
 def genus_lattices(s: IntegerLattice) -> tuple:
@@ -283,10 +291,28 @@ def fm_number_rank2(ns: NeronSeveriSpec, hodge: HodgeGroupSpec = GENERIC_HODGE) 
     `coset_summand`.  U (D = 1, a square) is alone in its genus, with
     summand 1; `genus_lattices` refuses every other square D as out of
     scope.
+
+    With the generic G = {+-1}, whether G fills O(A_S) is decided once for
+    the genus: its members have isometric discriminant forms (Nikulin 1979,
+    Cor. 1.9.4), so |O(A_S)| is the same for each, and so is the order of G
+    there, 1 when A_S is 2-elementary (-id = id) and 2 otherwise.  The first
+    member's O(A_p) are listed (`orthogonal_parts`); when their sizes
+    multiply to the order of G, every summand is 1 and no other member
+    builds its A_S.  Otherwise the first member's count walks the same
+    lists, and each other member is counted as itself.  An explicit Hodge
+    action counts every member as itself.
     """
     if ns.rank != 2:
         raise ValueError("rank-2 lattice required")
-    breakdown = [(s, coset_summand(s, hodge)) for s in genus_lattices(ns.lattice)]
+    genus = genus_lattices(ns.lattice)
+    first, o_parts = genus[0], None
+    if hodge.action is None and hodge.order == 2:
+        a_s = discriminant_form(first)
+        o_parts = orthogonal_parts(a_s)
+        if prod(map(len, o_parts)) == (1 if a_s.exponent <= 2 else 2):
+            return FMCountResult(len(genus), tuple((s, 1) for s in genus), "rank2")
+    breakdown = [(first, coset_summand(first, hodge, o_parts=o_parts))]
+    breakdown += [(s, coset_summand(s, hodge)) for s in genus[1:]]
     total = sum(s for _, s in breakdown)
     return FMCountResult(total, tuple(breakdown), "rank2")
 

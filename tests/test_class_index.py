@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from k3fm import arith, bqf, finite_qform, fm_count, intmat
+from k3fm import arith, bqf, finite_qform, fm_count, intmat, lattice
 from k3fm.fm_count import fm_table
 
 
@@ -88,3 +88,46 @@ def test_a_table_row_factors_p_once_and_keeps_each_determinant(monkeypatch):
     assert set(factored) == {1129}
     assert real.cache_info().misses <= 2
     assert len(dets) <= 6
+
+
+def counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_a_table_row_builds_one_discriminant_form_and_walks_nothing(monkeypatch):
+    # the five genus members share one A_S = Z/1129, whose O(A_S) = {+-1} is
+    # G, so the row reads the cap once and walks no orbit
+    calls = {}
+    counting(monkeypatch, lattice, "_compute_discriminant_data", calls)
+    for name in ("_enumeration_cap", "_walk_orbit"):
+        counting(monkeypatch, finite_qform, name, calls)
+    assert fm_table((1129,)) == ((1129, 9, 5),)
+    assert calls == {"_compute_discriminant_data": 1, "_enumeration_cap": 1}
+
+
+@pytest.mark.parametrize(
+    "gram, members",
+    [
+        ([[-3044, -10022], [-10022, -32996]], 1),  # D = 660: A_S has four parts
+        ([[-18, 8], [8, 4]], 2),  # D = 136: two members, each walked
+    ],
+)
+def test_a_walked_genus_builds_each_member_form_and_group_once(monkeypatch, gram, members):
+    calls = {}
+    counting(monkeypatch, lattice, "_compute_discriminant_data", calls)
+    for name in ("_enumeration_cap", "_part_maps"):
+        counting(monkeypatch, finite_qform, name, calls)
+    result = fm_count.fm_number(fm_count.NeronSeveriSpec(lattice.make_lattice(gram)))
+    assert len(result.breakdown) == members
+    parts = len(lattice.discriminant_form(result.breakdown[0][0]).parts)
+    assert calls == {
+        "_compute_discriminant_data": members,
+        "_enumeration_cap": members,
+        "_part_maps": members * parts,
+    }
