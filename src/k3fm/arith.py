@@ -1,5 +1,7 @@
 """Elementary number theory: `prime_factors` is the package's one
-factorization, and phi and the primality test are read off it.
+factorization, and phi and the primality test are read off it; `xgcd`
+is the extended gcd that the row Hermite reduction of `intmat` folds rows
+with.
 
 `prime_factors` divides by 2 and the odd numbers up to TRIAL_BOUND; below
 TRIAL_BOUND^2 that is all it does.  A cofactor m left past the bound has no
@@ -119,6 +121,20 @@ def _brent_rho(m: int) -> int:
                 g = gcd(abs(x - ys), m)
         if g != m:
             return g
+
+
+def xgcd(x: int, y: int) -> tuple:
+    """(g, s, t) with g = gcd(x, y) >= 0 and s x + t y = g, by the extended
+    Euclidean algorithm."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if x < 0:
+        return -x, -s0, -t0
+    return x, s0, t0
 
 
 def euler_phi(n: int) -> int:

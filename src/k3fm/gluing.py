@@ -16,16 +16,18 @@ The oracle runs on integers.  An overlattice holds its basis as integer
 rows B over one denominator D (`Overlattice.ambient_basis` shows B / D as
 `Fraction`s), and every rationality test on it becomes a divisibility test
 by D or D^2.  The Gram of L is summed over the two coordinate blocks of B,
-since S + T is an orthogonal sum.  "The complement of T equals S" means S
-is primitive in L: the complement is L meets S x Q, and it is checked by
-the same test as the primitivity of T, with the two coordinate blocks
-swapped, so no lattice is classified up to isometry.  That test is a
-divisibility and a determinant: the vectors of L in the block must be
-integral and have determinant +-1.  Reading a gluing map back from an
-overlattice is linear: L/(S + T) is read off the Smith form of B, only its
-generators are classified, and the classes of the other cosets are their
-sums, built column-wise, one list of ints per coordinate.  Every coset is
-still checked to lie on the graph of one bijection A_T -> A_S.
+since S + T is an orthogonal sum, and, as it is symmetric, once for each
+pair j >= i.  "The complement of T equals S" means S is primitive in L: the
+complement is L meets S x Q, and it is checked by the same test as the
+primitivity of T, with the two coordinate blocks swapped, so no lattice is
+classified up to isometry.  That test reads one Hermite basis: with the
+block's m columns moved last, the last m rows of the Hermite basis of B
+span the vectors of D L in the block, and they must be D I_m there.
+Reading a gluing map back from an overlattice is linear: L/(S + T) is read
+off the Smith form of B, only its generators are classified, and the
+classes of the other cosets are their sums, built column-wise, one list of
+ints per coordinate.  Every coset is still checked to lie on the graph of
+one bijection A_T -> A_S.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 
 from . import fm_count, intmat
 from .finite_qform import FiniteFormMap, isometries_signed, negation_map, validate_map
@@ -128,24 +131,27 @@ def glue(s: IntegerLattice, t: IntegerLattice, phi: FiniteFormMap) -> Overlattic
     if len(basis_scaled) != n:
         raise RuntimeError("glued lattice lost rank")
     # basis_scaled / denom is a basis of L, so B (G_S + G_T) B^T is denom^2
-    # times L's Gram; S + T is an orthogonal sum, so the rows of B (G_S + G_T)
-    # are B_S G_S and B_T G_T side by side, one column block of B each
-    b_s = tuple(row[: s.rank] for row in basis_scaled)
-    b_t = tuple(row[s.rank :] for row in basis_scaled)
-    b_g = [x + y for x, y in zip(intmat.matmul(b_s, s.gram), intmat.matmul(b_t, t.gram))]
-    gram_scaled = intmat.matmul(basis_scaled, intmat.transpose(b_g))
+    # times L's Gram; S + T is an orthogonal sum, so row i of B (G_S + G_T)
+    # is B_S G_S and B_T G_T side by side, one column block of B each.  The
+    # Gram is symmetric: entry (i, j) is summed once, for j >= i, and a row's
+    # entries left of i were checked as those of an earlier row
+    k = s.rank
+    b_g = [
+        [sum(map(mul, row[:k], col)) for col in s.gram]
+        + [sum(map(mul, row[k:], col)) for col in t.gram]
+        for row in basis_scaled
+    ]
     denom2 = denom * denom
-    gram = []
-    for i, row in enumerate(gram_scaled):
-        out = []
-        for x in row:
-            if x % denom2:
+    gram = [[0] * n for _ in range(n)]
+    for i, bg_row in enumerate(b_g):
+        for j in range(i, n):
+            x, rem = divmod(sum(map(mul, bg_row, basis_scaled[j])), denom2)
+            if rem:
                 raise RuntimeError("glued pairing is not integral")
-            out.append(x // denom2)
-        if out[i] % 2:
+            gram[i][j] = gram[j][i] = x
+        if gram[i][i] % 2:
             raise RuntimeError("glued lattice is not even")
-        gram.append(tuple(out))
-    gram = tuple(gram)
+    gram = intmat.freeze(gram)
     index = data_t.form.order
     det_l = intmat.det(gram)
     if abs(det_l) != 1:
@@ -169,21 +175,18 @@ class OverlatticeReport:
 
 def _meets_block_in_itself(basis: tuple, denom: int, lo: int, hi: int) -> bool:
     """Whether L = basis / denom meets the span of coordinates lo..hi-1 in
-    exactly the integer vectors there.  The integer combinations x that make
-    x . basis vanish off the block give the vectors of L in its span; each
-    must be integral (denom divides x . basis) and together they must span
-    all of Z^m, m = hi - lo.  Their m rows x . basis / denom are integral and
-    square, so they span Z^m exactly when their determinant is +-1, that is
-    when the m x m matrix of the x . basis has determinant +-denom^m."""
+    exactly the integer vectors there; basis is any square integer matrix,
+    and a singular one reads False.  With the block's m = hi - lo columns moved last, the
+    Hermite basis H of the rows is upper triangular with positive pivots,
+    so the vectors of denom * L that vanish off the block are spanned by
+    the last m rows of H, and those rows are the Hermite basis of
+    denom * (L meets the block).  That lattice is denom * Z^m exactly when
+    they are denom * I_m on the block."""
     m = hi - lo
-    outside = tuple(row[:lo] + row[hi:] for row in basis)
-    kernel = intmat.row_kernel_basis(outside)
-    if len(kernel) != m:
+    h = intmat.hermite_row_basis(tuple(row[:lo] + row[hi:] + row[lo:hi] for row in basis))
+    if len(h) != len(basis):
         return False
-    part = intmat.matmul(kernel, tuple(row[lo:hi] for row in basis))
-    if any(x % denom for row in part for x in row):
-        return False
-    return abs(intmat.det(part)) == denom**m
+    return tuple(row[-m:] for row in h[-m:]) == intmat.scale(intmat.identity(m), denom)
 
 
 def verify_overlattice(over: Overlattice, s: IntegerLattice, t: IntegerLattice) -> OverlatticeReport:
@@ -196,8 +199,8 @@ def verify_overlattice(over: Overlattice, s: IntegerLattice, t: IntegerLattice) 
     blocks swapped.  On an L that contains S + T this is the same as the
     complement being isometric to S, since a lattice containing S and
     isometric to it has index 1 over it.  Both tests run on the integer rows
-    B over D of the overlattice: a vector x . B / D is integral when D
-    divides x . B."""
+    B over D of the overlattice and read one Hermite basis each
+    (`_meets_block_in_itself`): no kernel, product or determinant."""
     n = s.rank + t.rank
     even = all(over.gram[i][i] % 2 == 0 for i in range(n))
     unimodular = abs(intmat.det(over.gram)) == 1
@@ -248,8 +251,9 @@ def recovered_gluing_map(over: Overlattice, s: IntegerLattice, t: IntegerLattice
         cols = [[0] for _ in orders]
         for order, classes_t, classes_s in gens:
             steps = classes_t[at] + classes_s[at]
+            multiples = range(gcd(order, exponent))
             cols = [
-                [(x + j * st) % m for x in col for j in range(gcd(order, exponent))]
+                [(x + j * st) % m for x in col for j in multiples]
                 for col, st, m in zip(cols, steps, orders)
             ]
         graph = dict(zip(zip(*cols[:k]), zip(*cols[k:])))

@@ -3,15 +3,19 @@
 Matrices are tuples of row tuples with int or Fraction entries.  Arbitrary
 precision comes for free from Python integers; rational elimination uses
 fractions.Fraction.  `matmul` and `mat_vec` take either kind of entry.
-Transforms are carried on request: the Smith form carries v only for the
-callers that read it, and the row Hermite reduction carries its transform
-only for `row_kernel_basis`; `hermite_row_basis` runs it without one.
+The Smith form carries v only for the callers that read it.  The row
+Hermite reduction carries no transform: it folds rows together with the
+extended gcd (Cohen, *A Course in Computational Algebraic Number Theory*,
+2.4), and a kernel is read off a Hermite basis instead (see
+`gluing.verify_overlattice`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
+
+from .arith import xgcd
 
 Matrix = tuple
 
@@ -213,58 +217,46 @@ def _smith_2x2(m: Matrix, track_v: bool) -> tuple[Matrix, Matrix, Matrix | None]
     return ((u00, u01), (u10, u11)), ((a, 0), (0, d)), v
 
 
-def _row_echelon(m: Matrix, track: bool) -> tuple[list, list | None, int]:
-    """Row Hermite reduction: returns (h, w, rank) with w*m = h when track,
-    else (h, None, rank) with no transform carried."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [list(row) for row in m]
-    w = [list(row) for row in identity(rows)] if track else None
-    r = 0
-    for c in range(cols):
-        while True:
-            nz = [i for i in range(r, rows) if a[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(a[i][c]))
-            if i0 != r:
-                a[r], a[i0] = a[i0], a[r]
-                if track:
-                    w[r], w[i0] = w[i0], w[r]
-            done = True
-            for i in range(r + 1, rows):
-                if a[i][c] != 0:
-                    q = a[i][c] // a[r][c]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    if track:
-                        w[i] = [x - q * y for x, y in zip(w[i], w[r])]
-                    if a[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < rows and a[r][c] != 0:
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-                if track:
-                    w[r] = [-x for x in w[r]]
-            for i in range(r):
-                q = a[i][c] // a[r][c]
-                if q != 0:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    if track:
-                        w[i] = [x - q * y for x, y in zip(w[i], w[r])]
-            r += 1
-    return a, w, r
-
-
 def hermite_row_basis(m: Matrix) -> Matrix:
-    """Canonical basis (row Hermite form) of the lattice spanned by the rows,
-    reduced without carrying a transform."""
-    a, _, r = _row_echelon(m, False)
+    """Canonical basis (row Hermite form) of the lattice spanned by the rows:
+    upper triangular, positive pivots, each entry above a pivot in
+    [0, pivot).  Column by column, each lower row with a nonzero entry
+    there is folded into the pivot row by one unimodular 2x2 step,
+    (pivot, row) -> (s pivot + t row, (x/g) row - (y/g) pivot) for
+    (g, s, t) = xgcd(x, y), or by one subtraction when x divides y."""
+    rows = len(m)
+    a = [list(row) for row in m]
+    r = 0
+    for c in range(len(m[0]) if rows else 0):
+        if r == rows:
+            break
+        top = a[r]
+        x = top[c]
+        for i in range(r + 1, rows):
+            low = a[i]
+            y = low[c]
+            if not y:
+                continue
+            if not x:
+                a[r], a[i] = low, top
+                top, x = low, y
+            elif y % x == 0:
+                q = y // x
+                a[i] = [u - q * v for u, v in zip(low, top)]
+            else:
+                g, s, t = xgcd(x, y)
+                xg, yg = x // g, y // g
+                a[i] = [xg * v - yg * u for u, v in zip(top, low)]
+                a[r] = top = [s * u + t * v for u, v in zip(top, low)]
+                x = g
+        if not x:
+            continue
+        if x < 0:
+            a[r] = top = [-u for u in top]
+            x = -x
+        for i in range(r):
+            q = a[i][c] // x
+            if q:
+                a[i] = [u - q * v for u, v in zip(a[i], top)]
+        r += 1
     return freeze(a[:r])
-
-
-def row_kernel_basis(m: Matrix) -> Matrix:
-    """Basis of the integer kernel {x : x*m = 0}."""
-    _, w, r = _row_echelon(m, True)
-    return freeze(w[r:])

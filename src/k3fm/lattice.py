@@ -217,15 +217,14 @@ class DiscriminantData:
         """Per part, integer numerators: its generator j is columns[s][j] / p^e.
         The part generator at g_i = v_i / d_i is e g_i = t v_i / p^e, with
         e = t m = 1 mod p^e and 0 mod m = d_i / p^e."""
-        k, orders = len(self._cols), self.form.orders
-        columns = []
-        for part in self.form.parts:
-            at = k - len(part.orders)
-            columns.append(tuple([
+        orders = self.form.orders
+        return tuple(
+            tuple([
                 tuple([pow(d // pe, -1, pe) * x for x in col])
-                for col, d, pe in zip(self._cols[at:], orders[at:], part.orders)
-            ]))
-        return tuple(columns)
+                for col, d, pe in zip(self._cols[at:], orders[at:], part_orders)
+            ])
+            for at, part_orders in self._part_slices
+        )
 
     def classify(self, vec, denom: int = 1) -> tuple:
         """Part coordinates of the dual vector vec / denom (original basis),
@@ -240,9 +239,15 @@ class DiscriminantData:
             ints.append(int(quot))
         c = intmat.mat_vec(self._u, ints)
         return tuple([
-            tuple([x % pe for x, pe in zip(c[len(c) - len(part.orders):], part.orders)])
-            for part in self.form.parts
+            tuple([x % pe for x, pe in zip(c[at:], orders)]) for at, orders in self._part_slices
         ])
+
+    @cached_property
+    def _part_slices(self) -> tuple:
+        """Per part, (offset, orders): its coordinates are the invariant-factor
+        coordinates from the offset on, read mod its orders."""
+        k = len(self._u)
+        return tuple((k - len(part.orders), part.orders) for part in self.form.parts)
 
 
 def discriminant_data(lat: IntegerLattice) -> DiscriminantData:

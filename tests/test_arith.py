@@ -2,17 +2,18 @@
 `prime_factors` for every n <= 10^5, against trial division on seeded
 n < 10^12, on products of known primes up to 10^24 and on strong
 pseudoprimes.  euler_phi is checked in test_genus_key and test_fm_count.
+`xgcd` is checked as a Bezout identity on small and seeded pairs.
 `divisors` and `tau`, which only the tests use, live in `reference_arith`
 and are checked here too."""
 
 import random
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from reference_arith import divisors, tau, trial_division_prime_factors
 
 from k3fm import arith
-from k3fm.arith import PSI_13, is_prime, prime_factors, primes_one_mod_four
+from k3fm.arith import PSI_13, is_prime, prime_factors, primes_one_mod_four, xgcd
 from k3fm.errors import UnsupportedError
 
 N = 5000
@@ -47,6 +48,16 @@ def test_primes_one_mod_four():
     for bound in (0, 1, 4, 5, 12, 13, 14, 1000, N):
         expected = [p for p in NAIVE_PRIMES if p <= bound and p % 4 == 1]
         assert primes_one_mod_four(bound) == expected, bound
+
+
+def test_xgcd_is_a_bezout_identity():
+    rng = random.Random(30)
+    pairs = [(x, y) for x in range(-12, 13) for y in range(-12, 13)]
+    pairs += [(rng.randint(-(10**18), 10**18), rng.randint(-(10**6), 10**6)) for _ in range(2000)]
+    for x, y in pairs:
+        g, s, t = xgcd(x, y)
+        assert g == gcd(x, y) and s * x + t * y == g, (x, y)
+    assert xgcd(0, 0) == (0, 1, 0)
 
 
 def test_prime_factors_up_to_1e5():

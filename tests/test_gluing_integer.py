@@ -13,10 +13,12 @@ give equal reports on glued overlattices and on hand-built ones that fail
 each check.
 """
 
+import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import pytest
+from reference_intmat import hermite_row_basis, row_kernel_basis
 from test_gluing_reference import PAIRS, reference_recovered_gluing_map
 
 from k3fm import (
@@ -32,7 +34,7 @@ from k3fm import (
     verify_overlattice,
 )
 from k3fm import bqf, intmat
-from k3fm.gluing import Overlattice, OverlatticeReport
+from k3fm.gluing import Overlattice, OverlatticeReport, _meets_block_in_itself
 from k3fm.lattice import IntegerLattice, signature
 
 
@@ -136,17 +138,17 @@ def reference_verify_overlattice(over, s, t):
     b_s = tuple(row[: s.rank] for row in basis)
     b_t = tuple(row[s.rank :] for row in basis)
     s_block, _ = _scaled_int_matrix(b_s)
-    kernel = intmat.row_kernel_basis(s_block)
+    kernel = row_kernel_basis(s_block)
     t_part = intmat.matmul(kernel, b_t)
     t_primitive = False
     if len(t_part) == t.rank:
         scaled, denom = _scaled_int_matrix(t_part)
         if denom == 1:
-            t_primitive = intmat.hermite_row_basis(scaled) == intmat.identity(t.rank)
+            t_primitive = hermite_row_basis(scaled) == intmat.identity(t.rank)
     gram_st = direct_sum(s, t).gram
     pair_t = intmat.matmul(basis, tuple(row[s.rank :] for row in gram_st))
     pair_scaled, _ = _scaled_int_matrix(pair_t)
-    perp = intmat.row_kernel_basis(pair_scaled)
+    perp = row_kernel_basis(pair_scaled)
     complement_is_s = False
     if len(perp) == s.rank:
         vecs = intmat.matmul(perp, basis)
@@ -330,3 +332,102 @@ def test_glue_keeps_its_integer_basis():
     assert over.denom == discriminant_form(t).orders[-1]
     assert all(type(x) is int for row in over.basis for x in row)
     assert intmat.scale(over.ambient_basis, over.denom) == over.basis
+
+
+def kernel_meets_block_in_itself(basis, denom, lo, hi):
+    """The block test as a kernel: the integer x with x . basis zero off
+    the block give the vectors of L in its span, which must be integral and
+    have determinant +-1."""
+    m = hi - lo
+    kernel = row_kernel_basis(tuple(row[:lo] + row[hi:] for row in basis))
+    if len(kernel) != m:
+        return False
+    part = intmat.matmul(kernel, tuple(row[lo:hi] for row in basis))
+    if any(x % denom for row in part for x in row):
+        return False
+    return abs(intmat.det(part)) == denom**m
+
+
+def _random_unimodular(rng, n):
+    u = [list(row) for row in intmat.identity(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            k = rng.randint(-3, 3)
+            u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+        if rng.random() < 0.3:
+            u[i] = [-x for x in u[i]]
+        if rng.random() < 0.3:
+            u[i], u[j] = u[j], u[i]
+    return intmat.freeze(u)
+
+
+def test_block_test_is_the_kernel_test_on_unimodular_images_of_glued_bases():
+    # the same lattice in bases that are not Hermite forms, negative
+    # entries included: every glued L meets both blocks in themselves
+    rng = random.Random(30)
+    seen = 0
+    for s, t in PAIRS + EXTRA_PAIRS:
+        n = s.rank + t.rank
+        for sigma in isometries_signed(discriminant_form(t), discriminant_form(s), -1)[:3]:
+            over = glue(s, t, sigma)
+            for _ in range(4):
+                basis = intmat.matmul(_random_unimodular(rng, n), over.basis)
+                for lo, hi in ((0, s.rank), (s.rank, n)):
+                    assert _meets_block_in_itself(basis, over.denom, lo, hi)
+                    assert kernel_meets_block_in_itself(basis, over.denom, lo, hi)
+                seen += basis != over.basis
+    assert seen > 100
+
+
+def _block_lattice(rng, m, denom, kind):
+    """Rows over denom of a lattice M in the block, and whether M = Z^m."""
+    rows = [list(row) for row in intmat.scale(intmat.identity(m), denom)]
+    i = rng.randrange(m)
+    if kind == "index_2":  # a sublattice of index 2
+        if m > 1 and rng.random() < 0.5:
+            j = (i + 1) % m
+            rows[i][j] = denom
+            rows[j][j] = -denom
+            rows[j][i] = denom
+        else:
+            rows[i][i] = 2 * denom
+    elif kind == "half":  # contains a half-integral vector
+        rows[i] = [x // 2 for x in rows[i]]
+        rows[i][(i + 1) % m] += denom // 2 if m > 1 else 0
+    return rows, kind == "whole"
+
+
+def test_block_test_is_the_kernel_test_on_seeded_bases():
+    # L is spanned by [X | Y] and [0 | M] with X nonsingular, so it meets the
+    # block in M / denom exactly; then the block is moved to lo..hi and a
+    # unimodular matrix applied, so the basis is no Hermite form
+    rng = random.Random(31)
+    kinds = {"whole": 0, "index_2": 0, "half": 0}
+    for _ in range(1500):
+        n = rng.randint(2, 6)
+        m = rng.randint(1, n - 1)
+        denom = rng.choice((2, 4, 6, 12))
+        kind = rng.choice(sorted(kinds))
+        block, whole = _block_lattice(rng, m, denom, kind)
+        while True:
+            x = [[rng.randint(-6, 6) for _ in range(n - m)] for _ in range(n - m)]
+            if intmat.det(intmat.freeze(x)):
+                break
+        rows = [xr + [rng.randint(-9, 9) for _ in range(m)] for xr in x]
+        rows += [[0] * (n - m) + br for br in block]
+        lo = rng.choice((0, n - m, rng.randint(0, n - m)))
+        hi = lo + m
+        moved = tuple(tuple(r[:lo] + r[n - m :] + r[lo : n - m]) for r in rows)
+        basis = intmat.matmul(_random_unimodular(rng, n), moved)
+        assert _meets_block_in_itself(basis, denom, lo, hi) == whole, (basis, denom, lo)
+        assert kernel_meets_block_in_itself(basis, denom, lo, hi) == whole, (basis, denom, lo)
+        kinds[kind] += 1
+    assert min(kinds.values()) > 400
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 1), (1, 2)])
+def test_block_test_reads_false_on_a_singular_basis(lo, hi):
+    for basis in (((1, 0), (2, 0)), ((0, 1), (0, 3)), ((0, 0), (0, 0))):
+        assert not _meets_block_in_itself(basis, 1, lo, hi)
+        assert not kernel_meets_block_in_itself(basis, 1, lo, hi)

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from reference_intmat import hermite_row_basis as reference_hermite_row_basis
+from reference_intmat import row_echelon, row_kernel_basis
+
 from k3fm import intmat
 
 
@@ -86,7 +89,8 @@ def test_hermite_row_basis_canonical():
 
 
 def test_hermite_row_basis_is_the_tracked_reduction():
-    # the transform-free reduction against the one that carries w, w * m = h
+    # the extended-gcd reduction against the Euclid one that carries w,
+    # w * m = h
     rng = random.Random(17)
     for _ in range(200):
         rows, cols = rng.randint(1, 7), rng.randint(1, 5)
@@ -94,10 +98,40 @@ def test_hermite_row_basis_is_the_tracked_reduction():
         for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
             m[i] = [0] * cols
         m = intmat.freeze(m)
-        h, w, r = intmat._row_echelon(m, True)
+        h, w, r = row_echelon(m, True)
         assert intmat.matmul(intmat.freeze(w), m) == intmat.freeze(h)
         assert intmat.hermite_row_basis(m) == intmat.freeze(h[:r])
     assert intmat.hermite_row_basis(((0, 0), (0, 0), (0, 0))) == ()
+
+
+def test_hermite_row_basis_equals_the_euclid_reference_up_to_1e12():
+    # each entry of size up to 10^k, k drawn per entry, with zero rows
+    rng = random.Random(30)
+    for _ in range(20000):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 6)
+        m = [
+            [rng.randint(-(10 ** k), 10**k) for k in (rng.randint(0, 12) for _ in range(cols))]
+            for _ in range(rows)
+        ]
+        for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
+            m[i] = [0] * cols
+        m = intmat.freeze(m)
+        assert intmat.hermite_row_basis(m) == reference_hermite_row_basis(m), m
+
+
+def test_hermite_row_basis_equals_the_euclid_reference_on_the_glue_shape():
+    # [D * I_n; lifts], as `gluing.glue` stacks them: D * Z^n and one
+    # lift row over D per generator of A_T, entries taken mod D
+    rng = random.Random(31)
+    for _ in range(3000):
+        n, lifts = rng.randint(2, 8), rng.randint(1, 4)
+        denom = rng.choice((2, 3, 4, 6, 12, 30, 60, 229, 660, 10**6))
+        m = intmat.scale(intmat.identity(n), denom) + tuple(
+            tuple(rng.randrange(denom) for _ in range(n)) for _ in range(lifts)
+        )
+        h = intmat.hermite_row_basis(m)
+        assert h == reference_hermite_row_basis(m), m
+        assert len(h) == n
 
 
 def test_products_take_fractions():
@@ -108,7 +142,7 @@ def test_products_take_fractions():
 
 def test_row_kernel_basis():
     m = ((1, 2), (2, 4), (0, 0))
-    ker = intmat.row_kernel_basis(m)
+    ker = row_kernel_basis(m)
     assert len(ker) == 2
     for row in ker:
         assert intmat.mat_vec(intmat.transpose(m), row) == (0, 0)
